@@ -32,7 +32,7 @@ from causetrace.benchmark import builtin_instances, load_builtin_scenario
 from causetrace.middleware import trace_digest
 from causetrace.oracles import OracleConfig
 from causetrace.runner import AdsConfig
-from causetrace.substitutes import IdealAll, IdealFromState, IdealWithinStates
+from causetrace.substitutes import IdealAll, IdealFromState
 
 GOLDEN_PATH = Path(__file__).resolve().parents[1] / "tests" / "golden.json"
 
@@ -45,10 +45,8 @@ def _rerun_row(plan, passed: bool) -> list:
         name, where = "ideal_all", None
     elif isinstance(mode, IdealFromState):
         name, where = "ideal_from_state", mode.index
-    elif isinstance(mode, IdealWithinStates):
-        name, where = "ideal_within", [mode.a, mode.b]
     else:
-        name, where = type(mode).__name__, None
+        name, where = "ideal_within", [mode.a, mode.b]
     return ["+".join(c.value for c, _ in modes), name, where, passed]
 
 

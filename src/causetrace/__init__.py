@@ -6,9 +6,9 @@ from .attribution import (AttributionReport, MonotonicityViolation, NoViolation,
                           tarantula_scores)
 from .middleware import ComponentId, Trace, trace_digest
 from .oracles import OracleConfig, evaluate
-from .runner import AdsConfig, RunResult, rtest
+from .runner import AdsConfig, RunResult, rtest, run_with_substitution
 from .scenario import Scenario, load_scenario, save_scenario
-from .substitutes import QuantizationUnits, SubstitutionPlan, dtest, split_trace
+from .substitutes import QuantizationUnits, SubstitutionPlan, split_trace
 
 __version__ = "0.1.0"
 
@@ -16,6 +16,7 @@ __all__ = [
     "AdsConfig", "AttributionReport", "ComponentId", "MonotonicityViolation",
     "NoViolatingPlanningMessage", "NoViolation", "OracleConfig", "QuantizationUnits",
     "RunResult", "Scenario", "SubstitutionPlan", "Trace", "Unattributable",
-    "attribute", "dtest", "evaluate", "load_scenario", "rtest", "save_scenario",
+    "attribute", "evaluate", "load_scenario", "rtest", "run_with_substitution",
+    "save_scenario",
     "split_trace", "tarantula_scores", "trace_digest", "__version__",
 ]

@@ -22,8 +22,8 @@ from .oracles import (OracleConfig, PlanningCheckContext, planning_message_viola
 from .pipeline import make_planner_context
 from .runner import AdsConfig, RunResult, rtest, run_with_substitution
 from .scenario import Scenario
-from .substitutes import (DynamicState, IdealAll, IdealFromState, IdealWithinStates,
-                          QuantizationUnits, SubstitutionPlan, split_trace)
+from .substitutes import (DynamicState, IdealFromState, IdealWithinStates,
+                          SubstitutionPlan, split_trace)
 
 PROBE_ORDER = (ComponentId.PERCEPTION, ComponentId.PREDICTION,
                ComponentId.CONTROL, ComponentId.LOCALIZATION)
@@ -104,12 +104,10 @@ def attribute_component(session: DtestSession, original: RunResult,
     return found, outcomes, session.calls - calls_before
 
 
-def _component_states(states: list[DynamicState], trace: Trace,
-                      component: ComponentId) -> list[int]:
+def _component_states(trace: Trace, component: ComponentId) -> list[int]:
     """State indices that contain at least one message of the component."""
-    present = sorted({m.state_index for m in trace.rows[component]
-                      if m.state_index is not None})
-    return present
+    return sorted({m.state_index for m in trace.rows[component]
+                   if m.state_index is not None})
 
 
 def _focus_in_state(trace: Trace, component: ComponentId, state_index: int) -> Message:
@@ -122,10 +120,8 @@ def _focus_in_state(trace: Trace, component: ComponentId, state_index: int) -> M
     return best
 
 
-def _from_state_plan(component: ComponentId, states: list[DynamicState],
-                     index: int) -> SubstitutionPlan:
-    st = states[index - 1]
-    return SubstitutionPlan({component: IdealFromState(index, st.key, st.ordinal)})
+def _from_state_plan(component: ComponentId, index: int) -> SubstitutionPlan:
+    return SubstitutionPlan({component: IdealFromState(index)})
 
 
 def attribute_message_nonplanning(session: DtestSession, trace: Trace,
@@ -141,12 +137,12 @@ def attribute_message_nonplanning(session: DtestSession, trace: Trace,
     if n == 1:
         row = trace.rows[component]
         return row[-1], session.calls - calls_before
-    if session.passed(_from_state_plan(component, states, n)):
+    if session.passed(_from_state_plan(component, n)):
         return _focus_in_state(trace, component, n), session.calls - calls_before
     left, right = 1, n
     while left + 1 < right:
         mid = (left + right) // 2
-        if session.passed(_from_state_plan(component, states, mid)):
+        if session.passed(_from_state_plan(component, mid)):
             left = mid  # the decisive message is at or after mid
         else:
             right = mid
@@ -163,12 +159,12 @@ def audit_suffix_monotonicity(session: DtestSession, trace: Trace,
     at every state that carries a component message is the full scan. Returns
     (monotone, last passing index, outcomes).
     """
-    indices = _component_states(states, trace, component)
+    indices = _component_states(trace, component)
     if 1 not in indices:
         indices = [1] + indices
     outcomes = []
     for idx in indices:
-        outcomes.append((idx, session.passed(_from_state_plan(component, states, idx))))
+        outcomes.append((idx, session.passed(_from_state_plan(component, idx))))
     flips = sum(1 for (_, a), (_, b) in zip(outcomes, outcomes[1:]) if a != b)
     monotone = flips <= 1 and (flips == 0 or outcomes[0][1])
     boundary = None
@@ -186,10 +182,10 @@ def audit_suffix_monotonicity(session: DtestSession, trace: Trace,
     return monotone, boundary, outcomes
 
 
-def attribute_message_planning(trace: Trace, scenario: Scenario, ads: AdsConfig,
+def attribute_message_planning(trace: Trace, scenario: Scenario,
                                oracles: OracleConfig) -> Message:
     """First planning output message that itself violates the driving rules."""
-    planner_ctx = make_planner_context(scenario, ads.planner_params)
+    planner_ctx = make_planner_context(scenario)
     ego_by_t = {w.t: w for w in trace.ego_log}
     sample_ts = sorted(ego_by_t)
     held_since: int | None = None
@@ -336,22 +332,20 @@ def verdict_matrix_csv(rows: list[dict]) -> str:
 
 def attribute(scenario: Scenario, ads: AdsConfig, oracles: OracleConfig,
               strategy: str = "binary", audit_monotonicity: bool = False,
-              probe_all: bool = False,
-              units: QuantizationUnits | None = None) -> AttributionReport:
+              probe_all: bool = False) -> AttributionReport:
     """Full pipeline: run, attribute the component, then the focus message."""
     t_start = time.perf_counter()
-    units = units or ads.units
     original = rtest(scenario, ads, oracles)
     session = DtestSession(scenario, ads, oracles)
     component, outcomes, comp_calls = attribute_component(session, original,
                                                           probe_all=probe_all)
-    states = split_trace(original.trace, units)
+    states = split_trace(original.trace, ads.units)
     notes: list[str] = []
     audit_result: bool | None = None
     interval: tuple[int, int] | None = None
 
     if component is ComponentId.PLANNING:
-        focus = attribute_message_planning(original.trace, scenario, ads, oracles)
+        focus = attribute_message_planning(original.trace, scenario, oracles)
         msg_calls = 0
         notes.append("planning short-circuit: message scan used no re-runs")
         notes.extend(_tarantula_note(original.trace, focus))
@@ -367,10 +361,8 @@ def attribute(scenario: Scenario, ads: AdsConfig, oracles: OracleConfig,
             if not monotone:
                 raise MonotonicityViolation(scan)
             notes.append(f"audit: suffix predicate monotone, boundary state {boundary}")
-        calls_before = session.calls
         focus, msg_calls = attribute_message_nonplanning(session, original.trace,
                                                          states, component)
-        msg_calls = session.calls - calls_before
 
     total = original.trace.message_count()
     affected_ts = [m.t_pub for m in original.trace.rows[component] if m.fault_affected]

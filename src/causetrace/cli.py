@@ -12,7 +12,6 @@ Exit codes: 0 pass, 1 violation, 2 error, 3 no violation to attribute,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -25,7 +24,8 @@ from .faults import load_fault_file
 from .middleware import save_trace, trace_digest
 from .oracles import ALL_KINDS, OracleConfig
 from .runner import AdsConfig, rtest
-from .scenario import ParseError, Scenario, ValidationError, load_scenario
+from .scenario import (ParseError, Scenario, ValidationError, expect, load_scenario,
+                       parse_number)
 
 EXIT_PASS = 0
 EXIT_VIOLATION = 1
@@ -37,19 +37,21 @@ EXIT_UNATTRIBUTABLE = 4
 def _load_oracle_config(path: str | None) -> OracleConfig:
     if path is None:
         return OracleConfig()
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    doc = expect(json.loads(Path(path).read_text(encoding="utf-8")), dict, path)
+    enabled = expect(doc.get("enabled", list(ALL_KINDS)), list, "enabled")
+    for i, kind in enumerate(enabled):
+        if kind not in ALL_KINDS:
+            raise ValidationError(f"enabled[{i}]", f"unknown oracle {kind!r}")
     return OracleConfig(
-        enabled=tuple(doc.get("enabled", ALL_KINDS)),
-        safe_distance_c=float(doc.get("safe_distance_c", 0.3)),
-        dest_tolerance=float(doc.get("dest_tolerance", 2.0)),
-        speed_tolerance=float(doc.get("speed_tolerance", 0.5)),
+        enabled=tuple(enabled),
+        safe_distance_c=parse_number(doc.get("safe_distance_c", 0.3), "safe_distance_c"),
+        dest_tolerance=parse_number(doc.get("dest_tolerance", 2.0), "dest_tolerance"),
+        speed_tolerance=parse_number(doc.get("speed_tolerance", 0.5), "speed_tolerance"),
     )
 
 
 def _load_inputs(args) -> tuple[Scenario, AdsConfig, OracleConfig]:
     scenario = load_scenario(args.scenario)
-    if args.seed is not None:
-        scenario = dataclasses.replace(scenario, seed=args.seed)
     faults = load_fault_file(args.fault) if args.fault else []
     return scenario, AdsConfig(faults=faults), _load_oracle_config(args.oracle_config)
 
@@ -184,7 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--oracle-config", default=None)
         sp.add_argument("--out-dir", default="out")
-        sp.add_argument("--seed", type=int, default=None)
 
     sp = sub.add_parser("run", help="simulate a scenario and evaluate the oracles")
     sp.add_argument("scenario")

@@ -17,7 +17,7 @@ from .geometry import OrientedBox, Vec2
 from .middleware import ComponentId
 from .payloads import (ControlOut, LocalizationOut, PerceivedObject, PerceptionOut,
                        PlanningOut, PredictedTrajectory, PredictionOut, TrajPoint)
-from .scenario import SimTime
+from .scenario import ParseError, SimTime, ValidationError, expect
 
 FAULT_KINDS: dict[str, ComponentId] = {
     "miss_detection": ComponentId.PERCEPTION,
@@ -88,32 +88,47 @@ class FaultSpec:
         return out
 
 
-def fault_from_dict(doc: dict) -> FaultSpec:
-    trig_doc = doc.get("trigger", {})
-    region = None
-    if "region" in trig_doc:
-        region = ((float(trig_doc["region"]["center"][0]),
-                   float(trig_doc["region"]["center"][1])),
-                  float(trig_doc["region"]["radius"]))
-    trigger = Trigger(
-        t0=int(trig_doc.get("t0_ms", 0)),
-        t1=int(trig_doc.get("t1_ms", 1 << 62)),
-        object_id=trig_doc.get("object_id"),
-        region=region,
-    )
+def fault_from_dict(doc: dict, path: str = "fault") -> FaultSpec:
+    """Parse one fault; malformed input raises ParseError / ValidationError."""
+    expect(doc, dict, path)
+    for key in ("target", "kind"):
+        if key not in doc:
+            raise ParseError(f"{path}: missing key {key!r}")
+    kind = doc["kind"]
+    if not isinstance(kind, str) or kind not in FAULT_KINDS:
+        raise ValidationError(f"{path}.kind", f"unknown fault kind {kind!r}")
+    if doc["target"] != FAULT_KINDS[kind].value:
+        raise ValidationError(f"{path}.target", f"fault kind {kind!r} targets "
+                              f"{FAULT_KINDS[kind].value}, not {doc['target']!r}")
+    trig_path = f"{path}.trigger"
+    trig_doc = expect(doc.get("trigger", {}), dict, trig_path)
+    try:
+        region = None
+        if "region" in trig_doc:
+            (cx, cy), r = trig_doc["region"]["center"], trig_doc["region"]["radius"]
+            region = ((float(cx), float(cy)), float(r))
+        trigger = Trigger(
+            t0=int(trig_doc.get("t0_ms", 0)),
+            t1=int(trig_doc.get("t1_ms", 1 << 62)),
+            object_id=trig_doc.get("object_id"),
+            region=region,
+        )
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"{trig_path}: malformed trigger: {exc!r}") from None
     return FaultSpec(
-        target=ComponentId(doc["target"]),
-        kind=doc["kind"],
+        target=FAULT_KINDS[kind],
+        kind=kind,
         trigger=trigger,
-        magnitude=dict(doc.get("magnitude", {})),
+        magnitude=dict(expect(doc.get("magnitude", {}), dict, f"{path}.magnitude")),
     )
 
 
 def load_fault_file(path: str | Path) -> list[FaultSpec]:
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if isinstance(doc, dict):
-        doc = doc.get("faults", [doc])
-    return [fault_from_dict(d) for d in doc]
+    if isinstance(doc, dict) and "faults" not in doc:
+        return [fault_from_dict(doc)]
+    faults = expect(doc["faults"] if isinstance(doc, dict) else doc, list, "faults")
+    return [fault_from_dict(d, f"faults[{i}]") for i, d in enumerate(faults)]
 
 
 # ---------------------------------------------------------------------------

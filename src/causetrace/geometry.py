@@ -63,10 +63,6 @@ class OrientedBox:
             out.append((cx + dx * c - dy * s, cy + dx * s + dy * c))
         return out
 
-    def circumradius(self) -> float:
-        hl, hw = self.half_extents
-        return math.hypot(hl, hw)
-
     def contains(self, p: Vec2) -> bool:
         # Test in box frame; boundary counts as inside.
         dx, dy = p[0] - self.center[0], p[1] - self.center[1]
@@ -110,55 +106,21 @@ def _seg_seg_distance(p1: Vec2, p2: Vec2, q1: Vec2, q2: Vec2) -> float:
     return vec_dist(vec_add(p1, vec_scale(d1, s)), vec_add(q1, vec_scale(d2, t)))
 
 
-def _boxes_overlap(a: OrientedBox, b: OrientedBox, ca: list[Vec2], cb: list[Vec2]) -> bool:
-    """Separating-axis test over the 4 face normals."""
-    for heading in (a.heading, a.heading + math.pi / 2, b.heading, b.heading + math.pi / 2):
-        ax, ay = math.cos(heading), math.sin(heading)
-        amin = amax = ca[0][0] * ax + ca[0][1] * ay
-        for px, py in ca[1:]:
-            d = px * ax + py * ay
-            if d < amin:
-                amin = d
-            elif d > amax:
-                amax = d
-        bmin = bmax = cb[0][0] * ax + cb[0][1] * ay
-        for px, py in cb[1:]:
-            d = px * ax + py * ay
-            if d < bmin:
-                bmin = d
-            elif d > bmax:
-                bmax = d
-        if amax < bmin or bmax < amin:
-            return False
-    return True
-
-
-def min_obb_distance(a: OrientedBox, b: OrientedBox) -> float:
-    """Exact minimum distance between two oriented boxes; 0.0 when overlapping."""
-    ca = a.corners()
-    cb = b.corners()
-    if _boxes_overlap(a, b, ca, cb):
-        return 0.0
-    best = math.inf
-    for i in range(4):
-        p1, p2 = ca[i], ca[(i + 1) % 4]
-        for j in range(4):
-            d = _seg_seg_distance(p1, p2, cb[j], cb[(j + 1) % 4])
-            if d < best:
-                best = d
-    return best
-
-
-def obb_separation_at_least(a: OrientedBox, b: OrientedBox, threshold: float) -> bool:
+def obb_separation_at_least(a: OrientedBox, b: OrientedBox, threshold: float,
+                            ca: list[Vec2] | None = None,
+                            cb: list[Vec2] | None = None) -> bool:
     """True if the boxes are provably at least `threshold` apart.
 
-    The gap between the boxes' projections on any face normal is a lower bound
-    on their Euclidean distance, so one wide axis is enough to skip the exact
-    (much more expensive) computation. False means "maybe closer": callers fall
-    back to min_obb_distance.
+    Separating-axis test over the 4 face normals: the gap between the boxes'
+    projections on any axis is a lower bound on their Euclidean distance, so
+    one wide axis is enough to skip the exact (much more expensive)
+    computation. False means "maybe closer": callers fall back to
+    min_obb_distance. `ca` / `cb` are the boxes' corners when the caller
+    already has them.
     """
-    ca = a.corners()
-    cb = b.corners()
+    if ca is None:
+        ca = a.corners()
+        cb = b.corners()
     for heading in (a.heading, a.heading + math.pi / 2, b.heading, b.heading + math.pi / 2):
         ax, ay = math.cos(heading), math.sin(heading)
         amin = amax = ca[0][0] * ax + ca[0][1] * ay
@@ -180,9 +142,28 @@ def obb_separation_at_least(a: OrientedBox, b: OrientedBox, threshold: float) ->
     return False
 
 
-def obb_distance_upper_bound(a: OrientedBox, b: OrientedBox) -> float:
-    """Cheap center-distance bound used to skip exact tests in hot loops."""
-    return vec_dist(a.center, b.center) - a.circumradius() - b.circumradius()
+# The smallest positive double: with gradual underflow x - y >= _ANY_GAP holds
+# exactly when x > y, so this threshold asks "is there any separating gap".
+_ANY_GAP = math.ulp(0.0)
+# Private binding, so that rebinding the public name (say, to profile the
+# callers' pre-filter) leaves min_obb_distance's own overlap test alone.
+_separated = obb_separation_at_least
+
+
+def min_obb_distance(a: OrientedBox, b: OrientedBox) -> float:
+    """Exact minimum distance between two oriented boxes; 0.0 when overlapping."""
+    ca = a.corners()
+    cb = b.corners()
+    if not _separated(a, b, _ANY_GAP, ca, cb):
+        return 0.0
+    best = math.inf
+    for i in range(4):
+        p1, p2 = ca[i], ca[(i + 1) % 4]
+        for j in range(4):
+            d = _seg_seg_distance(p1, p2, cb[j], cb[(j + 1) % 4])
+            if d < best:
+                best = d
+    return best
 
 
 def point_to_obb_distance(p: Vec2, box: OrientedBox) -> float:

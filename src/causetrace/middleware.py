@@ -84,9 +84,6 @@ class Trace:
     def message_count(self) -> int:
         return sum(len(r) for r in self.rows.values())
 
-    def row(self, component: ComponentId) -> list[Message]:
-        return self.rows[component]
-
 
 class Bus:
     """Single-run message bus; strictly single-threaded."""
@@ -114,14 +111,6 @@ class Bus:
         self.trace.records.append(
             ExecutionRecord(component, inputs, output.seq, output.t_pub)
         )
-
-
-def trace_suffix(trace: Trace, component: ComponentId, i: int) -> list[Message]:
-    """Messages of `component` with seq >= i; i may be row length + 1 (empty)."""
-    row = trace.rows[component]
-    if i < 1 or i > len(row) + 1:
-        raise IndexError(f"suffix start {i} outside 1..{len(row) + 1}")
-    return row[i - 1:]
 
 
 # ---------------------------------------------------------------------------

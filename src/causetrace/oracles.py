@@ -14,8 +14,8 @@ from .geometry import OrientedBox, min_obb_distance, obb_separation_at_least, ve
 from .middleware import Verdict
 from .payloads import PlanningOut
 from .pipeline import PlannerContext
-from .scenario import (Scenario, SimTime, Waypoint, bbox_at, lane_at, object_pose_at,
-                       project_on_polyline)
+from .scenario import (Scenario, SimTime, ValidationError, Waypoint, bbox_at, lane_at,
+                       object_pose_at, project_on_polyline)
 from .world import ObjectTracker
 
 SAFE_DISTANCE = "safe_distance"
@@ -32,8 +32,9 @@ class OracleConfig:
     speed_tolerance: float = 0.5
 
     def __post_init__(self):
-        assert self.safe_distance_c >= 0
-        assert self.dest_tolerance >= 0 and self.speed_tolerance >= 0
+        for name in ("safe_distance_c", "dest_tolerance", "speed_tolerance"):
+            if not getattr(self, name) >= 0:
+                raise ValidationError(name, "must be >= 0")
 
 
 def _ego_heading_series(ego_log: list[Waypoint], init_heading: float) -> list[float]:

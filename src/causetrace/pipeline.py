@@ -29,8 +29,8 @@ PREDICTION_STEP_MS = 100
 # perception
 
 
-def perception_tick(truth: list[TruthObject], faults: list[FaultSpec], rng,
-                    t: SimTime, ego_heading: float) -> tuple[PerceptionOut, bool]:
+def perception_tick(truth: list[TruthObject], faults: list[FaultSpec], t: SimTime,
+                    ego_heading: float) -> tuple[PerceptionOut, bool]:
     """Ground truth as sensed (already range-filtered), then fault mutations."""
     out = PerceptionOut(tuple(PerceivedObject(o.id, o.kind, o.box, o.v) for o in truth))
     return apply_perception_faults(out, faults, t, ego_heading)
@@ -114,7 +114,7 @@ class PlannerContext:
     params: PlannerParams = field(default_factory=PlannerParams)
 
 
-def make_planner_context(scenario: Scenario, params: PlannerParams | None = None) -> PlannerContext:
+def make_planner_context(scenario: Scenario) -> PlannerContext:
     from .scenario import lane_at
 
     init_hit = lane_at(scenario.map, scenario.a_init[0])
@@ -145,7 +145,6 @@ def make_planner_context(scenario: Scenario, params: PlannerParams | None = None
         speed_limit=limit,
         signals=scenario.signals,
         ego_half=(scenario.ego_size[0] / 2.0, scenario.ego_size[1] / 2.0),
-        params=params or PlannerParams(),
     )
 
 

@@ -11,7 +11,6 @@ Identical inputs produce byte-identical serialized traces.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -19,15 +18,13 @@ from .faults import FaultSpec
 from .geometry import OrientedBox, min_obb_distance, obb_separation_at_least
 from .middleware import Bus, ComponentId, TICK_PRIORITY, Trace, Verdict
 from .oracles import OracleConfig, evaluate
-from .payloads import LocalizationOut, PerceptionOut, PerceivedObject
-from .pipeline import (PlannerParams, control_tick, localization_tick,
-                       make_planner_context, perception_tick, planning_tick,
-                       prediction_tick)
+from .payloads import LocalizationOut, PerceptionOut
+from .pipeline import (control_tick, localization_tick, make_planner_context,
+                       perception_tick, planning_tick, prediction_tick)
 from .scenario import Scenario, SimTime, Waypoint
-from .substitutes import (IdealFromState, OnlineStateTracker, QuantizationUnits,
-                          SubstitutionPlan, derived_control, ideal_localization,
-                          ideal_perception, ideal_prediction, sim_control_apply,
-                          substitution_active)
+from .substitutes import (OnlineStateTracker, QuantizationUnits, SubstitutionPlan,
+                          derived_control, ideal_localization, ideal_perception,
+                          ideal_prediction, sim_control_apply, substitution_active)
 from .world import EgoState, ObjectTracker, SENSOR_RANGE, step_ego
 
 SAMPLE_MS = 10  # ego log and state tracking at 100 Hz
@@ -53,13 +50,8 @@ class SimPanic(Exception):
 
 @dataclass
 class AdsConfig:
-    periods: dict[ComponentId, int] = field(default_factory=lambda: dict(DEFAULT_PERIODS))
     faults: list[FaultSpec] = field(default_factory=list)
-    planner_params: PlannerParams = field(default_factory=PlannerParams)
     units: QuantizationUnits = field(default_factory=QuantizationUnits)
-    sensor_range: float = SENSOR_RANGE
-    driving: str = "clock"  # all five components are clock-driven
-    use_best_effort_planner: bool = False
 
 
 @dataclass
@@ -68,18 +60,12 @@ class RunHooks:
     wrappers: dict[ComponentId, Callable] = field(default_factory=dict)
 
 
-def _component_rng(seed: int, component: ComponentId) -> random.Random:
-    salt = {"perception": 1, "prediction": 2, "planning": 3,
-            "control": 4, "localization": 5}[component.value]
-    return random.Random((seed * 1_000_003 + salt * 7_919) % (1 << 63))
-
-
 def run_scheduler(scenario: Scenario, ads: AdsConfig, hooks: RunHooks | None = None) -> Trace:
     hooks = hooks or RunHooks()
     plan_modes = {c: hooks.substitution.mode_of(c) for c in ComponentId}
     bus = Bus()
     trace = bus.trace
-    ctx = make_planner_context(scenario, ads.planner_params)
+    ctx = make_planner_context(scenario)
     ego = EgoState(p=scenario.a_init[0], heading=scenario.a_init[1], speed=0.0,
                    accel=0.0, t=0)
     ego_half = (scenario.ego_size[0] / 2.0, scenario.ego_size[1] / 2.0)
@@ -90,14 +76,12 @@ def run_scheduler(scenario: Scenario, ads: AdsConfig, hooks: RunHooks | None = N
     obj_heading = [_initial_heading(o) for o in scenario.objects]
     state_tracker = OnlineStateTracker(ads.units)
     faults = {c: [f for f in ads.faults if f.target is c] for c in ComponentId}
-    rngs = {c: _component_rng(scenario.seed, c) for c in ComponentId}
     perc_history: list[PerceptionOut] = []
-    periods = ads.periods
     collided = False
 
-    def truth_at(t: SimTime, origin, sensor_range) -> list:
+    def truth_at(t: SimTime, origin) -> list:
         out = []
-        rng2 = sensor_range * sensor_range
+        rng2 = SENSOR_RANGE * SENSOR_RANGE
         for i, trk in enumerate(trackers):
             p, v = trk.pose_at(t)
             dx, dy = p[0] - origin[0], p[1] - origin[1]
@@ -130,19 +114,18 @@ def run_scheduler(scenario: Scenario, ads: AdsConfig, hooks: RunHooks | None = N
                 loc_msg = bus.latest(ComponentId.LOCALIZATION)
                 believed: LocalizationOut = loc_msg.payload
                 if active(component):
-                    payload, changed = ideal_perception(scenario, t, ego.p,
-                                                        ads.sensor_range), False
+                    payload, changed = ideal_perception(scenario, t, ego.p), False
                 else:
                     delta = (believed.p[0] - ego.p[0], believed.p[1] - ego.p[1])
                     sensed = []
-                    for i, p, v, heading in truth_at(t, ego.p, ads.sensor_range):
+                    for i, p, v, heading in truth_at(t, ego.p):
                         center = (p[0] + delta[0], p[1] + delta[1])
                         sensed.append(_SensedObject(scenario.objects[i].id,
                                                     scenario.objects[i].kind,
                                                     OrientedBox(center, obj_half[i], heading),
                                                     v))
-                    payload, changed = perception_tick(sensed, faults[component],
-                                                       rngs[component], t, believed.heading)
+                    payload, changed = perception_tick(sensed, faults[component], t,
+                                                       believed.heading)
                 msg = bus.publish(component, payload, t, changed)
                 bus.record_execution(component, {"localization": loc_msg.seq}, msg)
             elif component is ComponentId.PREDICTION:
@@ -159,12 +142,8 @@ def run_scheduler(scenario: Scenario, ads: AdsConfig, hooks: RunHooks | None = N
             elif component is ComponentId.PLANNING:
                 pred_msg = bus.latest(ComponentId.PREDICTION)
                 loc_msg = bus.latest(ComponentId.LOCALIZATION)
-                if ads.use_best_effort_planner:
-                    from .substitutes import best_effort_planning
-                    payload, changed = best_effort_planning(scenario, ctx, ego, t), False
-                else:
-                    payload, changed = planning_tick(pred_msg.payload, loc_msg.payload,
-                                                     ctx, faults[component], t)
+                payload, changed = planning_tick(pred_msg.payload, loc_msg.payload,
+                                                 ctx, faults[component], t)
                 msg = bus.publish(component, payload, t, changed)
                 bus.record_execution(component, {"prediction": pred_msg.seq,
                                                  "localization": loc_msg.seq}, msg)
@@ -189,18 +168,13 @@ def run_scheduler(scenario: Scenario, ads: AdsConfig, hooks: RunHooks | None = N
         if t % SAMPLE_MS == 0:
             wp = Waypoint(p=ego.p, v=ego.velocity(), a=ego.accel_vec(), t=t)
             trace.ego_log.append(wp)
-            idx, key, ordinal = state_tracker.observe(wp.p, wp.v, wp.a)
-            for comp, mode in plan_modes.items():
-                if isinstance(mode, IdealFromState) and idx == mode.index \
-                        and mode.key is not None and (key, ordinal) != (mode.key, mode.ordinal):
-                    trace.diagnostics.append(
-                        f"state-mismatch component={comp.value} index={idx}")
+            state_tracker.observe(wp.p, wp.v, wp.a)
             if _contact(ego, ego_half, ego_r, trackers, obj_half, obj_r, obj_heading, t,
                         trace):
                 collided = True
                 break
         for component in TICK_PRIORITY:
-            if t % periods[component] == 0:
+            if t % DEFAULT_PERIODS[component] == 0:
                 fire(component, t)
         if active(ComponentId.CONTROL):
             plan_msg = bus.latest(ComponentId.PLANNING)

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .geometry import OrientedBox, Vec2, is_finite_vec, vec_dist, vec_lerp
+from .geometry import OrientedBox, Vec2, is_finite_vec, vec_lerp
 
 SimTime = int  # integer milliseconds
 
@@ -208,10 +208,6 @@ def point_on_polyline(line: tuple[Vec2, ...], s: float) -> tuple[Vec2, float]:
     return line[-1], math.atan2(by - ay, bx - ax)
 
 
-def polyline_length(line: tuple[Vec2, ...]) -> float:
-    return sum(vec_dist(line[i], line[i + 1]) for i in range(len(line) - 1))
-
-
 def lane_at(lane_map: LaneMap, p: Vec2) -> tuple[Lane, float, float] | None:
     """Nearest lane containing p within its width; ties go to the smaller lane id."""
     best: tuple[Lane, float, float] | None = None
@@ -229,18 +225,43 @@ def lane_at(lane_map: LaneMap, p: Vec2) -> tuple[Lane, float, float] | None:
 # load / save / validate
 
 
+def parse_number(raw, path: str, kind: type = float):
+    """`kind(raw)` for a JSON number (or numeric string); ParseError otherwise."""
+    if isinstance(raw, (int, float, str)):
+        try:
+            return kind(raw)
+        except (ValueError, OverflowError):
+            pass
+    raise ParseError(f"{path}: expected a number, got {raw!r}")
+
+
+def expect(raw, kind: type, path: str):
+    """`raw` if it is a `kind` (dict for a JSON object, list for an array)."""
+    if not isinstance(raw, kind):
+        raise ParseError(f"{path}: expected {'an object' if kind is dict else 'an array'}")
+    return raw
+
+
 def _vec(raw, path: str) -> Vec2:
     if not (isinstance(raw, list) and len(raw) == 2):
         raise ParseError(f"{path}: expected [x, y]")
-    v = (float(raw[0]), float(raw[1]))
+    v = (parse_number(raw[0], f"{path}[0]"), parse_number(raw[1], f"{path}[1]"))
     if not is_finite_vec(v):
         raise ValidationError(path, "components must be finite")
     return v
 
 
+def _size(raw, path: str) -> tuple[float, float, float]:
+    size = tuple(parse_number(x, f"{path}[{i}]") for i, x in enumerate(expect(raw, list, path)))
+    if len(size) != 3 or any(x <= 0 for x in size):
+        raise ValidationError(path, "size components must be > 0")
+    return size
+
+
 def _parse_waypoint(raw: dict, path: str) -> Waypoint:
+    expect(raw, dict, path)
     try:
-        t = int(raw["t_ms"])
+        t = parse_number(raw["t_ms"], f"{path}.t_ms", int)
         p = _vec(raw["p"], f"{path}.p")
         v = _vec(raw["v"], f"{path}.v")
         a = _vec(raw["a"], f"{path}.a")
@@ -253,17 +274,16 @@ def _parse_waypoint(raw: dict, path: str) -> Waypoint:
 
 def _parse_object(raw: dict, idx: int) -> TrafficObject:
     path = f"objects[{idx}]"
+    expect(raw, dict, path)
     try:
         obj_id = str(raw["id"])
         kind = raw["kind"]
-        size = tuple(float(x) for x in raw["size"])
-        wps_raw = raw["waypoints"]
+        size = _size(raw["size"], f"{path}.size")
+        wps_raw = expect(raw["waypoints"], list, f"{path}.waypoints")
     except KeyError as exc:
         raise ParseError(f"{path}: missing key {exc}") from exc
     if kind not in KINDS:
         raise ValidationError(f"{path}.kind", f"unknown kind {kind!r}")
-    if len(size) != 3 or any(x <= 0 for x in size):
-        raise ValidationError(f"{path}.size", "size components must be > 0")
     if not wps_raw:
         raise ValidationError(f"{path}.waypoints", "must be non-empty")
     wps = tuple(_parse_waypoint(w, f"{path}.waypoints[{i}]") for i, w in enumerate(wps_raw))
@@ -275,7 +295,8 @@ def _parse_object(raw: dict, idx: int) -> TrafficObject:
         kind=kind,
         size=(size[0], size[1], size[2]),
         waypoints=wps,
-        heading_override=float(raw["heading_override"]) if "heading_override" in raw else None,
+        heading_override=(parse_number(raw["heading_override"], f"{path}.heading_override")
+                          if "heading_override" in raw else None),
     )
     if kind in ("StaticObstacle", "Infrastructure"):
         first = wps[0]
@@ -289,11 +310,13 @@ def _parse_object(raw: dict, idx: int) -> TrafficObject:
 
 def _parse_lane(raw: dict, idx: int) -> Lane:
     path = f"map.lanes[{idx}]"
+    expect(raw, dict, path)
     try:
         lane_id = str(raw["id"])
-        pts = tuple(_vec(p, f"{path}.centerline[{i}]") for i, p in enumerate(raw["centerline"]))
-        width = float(raw["width"])
-        speed_limit = float(raw["speed_limit"])
+        pts = tuple(_vec(p, f"{path}.centerline[{i}]")
+                    for i, p in enumerate(expect(raw["centerline"], list, f"{path}.centerline")))
+        width = parse_number(raw["width"], f"{path}.width")
+        speed_limit = parse_number(raw["speed_limit"], f"{path}.speed_limit")
     except KeyError as exc:
         raise ParseError(f"{path}: missing key {exc}") from exc
     if len(pts) < 2:
@@ -307,18 +330,25 @@ def _parse_lane(raw: dict, idx: int) -> Lane:
 
 def _parse_signal(raw: dict, idx: int, t_max: SimTime) -> TrafficSignal:
     path = f"signals[{idx}]"
+    expect(raw, dict, path)
     try:
         sig_id = str(raw["id"])
         stop_line = _vec(raw["stop_line"], f"{path}.stop_line")
-        phases_raw = raw["phases"]
+        phases_raw = expect(raw["phases"], list, f"{path}.phases")
     except KeyError as exc:
         raise ParseError(f"{path}: missing key {exc}") from exc
     phases = []
     for i, ph in enumerate(phases_raw):
-        color = ph.get("color")
+        ph_path = f"{path}.phases[{i}]"
+        color = expect(ph, dict, ph_path).get("color")
         if color not in SIGNAL_COLORS:
-            raise ValidationError(f"{path}.phases[{i}].color", f"unknown color {color!r}")
-        phases.append(SignalPhase(int(ph["t_start_ms"]), int(ph["t_end_ms"]), color))
+            raise ValidationError(f"{ph_path}.color", f"unknown color {color!r}")
+        try:
+            t_start = parse_number(ph["t_start_ms"], f"{ph_path}.t_start_ms", int)
+            t_end = parse_number(ph["t_end_ms"], f"{ph_path}.t_end_ms", int)
+        except KeyError as exc:
+            raise ParseError(f"{ph_path}: missing key {exc}") from exc
+        phases.append(SignalPhase(t_start, t_end, color))
     phases.sort(key=lambda p: p.t_start)
     cursor = 0
     for i, ph in enumerate(phases):
@@ -345,49 +375,52 @@ def _reachable_lanes(lane_map: LaneMap, start: str) -> set[str]:
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
-    if not isinstance(doc, dict):
-        raise ParseError("top level: expected an object")
+    expect(doc, dict, "top level")
     try:
-        map_raw = doc["map"]
-        ego = doc["ego"]
-        t_max = int(doc["t_max_ms"])
-        seed = int(doc["seed"])
+        map_raw = expect(doc["map"], dict, "map")
+        ego = expect(doc["ego"], dict, "ego")
+        t_max = parse_number(doc["t_max_ms"], "t_max_ms", int)
+        seed = parse_number(doc["seed"], "seed", int)
     except KeyError as exc:
         raise ParseError(f"top level: missing key {exc}") from exc
 
-    lanes = tuple(_parse_lane(ln, i) for i, ln in enumerate(map_raw.get("lanes", [])))
+    lanes = tuple(_parse_lane(ln, i)
+                  for i, ln in enumerate(expect(map_raw.get("lanes", []), list, "map.lanes")))
     lane_ids = {ln.id for ln in lanes}
     successors = {}
-    for lane_id, succ in map_raw.get("successors", {}).items():
+    for lane_id, succ in expect(map_raw.get("successors", {}), dict, "map.successors").items():
         if lane_id not in lane_ids:
             raise ValidationError(f"map.successors.{lane_id}", "unknown lane")
-        for s in succ:
+        for s in expect(succ, list, f"map.successors.{lane_id}"):
             if s not in lane_ids:
                 raise ValidationError(f"map.successors.{lane_id}", f"unknown successor {s!r}")
         successors[str(lane_id)] = tuple(str(s) for s in succ)
     lane_map = LaneMap(lanes, successors)
 
     try:
-        init_pose_raw = ego["init_pose"]
-        a_init = (_vec(init_pose_raw[:2], "ego.init_pose"), float(init_pose_raw[2]))
+        init_pose_raw = expect(ego["init_pose"], list, "ego.init_pose")
+        if len(init_pose_raw) != 3:
+            raise ParseError("ego.init_pose: expected [x, y, heading]")
+        a_init = (_vec(init_pose_raw[:2], "ego.init_pose"),
+                  parse_number(init_pose_raw[2], "ego.init_pose[2]"))
         a_dest = _vec(ego["dest"], "ego.dest")
-        ego_size = tuple(float(x) for x in ego["size"])
+        ego_size = _size(ego["size"], "ego.size")
     except KeyError as exc:
         raise ParseError(f"ego: missing key {exc}") from exc
-    if len(ego_size) != 3 or any(x <= 0 for x in ego_size):
-        raise ValidationError("ego.size", "size components must be > 0")
 
     if t_max <= 0:
         raise ValidationError("t_max_ms", "must be > 0")
     if seed < 0 or seed >= 2**64:
         raise ValidationError("seed", "must fit in 64 unsigned bits")
 
-    objects = tuple(_parse_object(o, i) for i, o in enumerate(doc.get("objects", [])))
+    objects = tuple(_parse_object(o, i)
+                    for i, o in enumerate(expect(doc.get("objects", []), list, "objects")))
     ids = [o.id for o in objects]
     if len(ids) != len(set(ids)):
         raise ValidationError("objects", "object ids must be unique")
 
-    signals = tuple(_parse_signal(s, i, t_max) for i, s in enumerate(doc.get("signals", [])))
+    signals = tuple(_parse_signal(s, i, t_max)
+                    for i, s in enumerate(expect(doc.get("signals", []), list, "signals")))
 
     init_hit = lane_at(lane_map, a_init[0])
     if init_hit is None:

@@ -1,11 +1,13 @@
 """Idealized component substitutes, vehicle-dynamic-state quantization, and the
-counterfactual re-run (`dtest`).
+substitution plans that say when each substitute is active.
 
 Substitutes publish ground truth taken straight from the scenario (perception,
 prediction, localization) or bypass the motion model by driving the ego along
-the planning trajectory (control). State quantization turns ego dynamics at
-each message into small integer keys so that "the same moment" can be found
-again in a re-run whose trace is not identical.
+the planning trajectory (control). State quantization turns the sampled ego
+dynamics into integer keys; consecutive equal keys form one state, and the
+state index is the time axis of the message-level search. A re-run substitutes
+from state k onward, and runs identically to the original until then, so it
+reaches state k at the same moment by determinism.
 """
 
 from __future__ import annotations
@@ -14,10 +16,10 @@ import math
 from dataclasses import dataclass, field
 
 from .geometry import Vec2
-from .middleware import ComponentId, Message, Trace
+from .middleware import ComponentId, Trace
 from .payloads import (ControlOut, LocalizationOut, PerceivedObject, PerceptionOut,
-                       PlanningOut, PredictedTrajectory, PredictionOut, TrajPoint)
-from .pipeline import PREDICTION_HORIZON_MS, PREDICTION_STEP_MS, PlannerContext
+                       PlanningOut, PredictedTrajectory, PredictionOut)
+from .pipeline import PREDICTION_HORIZON_MS, PREDICTION_STEP_MS
 from .scenario import Scenario, SimTime, bbox_at, object_pose_at
 from .world import EgoState, SENSOR_RANGE
 
@@ -112,25 +114,6 @@ def _state_at(sample_index: list[tuple[SimTime, int]], t: SimTime) -> int:
     return sample_index[lo][1]
 
 
-MATCH_WEIGHTS = (1.0, 1.0, 0.5, 0.5, 0.25, 0.25)
-
-
-def match_state(target_key: StateKey, target_ordinal: int,
-                states: list[DynamicState]) -> int:
-    """Index of the state matching (key, ordinal); nearest by weighted L1 otherwise."""
-    assert states, "cannot match into an empty state sequence"
-    for st in states:
-        if st.key == target_key and st.ordinal == target_ordinal:
-            return st.index
-    best_idx, best_d = states[0].index, math.inf
-    for st in states:
-        d = sum(w * abs(a - b) for w, a, b in zip(MATCH_WEIGHTS, st.key, target_key))
-        if d < best_d - 1e-12:
-            best_d = d
-            best_idx = st.index
-    return best_idx
-
-
 # ---------------------------------------------------------------------------
 # substitution plans
 
@@ -150,12 +133,9 @@ class IdealAll:
 @dataclass(frozen=True)
 class IdealFromState:
     index: int
-    key: StateKey | None = None
-    ordinal: int | None = None
 
     def to_dict(self):
-        return {"mode": "ideal_from_state", "index": self.index,
-                "key": list(self.key) if self.key else None, "ordinal": self.ordinal}
+        return {"mode": "ideal_from_state", "index": self.index}
 
 
 @dataclass(frozen=True)
@@ -173,12 +153,10 @@ Mode = Original | IdealAll | IdealFromState | IdealWithinStates
 @dataclass(frozen=True)
 class SubstitutionPlan:
     modes: dict[ComponentId, Mode] = field(default_factory=dict)
-    allow_planning_substitute: bool = False  # only the flagged best-effort planner
 
     def __post_init__(self):
         mode = self.modes.get(ComponentId.PLANNING)
-        if mode is not None and not isinstance(mode, Original) \
-                and not self.allow_planning_substitute:
+        if mode is not None and not isinstance(mode, Original):
             raise ValueError("no idealized substitute exists for planning")
 
     def mode_of(self, component: ComponentId) -> Mode:
@@ -206,14 +184,13 @@ def substitution_active(mode: Mode, state_index: int) -> bool:
 # idealized outputs
 
 
-def ideal_perception(scenario: Scenario, t: SimTime, ego_p: Vec2,
-                     sensor_range: float = SENSOR_RANGE) -> PerceptionOut:
+def ideal_perception(scenario: Scenario, t: SimTime, ego_p: Vec2) -> PerceptionOut:
     """Exact ground-truth object list within sensor range, world frame, no faults."""
     objs = []
     for obj in scenario.objects:
         p, v, _ = object_pose_at(obj, t)
         dx, dy = p[0] - ego_p[0], p[1] - ego_p[1]
-        if dx * dx + dy * dy <= sensor_range * sensor_range:
+        if dx * dx + dy * dy <= SENSOR_RANGE * SENSOR_RANGE:
             objs.append(PerceivedObject(obj.id, obj.kind, bbox_at(obj, t), v))
     return PerceptionOut(tuple(objs))
 
@@ -279,169 +256,3 @@ def derived_control(plan: PlanningOut | None, ego_speed: float, t: SimTime) -> C
     accel = max(-8.0, min(3.0, (nxt.speed - ego_speed) / 0.1))
     return ControlOut(accel, 0.0)
 
-
-# ---------------------------------------------------------------------------
-# the counterfactual re-run
-
-
-def dtest(scenario: Scenario, ads_config, plan: SubstitutionPlan, oracle_config):
-    """Re-run the scenario under a substitution plan; returns the Verdict."""
-    from .runner import run_with_substitution
-
-    verdict, _ = run_with_substitution(scenario, ads_config, plan, oracle_config)
-    return verdict
-
-
-# ---------------------------------------------------------------------------
-# optional best-effort planning substitute (off by default; not used by the
-# attribution algorithm)
-
-
-class Infeasible(Exception):
-    """No dynamically-feasible, collision-free trajectory was found."""
-
-
-def best_effort_planning(scenario: Scenario, ctx: PlannerContext, ego: EgoState,
-                         t: SimTime, goal_s: float | None = None,
-                         horizon_ms: int = 8000) -> PlanningOut:
-    """Discrete time-expanded search for a collision-free trajectory to the goal.
-
-    Lattice resolution 0.5 m x 100 ms over the lane corridor; dynamic bounds are
-    the actuator accel limits. Returns a stop-in-place plan when infeasible.
-    """
-    from .geometry import OrientedBox, min_obb_distance
-    from .scenario import point_on_polyline, project_on_polyline
-
-    par = ctx.params
-    c = par.safe_gap
-    ds, dt_ms = 0.5, 100
-    dt = dt_ms / 1000.0
-    s0, lat0, _ = project_on_polyline(ctx.route, ego.p)
-    goal = ctx.dest_s if goal_s is None else goal_s
-
-    # Lateral profile per cell: prefer the centerline, shift over a tapered
-    # zone when a static box blocks it (same clearance rule as the nudge logic).
-    taper = 8.0
-
-    def lateral_for(s: float) -> float | None:
-        best = 0.0
-        for obj in scenario.objects:
-            if not obj.is_static:
-                continue
-            box = bbox_at(obj, t)
-            s_min = s_max = None
-            lat_min = lat_max = None
-            for corner in box.corners():
-                cs, clat, _ = project_on_polyline(ctx.route, corner)
-                s_min = cs if s_min is None else min(s_min, cs)
-                s_max = cs if s_max is None else max(s_max, cs)
-                lat_min = clat if lat_min is None else min(lat_min, clat)
-                lat_max = clat if lat_max is None else max(lat_max, clat)
-            pad = ctx.ego_half[0] + c + 0.3
-            zone0, zone1 = s_min - pad, s_max + pad
-            if s < zone0 - taper or s > zone1 + taper:
-                continue
-            body = ctx.ego_half[1] + c + 0.2
-            if lat_min > body or lat_max < -body:
-                continue
-            off_left = lat_max + c + 0.3 + ctx.ego_half[1]
-            off_right = lat_min - c - 0.3 - ctx.ego_half[1]
-            off = off_left if abs(off_left) <= abs(off_right) else off_right
-            if abs(off) > par.max_nudge_offset:
-                return None  # corridor fully blocked at this cell
-            if s < zone0:
-                off *= (s - (zone0 - taper)) / taper
-            elif s > zone1:
-                off *= ((zone1 + taper) - s) / taper
-            best = off if abs(off) > abs(best) else best
-        return best
-
-    lat_cache: dict[int, float | None] = {}
-
-    def collision_free(s: float, tq: SimTime) -> bool:
-        cell = int(s / ds)
-        if cell not in lat_cache:
-            lat_cache[cell] = lateral_for(cell * ds)
-        lat = lat_cache[cell]
-        if lat is None:
-            return False
-        p, heading = point_on_polyline(ctx.route, s)
-        nx, ny = -math.sin(heading), math.cos(heading)
-        pos = (p[0] + nx * lat, p[1] + ny * lat)
-        ego_box = OrientedBox(pos, ctx.ego_half, heading)
-        ego_r = math.hypot(*ctx.ego_half)
-        for obj in scenario.objects:
-            op, _, _ = object_pose_at(obj, tq)
-            reach = math.hypot(obj.size[0] / 2.0, obj.size[1] / 2.0)
-            dx, dy = op[0] - pos[0], op[1] - pos[1]
-            lim = ego_r + reach + c
-            if dx * dx + dy * dy > lim * lim:
-                continue
-            if min_obb_distance(ego_box, bbox_at(obj, tq)) < c:
-                return False
-        return True
-
-    # Greedy best-first over (step, s, v); dedup on quantized cells.
-    import heapq
-
-    start = (0, s0, ego.speed)
-    seen: set[tuple[int, int, int]] = set()
-    came: dict[tuple[int, int, int], tuple] = {}
-    heap: list[tuple[float, int, tuple]] = []
-    counter = 0
-
-    def push(node, parent_sig):
-        nonlocal counter
-        k, s, v = node
-        sig = (k, int(s / ds), int(round(v * 4)))
-        if sig in seen:
-            return
-        seen.add(sig)
-        came[sig] = (parent_sig, node)
-        counter += 1
-        heapq.heappush(heap, (-(s - s0) + 0.05 * k, counter, node))
-
-    push(start, None)
-    goal_sig = None
-    max_steps = horizon_ms // dt_ms
-    explored = 0
-    while heap and explored < 200_000:
-        _, _, (k, s, v) = heapq.heappop(heap)
-        explored += 1
-        if s >= goal - 0.5 and v <= 0.5:
-            goal_sig = (k, int(s / ds), int(round(v * 4)))
-            break
-        if k >= max_steps:
-            continue
-        for accel in (-8.0, -3.0, -1.0, 0.0, 1.0, 2.0, 3.0):
-            v2 = max(0.0, min(ctx.speed_limit, v + accel * dt))
-            s2 = s + (v + v2) / 2.0 * dt
-            if s2 > goal + 1.0:
-                continue
-            if not collision_free(s2, t + (k + 1) * dt_ms):
-                continue
-            # Keep enough stopping room before the goal.
-            if v2 * v2 / (2.0 * 8.0) > max(0.0, goal - s2) + 0.6:
-                continue
-            push((k + 1, s2, v2), (k, int(s / ds), int(round(v * 4))))
-    if goal_sig is None:
-        hold = tuple(TrajPoint(t + i * dt_ms, ego.p, 0.0, ego.heading) for i in range(2))
-        return PlanningOut(hold, "Stop", ("best_effort", "infeasible"))
-
-    chain = []
-    sig = goal_sig
-    while sig is not None:
-        parent, node = came[sig]
-        chain.append(node)
-        sig = parent
-    chain.reverse()
-    pts = []
-    for k, s, v in chain:
-        cell = int(s / ds)
-        lat = lat_cache.get(cell) or 0.0
-        p, heading = point_on_polyline(ctx.route, s)
-        nx, ny = -math.sin(heading), math.cos(heading)
-        pts.append(TrajPoint(t + k * dt_ms, (p[0] + nx * lat, p[1] + ny * lat), v, heading))
-    if len(pts) < 2:
-        pts.append(TrajPoint(pts[0].t + dt_ms, pts[0].p, 0.0, pts[0].heading))
-    return PlanningOut(tuple(pts), "Cruise", ("best_effort",))

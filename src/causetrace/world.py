@@ -34,9 +34,6 @@ class EgoState:
     def accel_vec(self) -> Vec2:
         return (self.accel * math.cos(self.heading), self.accel * math.sin(self.heading))
 
-    def box(self, ego_size: tuple[float, float, float]) -> OrientedBox:
-        return OrientedBox(self.p, (ego_size[0] / 2.0, ego_size[1] / 2.0), self.heading)
-
 
 def step_ego(state: EgoState, accel_cmd: float, steer: float, dt: SimTime) -> EgoState:
     """One kinematic-bicycle step over dt milliseconds."""

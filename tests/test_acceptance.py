@@ -209,12 +209,12 @@ AUDIT_SUBSET = ["cs1_perc_miss", "cs1_pred_none", "cs1_ctrl_long", "cs5_loc_lat3
 
 
 def _audit_job(args):
-    inst_id, index, key, ordinal = args
+    inst_id, index = args
     inst = BY_ID[inst_id]
     scenario = bench_mod.scenario_for_instance(inst)
     ads = AdsConfig(faults=[inst.fault])
     from causetrace.runner import run_with_substitution
-    plan = SubstitutionPlan({inst.component: IdealFromState(index, tuple(key), ordinal)})
+    plan = SubstitutionPlan({inst.component: IdealFromState(index)})
     verdict, _ = run_with_substitution(scenario, ads, plan, OracleConfig())
     return index, verdict.passed
 
@@ -231,7 +231,7 @@ def _exhaustive_scan(inst_id: str):
     indices = sorted({m.state_index for m in original.trace.rows[inst.component]})
     if 1 not in indices:
         indices = [1] + indices
-    jobs = [(inst_id, s, states[s - 1].key, states[s - 1].ordinal) for s in indices]
+    jobs = [(inst_id, s) for s in indices]
     with ProcessPoolExecutor(max_workers=4) as ex:
         outcomes = dict(ex.map(_audit_job, jobs))
     ordered = [(s, outcomes[s]) for s in indices]

@@ -240,7 +240,7 @@ def test_attribute_planning_scan_exhaustion():
     sc = load_builtin_scenario("cs1")
     res = rtest(sc, AdsConfig(), OracleConfig())
     with pytest.raises(NoViolatingPlanningMessage):
-        attribute_message_planning(res.trace, sc, AdsConfig(), OracleConfig())
+        attribute_message_planning(res.trace, sc, OracleConfig())
 
 
 def test_attribute_prediction_instance_end_to_end():

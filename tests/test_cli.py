@@ -55,13 +55,60 @@ def test_run_determinism_digest_equality(tmp_path):
     assert da == db
 
 
-def test_seed_override_changes_digest_field(tmp_path):
-    out1, out2 = tmp_path / "s1", tmp_path / "s2"
-    assert main(["run", str(scenario_path("cs3b")), "--out-dir", str(out1),
-                 "--seed", "123"]) == 0
-    assert main(["run", str(scenario_path("cs3b")), "--out-dir", str(out2),
-                 "--seed", "123"]) == 0
-    assert (out1 / "trace.jsonl").read_bytes() == (out2 / "trace.jsonl").read_bytes()
+def test_scenario_seed_does_not_change_trace(tmp_path):
+    # `seed` is parsed and validated, but no component draws a random number.
+    traces = []
+    for seed in (7, 123):
+        spath = tmp_path / f"seed{seed}.json"
+        spath.write_text(json.dumps(straight_road_doc(t_max_ms=1000, seed=seed)),
+                         encoding="utf-8")
+        out = tmp_path / f"out{seed}"
+        assert main(["run", str(spath), "--out-dir", str(out)]) in (0, 1)
+        traces.append((out / "trace.jsonl").read_bytes())
+    assert traces[0] == traces[1]
+
+
+def _set(doc, key, value):
+    doc[key] = value
+    return doc
+
+
+def _obj_size(doc):
+    doc["objects"] = [{"id": "o", "kind": "StaticObstacle", "size": 3,
+                       "waypoints": [{"t_ms": 0, "p": [50, 0], "v": [0, 0], "a": [0, 0]}]}]
+    return doc
+
+
+MALFORMED = {
+    # case: (scenario edit, fault file doc, oracle config doc, expected field path)
+    "t_max_not_int": (lambda d: _set(d, "t_max_ms", "abc"), None, None, "t_max_ms"),
+    "map_not_object": (lambda d: _set(d, "map", []), None, None, "map"),
+    "object_size_scalar": (_obj_size, None, None, "objects[0].size"),
+    "fault_without_target": (None, {"kind": "miss_detection"}, None, "fault"),
+    "fault_unknown_kind": (None, {"faults": [{"target": "perception", "kind": "gremlin"}]},
+                           None, "faults[0].kind"),
+    "oracle_negative_c": (None, None, {"safe_distance_c": -1}, "safe_distance_c"),
+    "oracle_unknown_kind": (None, None, {"enabled": ["speedng"]}, "enabled[0]"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_exit_two_with_field_path(tmp_path, capsys, case):
+    edit, fault_doc, oracle_doc, field_path = MALFORMED[case]
+    doc = straight_road_doc(t_max_ms=1000)
+    spath = tmp_path / "scenario.json"
+    spath.write_text(json.dumps(edit(doc) if edit else doc), encoding="utf-8")
+    argv = ["run", str(spath), "--out-dir", str(tmp_path / "out")]
+    if fault_doc is not None:
+        (tmp_path / "fault.json").write_text(json.dumps(fault_doc), encoding="utf-8")
+        argv += ["--fault", str(tmp_path / "fault.json")]
+    if oracle_doc is not None:
+        (tmp_path / "oracle.json").write_text(json.dumps(oracle_doc), encoding="utf-8")
+        argv += ["--oracle-config", str(tmp_path / "oracle.json")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"error: {field_path}" in err
+    assert "Traceback" not in err
 
 
 def test_attribute_writes_report_and_matrix(tmp_path, capsys):

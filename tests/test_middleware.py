@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from causetrace.middleware import (Bus, ComponentId, OrderError, serialize_trace,
-                                   trace_digest, trace_suffix)
+                                   trace_digest)
 from causetrace.oracles import OracleConfig
 from causetrace.payloads import ControlOut
 from causetrace.runner import AdsConfig, rtest
@@ -59,30 +59,6 @@ def row_of(n):
     for i in range(n):
         bus.publish(ComponentId.PLANNING, ControlOut(0, 0), i * 100)
     return bus.trace
-
-
-def test_suffix_full_row():
-    tr = row_of(5)
-    assert len(trace_suffix(tr, ComponentId.PLANNING, 1)) == 5
-
-
-def test_suffix_past_end_empty():
-    tr = row_of(5)
-    assert trace_suffix(tr, ComponentId.PLANNING, 6) == []
-
-
-def test_suffix_middle():
-    tr = row_of(5)
-    got = [m.seq for m in trace_suffix(tr, ComponentId.PLANNING, 3)]
-    assert got == [3, 4, 5]
-
-
-def test_suffix_out_of_range():
-    tr = row_of(5)
-    with pytest.raises(IndexError):
-        trace_suffix(tr, ComponentId.PLANNING, 0)
-    with pytest.raises(IndexError):
-        trace_suffix(tr, ComponentId.PLANNING, 7)
 
 
 def test_run_determinism_digest():

@@ -1,5 +1,4 @@
 import math
-import random
 
 import pytest
 
@@ -14,9 +13,6 @@ from causetrace.scenario import scenario_from_dict
 from causetrace.world import EgoState, TruthObject
 from conftest import static_object, straight_road_doc
 
-RNG = random.Random(0)
-
-
 def truth_list():
     return [
         TruthObject("car", "Vehicle", OrientedBox((40.0, 0.0), (2.2, 0.9), 0.0), (5.0, 0.0)),
@@ -26,7 +22,7 @@ def truth_list():
 
 
 def test_perception_identity_without_faults():
-    out, changed = perception_tick(truth_list(), [], RNG, 1000, 0.0)
+    out, changed = perception_tick(truth_list(), [], 1000, 0.0)
     assert not changed
     assert [o.id for o in out.objects] == ["car", "ped"]
     assert out.objects[0].box.center == (40.0, 0.0)
@@ -35,16 +31,16 @@ def test_perception_identity_without_faults():
 def test_miss_detection_window():
     fault = FaultSpec(ComponentId.PERCEPTION, "miss_detection",
                       Trigger(t0=2000, t1=6000, object_id="ped"))
-    inside, changed = perception_tick(truth_list(), [fault], RNG, 3000, 0.0)
+    inside, changed = perception_tick(truth_list(), [fault], 3000, 0.0)
     assert changed and [o.id for o in inside.objects] == ["car"]
-    outside, changed = perception_tick(truth_list(), [fault], RNG, 6000, 0.0)
+    outside, changed = perception_tick(truth_list(), [fault], 6000, 0.0)
     assert not changed and len(outside.objects) == 2
 
 
 def test_wrong_velocity_shifts_along_heading():
     fault = FaultSpec(ComponentId.PERCEPTION, "wrong_velocity",
                       Trigger(object_id="car"), magnitude={"dv": -5.0})
-    out, changed = perception_tick(truth_list(), [fault], RNG, 0, 0.0)
+    out, changed = perception_tick(truth_list(), [fault], 0, 0.0)
     assert changed
     car = next(o for o in out.objects if o.id == "car")
     assert car.v == pytest.approx((0.0, 0.0))
@@ -53,7 +49,7 @@ def test_wrong_velocity_shifts_along_heading():
 def test_wrong_longitudinal_shift_uses_ego_heading():
     fault = FaultSpec(ComponentId.PERCEPTION, "wrong_longitudinal_distance",
                       Trigger(object_id="car"), magnitude={"offset": 10.0})
-    out, _ = perception_tick(truth_list(), [fault], RNG, 0, 0.0)
+    out, _ = perception_tick(truth_list(), [fault], 0, 0.0)
     car = next(o for o in out.objects if o.id == "car")
     assert car.box.center == pytest.approx((50.0, 0.0))
 

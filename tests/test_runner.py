@@ -70,6 +70,3 @@ def test_substitution_plan_serializes_for_audit():
     assert doc["control"] == {"mode": "ideal_all"}
     assert doc["planning"] == {"mode": "original"}
 
-
-def test_run_config_records_clock_driving():
-    assert AdsConfig().driving == "clock"

@@ -7,13 +7,12 @@ from causetrace.middleware import ComponentId
 from causetrace.oracles import OracleConfig
 from causetrace.payloads import PlanningOut, TrajPoint
 from causetrace.pipeline import perception_tick
-from causetrace.runner import AdsConfig, rtest
+from causetrace.runner import AdsConfig, rtest, run_with_substitution
 from causetrace.scenario import object_pose_at, scenario_from_dict
-from causetrace.substitutes import (DynamicState, IdealAll, Original,
-                                    QuantizationUnits, SubstitutionPlan, dtest,
-                                    ideal_localization, ideal_perception,
-                                    ideal_prediction, match_state, quantize_state,
-                                    sim_control_apply, split_trace)
+from causetrace.substitutes import (IdealAll, Original, QuantizationUnits,
+                                    SubstitutionPlan, ideal_localization,
+                                    ideal_perception, ideal_prediction,
+                                    quantize_state, sim_control_apply, split_trace)
 from causetrace.world import EgoState, ground_truth_objects
 from conftest import straight_road_doc
 
@@ -95,30 +94,13 @@ def test_split_trace_partitions_messages():
         assert ordinals == list(range(1, len(ordinals) + 1))
 
 
-def test_match_state_exact_and_fallback():
-    states = [
-        DynamicState(1, (0, 0, 0, 0, 0, 0), 1, 0, 90),
-        DynamicState(2, (1, 0, 5, 0, 0, 0), 1, 100, 190),
-        DynamicState(3, (2, 0, 5, 0, 0, 0), 1, 200, 290),
-        DynamicState(4, (1, 0, 5, 0, 0, 0), 2, 300, 390),
-    ]
-    assert match_state((1, 0, 5, 0, 0, 0), 2, states) == 4
-    assert match_state((2, 0, 5, 0, 0, 0), 1, states) == 3
-    # Absent key: nearest by weighted L1; (2,0,6,0,0,0) is 0.5 from state 3.
-    assert match_state((2, 0, 6, 0, 0, 0), 1, states) == 3
-    # Tie between states 2 and 3 from (1.5-ish): earlier state wins.
-    assert match_state((1, 0, 5, 0, 0, 1), 5, states) in (2, 4)
-    assert match_state((1, 0, 5, 0, 0, 1), 5, states) == 2
-
-
 def test_ideal_perception_equals_faultless_tick():
     sc = load_builtin_scenario("cs2")
     t = 3000
     ego_p = (20.0, 0.0)
     ideal = ideal_perception(sc, t, ego_p)
     truth = ground_truth_objects(sc, t, ego_p)
-    import random
-    ticked, changed = perception_tick(truth, [], random.Random(0), t, 0.0)
+    ticked, changed = perception_tick(truth, [], t, 0.0)
     assert not changed
     assert ideal == ticked
 
@@ -203,7 +185,7 @@ def test_dtest_empty_plan_reproduces_violation():
     sc = load_builtin_scenario("cs1")
     ads = AdsConfig(faults=[inst.fault])
     assert not rtest(sc, ads, OracleConfig()).verdict.passed
-    verdict = dtest(sc, ads, SubstitutionPlan(), OracleConfig())
+    verdict, _ = run_with_substitution(sc, ads, SubstitutionPlan(), OracleConfig())
     assert not verdict.passed
 
 
@@ -211,18 +193,19 @@ def test_dtest_substituting_faulty_component_prevents_violation():
     inst = INSTS["cs1_pred_none"]
     sc = load_builtin_scenario("cs1")
     ads = AdsConfig(faults=[inst.fault])
-    assert dtest(sc, ads, SubstitutionPlan.ideal_all(ComponentId.PREDICTION),
-                 OracleConfig()).passed
+    verdict, _ = run_with_substitution(
+        sc, ads, SubstitutionPlan.ideal_all(ComponentId.PREDICTION), OracleConfig())
+    assert verdict.passed
 
 
 def test_dtest_substituting_downstream_component_keeps_violation():
     inst = INSTS["cs1_pred_none"]
     sc = load_builtin_scenario("cs1")
     ads = AdsConfig(faults=[inst.fault])
-    assert not dtest(sc, ads, SubstitutionPlan.ideal_all(ComponentId.CONTROL),
-                     OracleConfig()).passed
-    assert not dtest(sc, ads, SubstitutionPlan.ideal_all(ComponentId.LOCALIZATION),
-                     OracleConfig()).passed
+    for component in (ComponentId.CONTROL, ComponentId.LOCALIZATION):
+        verdict, _ = run_with_substitution(
+            sc, ads, SubstitutionPlan.ideal_all(component), OracleConfig())
+        assert not verdict.passed
 
 
 def test_dtest_combined_substitution_flips_nonplanning_fault():
@@ -232,7 +215,7 @@ def test_dtest_combined_substitution_flips_nonplanning_fault():
     combined = SubstitutionPlan.ideal_all(
         ComponentId.PERCEPTION, ComponentId.PREDICTION,
         ComponentId.CONTROL, ComponentId.LOCALIZATION)
-    assert dtest(sc, ads, combined, OracleConfig()).passed
+    assert run_with_substitution(sc, ads, combined, OracleConfig())[0].passed
 
 
 def test_dtest_combined_substitution_keeps_planning_fault():
@@ -242,4 +225,4 @@ def test_dtest_combined_substitution_keeps_planning_fault():
     combined = SubstitutionPlan.ideal_all(
         ComponentId.PERCEPTION, ComponentId.PREDICTION,
         ComponentId.CONTROL, ComponentId.LOCALIZATION)
-    assert not dtest(sc, ads, combined, OracleConfig()).passed
+    assert not run_with_substitution(sc, ads, combined, OracleConfig())[0].passed
