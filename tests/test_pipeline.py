@@ -13,6 +13,7 @@ from causetrace.scenario import scenario_from_dict
 from causetrace.world import EgoState, TruthObject
 from conftest import static_object, straight_road_doc
 
+
 def truth_list():
     return [
         TruthObject("car", "Vehicle", OrientedBox((40.0, 0.0), (2.2, 0.9), 0.0), (5.0, 0.0)),
