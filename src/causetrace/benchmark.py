@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .faults import FaultSpec, fault_from_dict
 from .middleware import ComponentId
-from .scenario import Scenario, load_scenario, scenario_from_dict
+from .scenario import Scenario, expect, load_scenario, scenario_from_dict
 
 EGO = {"init_pose": [5.0, 0.0, 0.0], "dest": [120.0, 0.0], "size": [4.6, 1.9, 1.5]}
 
@@ -272,15 +272,20 @@ def write_data_files(root: Path | None = None) -> None:
 
 
 def load_benchmark(path: Path | None = None) -> list[BenchInstance]:
+    """Instances of a benchmark file; malformed ones raise ParseError /
+    ValidationError with a path such as `instances[0].scenario`."""
     path = path or (data_dir() / "benchmark.json")
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    doc = expect(json.loads(Path(path).read_text(encoding="utf-8")), dict, "top level")
     out = []
-    for raw in doc["instances"]:
+    for i, raw in enumerate(expect(doc.get("instances"), list, "instances")):
+        where = f"instances[{i}]"
+        expect(raw, dict, where)
         out.append(BenchInstance(
-            id=raw["id"],
-            scenario=Path(raw["scenario"]).stem,
-            fault=fault_from_dict(raw["fault"]),
-            expected_violation=raw["expected_violation"],
+            id=expect(raw.get("id"), str, f"{where}.id"),
+            scenario=Path(expect(raw.get("scenario"), str, f"{where}.scenario")).stem,
+            fault=fault_from_dict(raw.get("fault"), f"{where}.fault"),
+            expected_violation=expect(raw.get("expected_violation"), str,
+                                      f"{where}.expected_violation"),
         ))
     return out
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -24,8 +25,8 @@ from .faults import load_fault_file
 from .middleware import save_trace, trace_digest
 from .oracles import ALL_KINDS, OracleConfig
 from .runner import AdsConfig, rtest
-from .scenario import (ParseError, Scenario, ValidationError, expect, load_scenario,
-                       parse_number)
+from .scenario import (ParseError, Scenario, ValidationError, Waypoint, expect,
+                       load_scenario, parse_number)
 
 EXIT_PASS = 0
 EXIT_VIOLATION = 1
@@ -140,8 +141,8 @@ def cmd_bench(args) -> int:
 def cmd_replay(args) -> int:
     from .middleware import load_trace_records
 
-    records = load_trace_records(args.trace)
-    ego = [r for r in records if r.get("kind") == "ego"]
+    ego = [Waypoint(r["p"], r["v"], r["a"], r["t"])
+           for r in load_trace_records(args.trace) if r["kind"] == "ego"]
     if not ego:
         print("trace has no ego samples", file=sys.stderr)
         return EXIT_ERROR
@@ -149,30 +150,22 @@ def cmd_replay(args) -> int:
     out = _out_dir(args)
     lines = ["t_ms,ego_x,ego_y,ego_speed,min_distance,nearest_object"]
     if scenario is not None:
-        import math
-
-        from .geometry import min_obb_distance, OrientedBox
+        from .geometry import OrientedBox, min_obb_distance
+        from .oracles import ego_heading_series
         from .scenario import bbox_at
         half = (scenario.ego_size[0] / 2.0, scenario.ego_size[1] / 2.0)
-        heading = scenario.a_init[1]
-        for r in ego:
-            v = r["v"]
-            if v != [0.0, 0.0]:
-                heading = math.atan2(v[1], v[0])
-            box = OrientedBox((r["p"][0], r["p"][1]), half, heading)
+        for w, heading in zip(ego, ego_heading_series(ego, scenario.a_init[1])):
+            box = OrientedBox(w.p, half, heading)
             best, best_id = float("inf"), ""
             for obj in scenario.objects:
-                d = min_obb_distance(box, bbox_at(obj, r["t"]))
+                d = min_obb_distance(box, bbox_at(obj, w.t))
                 if d < best:
                     best, best_id = d, obj.id
-            speed = math.hypot(v[0], v[1])
-            lines.append(f"{r['t']},{r['p'][0]!r},{r['p'][1]!r},{speed!r},"
+            lines.append(f"{w.t},{w.p[0]!r},{w.p[1]!r},{math.hypot(*w.v)!r},"
                          f"{best!r},{best_id}")
     else:
-        import math
-        for r in ego:
-            speed = math.hypot(r["v"][0], r["v"][1])
-            lines.append(f"{r['t']},{r['p'][0]!r},{r['p'][1]!r},{speed!r},,")
+        for w in ego:
+            lines.append(f"{w.t},{w.p[0]!r},{w.p[1]!r},{math.hypot(*w.v)!r},,")
     (out / "replay.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"wrote {len(ego)} samples to {out / 'replay.csv'}")
     return EXIT_PASS

@@ -17,7 +17,7 @@ from .geometry import OrientedBox, Vec2
 from .middleware import ComponentId
 from .payloads import (ControlOut, LocalizationOut, PerceivedObject, PerceptionOut,
                        PlanningOut, PredictedTrajectory, PredictionOut, TrajPoint)
-from .scenario import ParseError, SimTime, ValidationError, expect
+from .scenario import ParseError, SimTime, ValidationError, expect, parse_number
 
 FAULT_KINDS: dict[str, ComponentId] = {
     "miss_detection": ComponentId.PERCEPTION,
@@ -34,6 +34,11 @@ FAULT_KINDS: dict[str, ComponentId] = {
     "wrong_lateral_command": ComponentId.CONTROL,
     "wrong_lateral_localization": ComponentId.LOCALIZATION,
 }
+
+# Magnitude keys the mutators read with float(), and the prediction fault modes.
+MAGNITUDE_NUMBERS = ("dlength", "dwidth", "offset", "dv", "speed", "lateral_bias", "ramp_ms",
+                     "target_speed")
+PREDICTION_MODES = ("static", "departing")
 
 
 @dataclass(frozen=True)
@@ -115,12 +120,14 @@ def fault_from_dict(doc: dict, path: str = "fault") -> FaultSpec:
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{trig_path}: malformed trigger: {exc!r}") from None
-    return FaultSpec(
-        target=FAULT_KINDS[kind],
-        kind=kind,
-        trigger=trigger,
-        magnitude=dict(expect(doc.get("magnitude", {}), dict, f"{path}.magnitude")),
-    )
+    magnitude = dict(expect(doc.get("magnitude", {}), dict, f"{path}.magnitude"))
+    for key in MAGNITUDE_NUMBERS:
+        if key in magnitude:
+            parse_number(magnitude[key], f"{path}.magnitude.{key}")
+    if magnitude.get("mode", "static") not in PREDICTION_MODES:
+        raise ValidationError(f"{path}.magnitude.mode", f"unknown mode {magnitude['mode']!r}")
+    return FaultSpec(target=FAULT_KINDS[kind], kind=kind, trigger=trigger,
+                     magnitude=magnitude)
 
 
 def load_fault_file(path: str | Path) -> list[FaultSpec]:

@@ -42,10 +42,6 @@ def vec_lerp(a: Vec2, b: Vec2, u: float) -> Vec2:
     return (a[0] + (b[0] - a[0]) * u, a[1] + (b[1] - a[1]) * u)
 
 
-def is_finite_vec(a: Vec2) -> bool:
-    return math.isfinite(a[0]) and math.isfinite(a[1])
-
-
 @dataclass(frozen=True)
 class OrientedBox:
     """Rectangle given by center, half extents (long, lat) and heading (rad)."""

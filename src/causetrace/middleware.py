@@ -15,7 +15,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Any
 
-from .scenario import SimTime, Waypoint
+from .scenario import ParseError, SimTime, Waypoint, expect, parse_number, parse_vec
 
 
 class ComponentId(str, Enum):
@@ -178,10 +178,29 @@ def save_trace(trace: Trace, path: str | Path) -> None:
     Path(path).write_text(serialize_trace(trace), encoding="utf-8")
 
 
+def trace_record(raw: Any, path: str) -> dict:
+    """A decoded trace line, checked; an `ego` record comes back parsed."""
+    expect(raw, dict, path)
+    if not isinstance(raw.get("kind"), str):
+        raise ParseError(f"{path}.kind: expected a string")
+    if raw["kind"] != "ego":
+        return raw
+    try:
+        return {"kind": "ego", "t": parse_number(raw["t"], f"{path}.t", int),
+                "p": parse_vec(raw["p"], f"{path}.p"), "v": parse_vec(raw["v"], f"{path}.v"),
+                "a": parse_vec(raw["a"], f"{path}.a")}
+    except KeyError as exc:
+        raise ParseError(f"{path}: missing key {exc}") from None
+
+
 def load_trace_records(path: str | Path) -> list[dict]:
-    """Raw record stream of a serialized trace (for replay tooling)."""
+    """Checked record stream of a serialized trace (for replay tooling)."""
     out = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for n, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         if line.strip():
-            out.append(json.loads(line))
+            try:
+                raw = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ParseError(f"line {n}: invalid JSON: {exc}") from None
+            out.append(trace_record(raw, f"line {n}"))
     return out

@@ -15,7 +15,7 @@ from .middleware import Verdict
 from .payloads import PlanningOut
 from .pipeline import PlannerContext
 from .scenario import (Scenario, SimTime, ValidationError, Waypoint, bbox_at, lane_at,
-                       object_pose_at, project_on_polyline)
+                       project_on_polyline)
 from .world import ObjectTracker
 
 SAFE_DISTANCE = "safe_distance"
@@ -37,7 +37,7 @@ class OracleConfig:
                 raise ValidationError(name, "must be >= 0")
 
 
-def _ego_heading_series(ego_log: list[Waypoint], init_heading: float) -> list[float]:
+def ego_heading_series(ego_log: list[Waypoint], init_heading: float) -> list[float]:
     headings = []
     last = init_heading
     for w in ego_log:
@@ -54,18 +54,16 @@ def check_safe_distance(ego_log: list[Waypoint], scenario: Scenario,
         return None
     half = (scenario.ego_size[0] / 2.0, scenario.ego_size[1] / 2.0)
     ego_r = math.hypot(*half)
-    headings = _ego_heading_series(ego_log, scenario.a_init[1])
+    headings = ego_heading_series(ego_log, scenario.a_init[1])
     trackers = [ObjectTracker(o) for o in scenario.objects]
-    radii = [math.hypot(o.size[0] / 2.0, o.size[1] / 2.0) for o in scenario.objects]
     for w, heading in zip(ego_log, headings):
         ego_box = OrientedBox(w.p, half, heading)
-        for obj, trk, r in zip(scenario.objects, trackers, radii):
-            p, _ = trk.pose_at(w.t)
-            dx, dy = p[0] - w.p[0], p[1] - w.p[1]
-            lim = ego_r + r + c
+        for trk in trackers:
+            other = trk.box_at(w.t)
+            dx, dy = other.center[0] - w.p[0], other.center[1] - w.p[1]
+            lim = ego_r + trk.radius + c
             if dx * dx + dy * dy > lim * lim:
                 continue
-            other = bbox_at(obj, w.t)
             if obb_separation_at_least(ego_box, other, c):
                 continue
             d = min_obb_distance(ego_box, other)
@@ -73,7 +71,7 @@ def check_safe_distance(ego_log: list[Waypoint], scenario: Scenario,
                 # Rear approach: object center behind the ego rear axle line.
                 lx = dx * math.cos(heading) + dy * math.sin(heading)
                 detail = "rear-approach" if lx < -half[0] else "front"
-                return w.t, obj.id, d, detail
+                return w.t, trk.obj.id, d, detail
     return None
 
 
@@ -161,11 +159,10 @@ def _corridor_blocked_ahead(ctx: PlanningCheckContext, t: SimTime) -> bool:
     s0, _, _ = project_on_polyline(planner.route, ctx.ego_p)
     band = planner.ego_half[1] + ctx.config.safe_distance_c + 0.2
     for obj in ctx.scenario.objects:
-        p, _, _ = object_pose_at(obj, t)
-        s, lat, _ = project_on_polyline(planner.route, p)
-        reach = math.hypot(obj.size[0] / 2.0, obj.size[1] / 2.0)
+        box = bbox_at(obj, t)
+        s, lat, _ = project_on_polyline(planner.route, box.center)
+        reach = math.hypot(*box.half_extents)
         if s0 - reach <= s <= s0 + STALL_LOOKAHEAD + reach and abs(lat) <= band + reach:
-            box = bbox_at(obj, t)
             steps = max(2, int(STALL_LOOKAHEAD / 2.0))
             for k in range(steps + 1):
                 q, _ = point_on_polyline(planner.route, s0 + STALL_LOOKAHEAD * k / steps)
@@ -196,13 +193,12 @@ def planning_message_violates(plan: PlanningOut, t: SimTime,
     for pt in plan.trajectory:
         ego_box = OrientedBox(pt.p, half, pt.heading)
         for obj in ctx.scenario.objects:
-            p, _, _ = object_pose_at(obj, pt.t)
-            reach = math.hypot(obj.size[0] / 2.0, obj.size[1] / 2.0)
-            dx, dy = p[0] - pt.p[0], p[1] - pt.p[1]
-            lim = ego_r + reach + c
+            box = bbox_at(obj, pt.t)
+            dx, dy = box.center[0] - pt.p[0], box.center[1] - pt.p[1]
+            lim = ego_r + math.hypot(*box.half_extents) + c
             if dx * dx + dy * dy > lim * lim:
                 continue
-            if min_obb_distance(ego_box, bbox_at(obj, pt.t)) < c:
+            if min_obb_distance(ego_box, box) < c:
                 return True
         if pt.speed > 0.5:
             hit = lane_at(ctx.scenario.map, pt.p)

@@ -19,7 +19,7 @@ from .geometry import OrientedBox, Vec2, min_obb_distance, vec_dist
 from .payloads import (ControlOut, LocalizationOut, PerceivedObject, PerceptionOut,
                        PlanningOut, PredictedTrajectory, PredictionOut, TrajPoint)
 from .scenario import Scenario, SimTime, TrafficSignal, point_on_polyline, project_on_polyline
-from .world import ACCEL_MAX, ACCEL_MIN, EgoState, STEER_MAX, TruthObject, WHEELBASE
+from .world import ACCEL_MAX, ACCEL_MIN, EgoState, STEER_MAX, WHEELBASE
 
 PREDICTION_HORIZON_MS = 3000
 PREDICTION_STEP_MS = 100
@@ -29,11 +29,17 @@ PREDICTION_STEP_MS = 100
 # perception
 
 
-def perception_tick(truth: list[TruthObject], faults: list[FaultSpec], t: SimTime,
-                    ego_heading: float) -> tuple[PerceptionOut, bool]:
-    """Ground truth as sensed (already range-filtered), then fault mutations."""
-    out = PerceptionOut(tuple(PerceivedObject(o.id, o.kind, o.box, o.v) for o in truth))
-    return apply_perception_faults(out, faults, t, ego_heading)
+def perception_tick(truth: PerceptionOut, loc: LocalizationOut, ego_p: Vec2,
+                    faults: list[FaultSpec], t: SimTime) -> tuple[PerceptionOut, bool]:
+    """Ground truth sensed from the true ego position `ego_p`, placed in the world
+    by the believed one (each box shifted by the localization error), then fault
+    mutations."""
+    dx, dy = loc.p[0] - ego_p[0], loc.p[1] - ego_p[1]
+    out = PerceptionOut(tuple(
+        PerceivedObject(o.id, o.kind, OrientedBox((o.box.center[0] + dx, o.box.center[1] + dy),
+                                                  o.box.half_extents, o.box.heading), o.v)
+        for o in truth.objects))
+    return apply_perception_faults(out, faults, t, loc.heading)
 
 
 # ---------------------------------------------------------------------------

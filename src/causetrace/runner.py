@@ -18,14 +18,14 @@ from .faults import FaultSpec
 from .geometry import OrientedBox, min_obb_distance, obb_separation_at_least
 from .middleware import Bus, ComponentId, TICK_PRIORITY, Trace, Verdict
 from .oracles import OracleConfig, evaluate
-from .payloads import LocalizationOut, PerceptionOut
+from .payloads import PerceptionOut
 from .pipeline import (control_tick, localization_tick, make_planner_context,
                        perception_tick, planning_tick, prediction_tick)
 from .scenario import Scenario, SimTime, Waypoint
 from .substitutes import (OnlineStateTracker, QuantizationUnits, SubstitutionPlan,
                           derived_control, ideal_localization, ideal_perception,
                           ideal_prediction, sim_control_apply, substitution_active)
-from .world import EgoState, ObjectTracker, SENSOR_RANGE, step_ego
+from .world import EgoState, ObjectTracker, step_ego
 
 SAMPLE_MS = 10  # ego log and state tracking at 100 Hz
 
@@ -71,26 +71,10 @@ def run_scheduler(scenario: Scenario, ads: AdsConfig, hooks: RunHooks | None = N
     ego_half = (scenario.ego_size[0] / 2.0, scenario.ego_size[1] / 2.0)
     ego_r = math.hypot(*ego_half)
     trackers = [ObjectTracker(o) for o in scenario.objects]
-    obj_half = [(o.size[0] / 2.0, o.size[1] / 2.0) for o in scenario.objects]
-    obj_r = [math.hypot(*h) for h in obj_half]
-    obj_heading = [_initial_heading(o) for o in scenario.objects]
     state_tracker = OnlineStateTracker(ads.units)
     faults = {c: [f for f in ads.faults if f.target is c] for c in ComponentId}
     perc_history: list[PerceptionOut] = []
     collided = False
-
-    def truth_at(t: SimTime, origin) -> list:
-        out = []
-        rng2 = SENSOR_RANGE * SENSOR_RANGE
-        for i, trk in enumerate(trackers):
-            p, v = trk.pose_at(t)
-            dx, dy = p[0] - origin[0], p[1] - origin[1]
-            if dx * dx + dy * dy > rng2:
-                continue
-            if v != (0.0, 0.0):
-                obj_heading[i] = math.atan2(v[1], v[0])
-            out.append((i, p, v, obj_heading[i]))
-        return out
 
     def active(component: ComponentId) -> bool:
         return substitution_active(plan_modes[component], state_tracker.index)
@@ -112,20 +96,12 @@ def run_scheduler(scenario: Scenario, ads: AdsConfig, hooks: RunHooks | None = N
                 bus.record_execution(component, {}, msg)
             elif component is ComponentId.PERCEPTION:
                 loc_msg = bus.latest(ComponentId.LOCALIZATION)
-                believed: LocalizationOut = loc_msg.payload
+                truth = ideal_perception(scenario, t, ego.p)
                 if active(component):
-                    payload, changed = ideal_perception(scenario, t, ego.p), False
+                    payload, changed = truth, False
                 else:
-                    delta = (believed.p[0] - ego.p[0], believed.p[1] - ego.p[1])
-                    sensed = []
-                    for i, p, v, heading in truth_at(t, ego.p):
-                        center = (p[0] + delta[0], p[1] + delta[1])
-                        sensed.append(_SensedObject(scenario.objects[i].id,
-                                                    scenario.objects[i].kind,
-                                                    OrientedBox(center, obj_half[i], heading),
-                                                    v))
-                    payload, changed = perception_tick(sensed, faults[component], t,
-                                                       believed.heading)
+                    payload, changed = perception_tick(truth, loc_msg.payload, ego.p,
+                                                       faults[component], t)
                 msg = bus.publish(component, payload, t, changed)
                 bus.record_execution(component, {"localization": loc_msg.seq}, msg)
             elif component is ComponentId.PREDICTION:
@@ -169,8 +145,7 @@ def run_scheduler(scenario: Scenario, ads: AdsConfig, hooks: RunHooks | None = N
             wp = Waypoint(p=ego.p, v=ego.velocity(), a=ego.accel_vec(), t=t)
             trace.ego_log.append(wp)
             state_tracker.observe(wp.p, wp.v, wp.a)
-            if _contact(ego, ego_half, ego_r, trackers, obj_half, obj_r, obj_heading, t,
-                        trace):
+            if _contact(ego, ego_half, ego_r, trackers, t, trace):
                 collided = True
                 break
         for component in TICK_PRIORITY:
@@ -194,38 +169,17 @@ def run_scheduler(scenario: Scenario, ads: AdsConfig, hooks: RunHooks | None = N
     return trace
 
 
-def _initial_heading(obj) -> float:
-    for w in obj.waypoints:
-        if w.v != (0.0, 0.0):
-            return math.atan2(w.v[1], w.v[0])
-    if obj.heading_override is not None:
-        return obj.heading_override
-    return 0.0
-
-
-class _SensedObject:
-    __slots__ = ("id", "kind", "box", "v")
-
-    def __init__(self, obj_id, kind, box, v):
-        self.id = obj_id
-        self.kind = kind
-        self.box = box
-        self.v = v
-
-
-def _contact(ego: EgoState, ego_half, ego_r, trackers, obj_half, obj_r, obj_heading,
-             t: SimTime, trace: Trace) -> bool:
+def _contact(ego: EgoState, ego_half, ego_r, trackers: list[ObjectTracker], t: SimTime,
+             trace: Trace) -> bool:
     ego_box = None
-    for i, trk in enumerate(trackers):
-        p, v = trk.pose_at(t)
-        dx, dy = p[0] - ego.p[0], p[1] - ego.p[1]
-        lim = ego_r + obj_r[i]
+    for trk in trackers:
+        other = trk.box_at(t)
+        dx, dy = other.center[0] - ego.p[0], other.center[1] - ego.p[1]
+        lim = ego_r + trk.radius
         if dx * dx + dy * dy > lim * lim:
             continue
         if ego_box is None:
             ego_box = OrientedBox(ego.p, ego_half, ego.heading)
-        heading = math.atan2(v[1], v[0]) if v != (0.0, 0.0) else obj_heading[i]
-        other = OrientedBox(p, obj_half[i], heading)
         if obb_separation_at_least(ego_box, other, 1e-9):
             continue
         if min_obb_distance(ego_box, other) <= 0.0:

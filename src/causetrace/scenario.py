@@ -9,15 +9,19 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 
-from .geometry import OrientedBox, Vec2, is_finite_vec, vec_lerp
+from .geometry import OrientedBox, Vec2, vec_lerp
 
 SimTime = int  # integer milliseconds
 
 KINDS = ("Pedestrian", "Vehicle", "StaticObstacle", "Infrastructure")
 SIGNAL_COLORS = ("Red", "Yellow", "Green")
+
+_waypoint_t = attrgetter("t")
 
 
 class ParseError(Exception):
@@ -50,7 +54,9 @@ class TrafficObject:
 
     @property
     def is_static(self) -> bool:
-        return all(w.v == (0.0, 0.0) and w.a == (0.0, 0.0) for w in self.waypoints)
+        """Never moves: one position and zero velocity at every waypoint."""
+        first = self.waypoints[0]
+        return all(w.p == first.p and w.v == (0.0, 0.0) for w in self.waypoints)
 
 
 @dataclass(frozen=True)
@@ -115,8 +121,10 @@ class Scenario:
 # geometry queries
 
 
-def object_pose_at(obj: TrafficObject, t: SimTime) -> tuple[Vec2, Vec2, Vec2]:
-    """Pose (p, v, a) at time t: linear interpolation, clamped outside the script."""
+def object_pose_at(obj: TrafficObject, t: SimTime,
+                   i: int | None = None) -> tuple[Vec2, Vec2, Vec2]:
+    """Pose (p, v, a) at time t: linear interpolation, clamped outside the script.
+    `i`, if given, is the index of the last waypoint at or before t."""
     wps = obj.waypoints
     if t <= wps[0].t:
         w = wps[0]
@@ -124,19 +132,15 @@ def object_pose_at(obj: TrafficObject, t: SimTime) -> tuple[Vec2, Vec2, Vec2]:
     if t >= wps[-1].t:
         w = wps[-1]
         return w.p, w.v, w.a
-    lo, hi = 0, len(wps) - 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if wps[mid].t <= t:
-            lo = mid
-        else:
-            hi = mid
-    w0, w1 = wps[lo], wps[hi]
+    if i is None:
+        i = bisect_right(wps, t, key=_waypoint_t) - 1
+    w0, w1 = wps[i], wps[i + 1]
     u = (t - w0.t) / (w1.t - w0.t)
     return vec_lerp(w0.p, w1.p, u), vec_lerp(w0.v, w1.v, u), w0.a
 
 
 def _heading_from_motion(obj: TrafficObject, t: SimTime, v: Vec2) -> float:
+    """The one heading rule of the object model."""
     if v != (0.0, 0.0):
         return math.atan2(v[1], v[0])
     if obj.heading_override is not None:
@@ -153,11 +157,15 @@ def _heading_from_motion(obj: TrafficObject, t: SimTime, v: Vec2) -> float:
     return 0.0
 
 
+def object_box(obj: TrafficObject, t: SimTime, p: Vec2, v: Vec2) -> OrientedBox:
+    """Box of `obj` at time t, given its position and velocity there."""
+    length, width, _ = obj.size
+    return OrientedBox(p, (length / 2.0, width / 2.0), _heading_from_motion(obj, t, v))
+
+
 def bbox_at(obj: TrafficObject, t: SimTime) -> OrientedBox:
     p, v, _ = object_pose_at(obj, t)
-    heading = _heading_from_motion(obj, t, v)
-    length, width, _ = obj.size
-    return OrientedBox(p, (length / 2.0, width / 2.0), heading)
+    return object_box(obj, t, p, v)
 
 
 def project_on_polyline(line: tuple[Vec2, ...], p: Vec2) -> tuple[float, float, float]:
@@ -226,29 +234,31 @@ def lane_at(lane_map: LaneMap, p: Vec2) -> tuple[Lane, float, float] | None:
 
 
 def parse_number(raw, path: str, kind: type = float):
-    """`kind(raw)` for a JSON number (or numeric string); ParseError otherwise."""
+    """`kind(raw)` for a finite JSON number (or numeric string); ParseError otherwise."""
     if isinstance(raw, (int, float, str)):
         try:
-            return kind(raw)
+            value = kind(raw)
+            if math.isfinite(value):
+                return value
         except (ValueError, OverflowError):
             pass
-    raise ParseError(f"{path}: expected a number, got {raw!r}")
+    raise ParseError(f"{path}: expected a finite number, got {raw!r}")
+
+
+_JSON_TYPE_NAMES = {dict: "an object", list: "an array", str: "a string"}
 
 
 def expect(raw, kind: type, path: str):
-    """`raw` if it is a `kind` (dict for a JSON object, list for an array)."""
+    """`raw` if it is a `kind`: dict, list or str for a JSON object, array or string."""
     if not isinstance(raw, kind):
-        raise ParseError(f"{path}: expected {'an object' if kind is dict else 'an array'}")
+        raise ParseError(f"{path}: expected {_JSON_TYPE_NAMES[kind]}")
     return raw
 
 
-def _vec(raw, path: str) -> Vec2:
+def parse_vec(raw, path: str) -> Vec2:
     if not (isinstance(raw, list) and len(raw) == 2):
         raise ParseError(f"{path}: expected [x, y]")
-    v = (parse_number(raw[0], f"{path}[0]"), parse_number(raw[1], f"{path}[1]"))
-    if not is_finite_vec(v):
-        raise ValidationError(path, "components must be finite")
-    return v
+    return parse_number(raw[0], f"{path}[0]"), parse_number(raw[1], f"{path}[1]")
 
 
 def _size(raw, path: str) -> tuple[float, float, float]:
@@ -262,9 +272,9 @@ def _parse_waypoint(raw: dict, path: str) -> Waypoint:
     expect(raw, dict, path)
     try:
         t = parse_number(raw["t_ms"], f"{path}.t_ms", int)
-        p = _vec(raw["p"], f"{path}.p")
-        v = _vec(raw["v"], f"{path}.v")
-        a = _vec(raw["a"], f"{path}.a")
+        p = parse_vec(raw["p"], f"{path}.p")
+        v = parse_vec(raw["v"], f"{path}.v")
+        a = parse_vec(raw["a"], f"{path}.a")
     except KeyError as exc:
         raise ParseError(f"{path}: missing key {exc}") from exc
     if t < 0:
@@ -313,14 +323,14 @@ def _parse_lane(raw: dict, idx: int) -> Lane:
     expect(raw, dict, path)
     try:
         lane_id = str(raw["id"])
-        pts = tuple(_vec(p, f"{path}.centerline[{i}]")
+        pts = tuple(parse_vec(p, f"{path}.centerline[{i}]")
                     for i, p in enumerate(expect(raw["centerline"], list, f"{path}.centerline")))
         width = parse_number(raw["width"], f"{path}.width")
         speed_limit = parse_number(raw["speed_limit"], f"{path}.speed_limit")
     except KeyError as exc:
         raise ParseError(f"{path}: missing key {exc}") from exc
-    if len(pts) < 2:
-        raise ValidationError(f"{path}.centerline", "needs at least 2 points")
+    if len(set(pts)) < 2:
+        raise ValidationError(f"{path}.centerline", "needs at least 2 distinct points")
     if width <= 0:
         raise ValidationError(f"{path}.width", "must be > 0")
     if speed_limit <= 0:
@@ -333,7 +343,7 @@ def _parse_signal(raw: dict, idx: int, t_max: SimTime) -> TrafficSignal:
     expect(raw, dict, path)
     try:
         sig_id = str(raw["id"])
-        stop_line = _vec(raw["stop_line"], f"{path}.stop_line")
+        stop_line = parse_vec(raw["stop_line"], f"{path}.stop_line")
         phases_raw = expect(raw["phases"], list, f"{path}.phases")
     except KeyError as exc:
         raise ParseError(f"{path}: missing key {exc}") from exc
@@ -392,7 +402,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
         if lane_id not in lane_ids:
             raise ValidationError(f"map.successors.{lane_id}", "unknown lane")
         for s in expect(succ, list, f"map.successors.{lane_id}"):
-            if s not in lane_ids:
+            if not isinstance(s, str) or s not in lane_ids:
                 raise ValidationError(f"map.successors.{lane_id}", f"unknown successor {s!r}")
         successors[str(lane_id)] = tuple(str(s) for s in succ)
     lane_map = LaneMap(lanes, successors)
@@ -401,9 +411,9 @@ def scenario_from_dict(doc: dict) -> Scenario:
         init_pose_raw = expect(ego["init_pose"], list, "ego.init_pose")
         if len(init_pose_raw) != 3:
             raise ParseError("ego.init_pose: expected [x, y, heading]")
-        a_init = (_vec(init_pose_raw[:2], "ego.init_pose"),
+        a_init = (parse_vec(init_pose_raw[:2], "ego.init_pose"),
                   parse_number(init_pose_raw[2], "ego.init_pose[2]"))
-        a_dest = _vec(ego["dest"], "ego.dest")
+        a_dest = parse_vec(ego["dest"], "ego.dest")
         ego_size = _size(ego["size"], "ego.size")
     except KeyError as exc:
         raise ParseError(f"ego: missing key {exc}") from exc

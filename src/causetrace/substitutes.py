@@ -20,7 +20,7 @@ from .middleware import ComponentId, Trace
 from .payloads import (ControlOut, LocalizationOut, PerceivedObject, PerceptionOut,
                        PlanningOut, PredictedTrajectory, PredictionOut)
 from .pipeline import PREDICTION_HORIZON_MS, PREDICTION_STEP_MS
-from .scenario import Scenario, SimTime, bbox_at, object_pose_at
+from .scenario import Scenario, SimTime, bbox_at, object_box, object_pose_at
 from .world import EgoState, SENSOR_RANGE
 
 StateKey = tuple[int, int, int, int, int, int]
@@ -191,7 +191,7 @@ def ideal_perception(scenario: Scenario, t: SimTime, ego_p: Vec2) -> PerceptionO
         p, v, _ = object_pose_at(obj, t)
         dx, dy = p[0] - ego_p[0], p[1] - ego_p[1]
         if dx * dx + dy * dy <= SENSOR_RANGE * SENSOR_RANGE:
-            objs.append(PerceivedObject(obj.id, obj.kind, bbox_at(obj, t), v))
+            objs.append(PerceivedObject(obj.id, obj.kind, object_box(obj, t, p, v), v))
     return PerceptionOut(tuple(objs))
 
 
@@ -201,18 +201,14 @@ def ideal_prediction(scenario: Scenario, t: SimTime) -> PredictionOut:
     trajs = []
     for obj in scenario.objects:
         box = bbox_at(obj, t)
-        if obj.is_static:
-            x, y = box.center
-            pts = tuple((t + k * PREDICTION_STEP_MS, x, y) for k in range(steps))
-        else:
-            pts_list = []
-            for k in range(steps):
-                tq = t + k * PREDICTION_STEP_MS
-                p, _, _ = object_pose_at(obj, tq)
-                pts_list.append((tq, p[0], p[1]))
-            pts = tuple(pts_list)
+        static = obj.is_static
+        pts = [(t, *box.center)]
+        for k in range(1, steps):
+            tq = t + k * PREDICTION_STEP_MS
+            p = box.center if static else object_pose_at(obj, tq)[0]
+            pts.append((tq, p[0], p[1]))
         trajs.append(PredictedTrajectory(obj.id, obj.kind, box.half_extents,
-                                         box.heading, pts))
+                                         box.heading, tuple(pts)))
     return PredictionOut(tuple(trajs))
 
 

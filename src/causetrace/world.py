@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 from .geometry import OrientedBox, Vec2
-from .scenario import Scenario, SimTime, TrafficObject, bbox_at, object_pose_at
+from .scenario import SimTime, TrafficObject, bbox_at, object_box, object_pose_at
 
 WHEELBASE = 2.8
 ACCEL_MIN = -8.0
@@ -51,32 +51,19 @@ def step_ego(state: EgoState, accel_cmd: float, steer: float, dt: SimTime) -> Eg
     return EgoState(p=(px, py), heading=heading, speed=speed, accel=applied, t=state.t + dt)
 
 
-@dataclass(frozen=True)
-class TruthObject:
-    id: str
-    kind: str
-    box: OrientedBox
-    v: Vec2
-
-
-def ground_truth_objects(scenario: Scenario, t: SimTime, origin: Vec2,
-                         sensor_range: float = SENSOR_RANGE) -> list[TruthObject]:
-    """Objects whose box center lies within range of origin, exact kinematics."""
-    out = []
-    for obj in scenario.objects:
-        p, v, _ = object_pose_at(obj, t)
-        dx, dy = p[0] - origin[0], p[1] - origin[1]
-        if dx * dx + dy * dy <= sensor_range * sensor_range:
-            out.append(TruthObject(obj.id, obj.kind, bbox_at(obj, t), v))
-    return out
-
-
 class ObjectTracker:
-    """Monotone-time pose lookup over scripted waypoints (O(1) per advancing query)."""
+    """The scenario's object model cached along a monotone time axis.
+
+    Queries must come in non-decreasing t. The segment index advances instead of
+    being searched for, and a static object's box is built once; poses and boxes
+    are those of `scenario.object_pose_at` / `scenario.bbox_at`.
+    """
 
     def __init__(self, obj: TrafficObject):
         self.obj = obj
+        self.radius = math.hypot(obj.size[0] / 2.0, obj.size[1] / 2.0)
         self._idx = 0
+        self._box = bbox_at(obj, obj.waypoints[0].t) if obj.is_static else None
 
     def pose_at(self, t: SimTime) -> tuple[Vec2, Vec2]:
         wps = self.obj.waypoints
@@ -85,12 +72,11 @@ class ObjectTracker:
         while i + 1 < n and wps[i + 1].t <= t:
             i += 1
         self._idx = i
-        if t <= wps[0].t:
-            return wps[0].p, wps[0].v
-        if i + 1 >= n:
-            return wps[-1].p, wps[-1].v
-        w0, w1 = wps[i], wps[i + 1]
-        u = (t - w0.t) / (w1.t - w0.t)
-        p = (w0.p[0] + (w1.p[0] - w0.p[0]) * u, w0.p[1] + (w1.p[1] - w0.p[1]) * u)
-        v = (w0.v[0] + (w1.v[0] - w0.v[0]) * u, w0.v[1] + (w1.v[1] - w0.v[1]) * u)
+        p, v, _ = object_pose_at(self.obj, t, i)
         return p, v
+
+    def box_at(self, t: SimTime) -> OrientedBox:
+        if self._box is not None:
+            return self._box
+        p, v = self.pose_at(t)
+        return object_box(self.obj, t, p, v)

@@ -84,9 +84,20 @@ MALFORMED = {
     "t_max_not_int": (lambda d: _set(d, "t_max_ms", "abc"), None, None, "t_max_ms"),
     "map_not_object": (lambda d: _set(d, "map", []), None, None, "map"),
     "object_size_scalar": (_obj_size, None, None, "objects[0].size"),
+    "lane_width_not_finite": (lambda d: d["map"]["lanes"][0].update(width="inf") or d,
+                              None, None, "map.lanes[0].width"),
     "fault_without_target": (None, {"kind": "miss_detection"}, None, "fault"),
     "fault_unknown_kind": (None, {"faults": [{"target": "perception", "kind": "gremlin"}]},
                            None, "faults[0].kind"),
+    "fault_magnitude_not_number": (None, {"faults": [{
+        "target": "perception", "kind": "wrong_lateral_distance",
+        "magnitude": {"offset": "x"}}]}, None, "faults[0].magnitude.offset"),
+    "fault_magnitude_not_finite": (None, {
+        "target": "control", "kind": "wrong_longitudinal_command",
+        "magnitude": {"offset": float("inf")}}, None, "fault.magnitude.offset"),
+    "fault_unknown_prediction_mode": (None, {
+        "target": "prediction", "kind": "wrong_prediction_trajectory",
+        "magnitude": {"mode": "sideways"}}, None, "fault.magnitude.mode"),
     "oracle_negative_c": (None, None, {"safe_distance_c": -1}, "safe_distance_c"),
     "oracle_unknown_kind": (None, None, {"enabled": ["speedng"]}, "enabled[0]"),
 }
@@ -193,3 +204,33 @@ def test_replay_corrupt_trace_exit_two(tmp_path):
     bad.write_text("not json\n", encoding="utf-8")
     code = main(["replay", str(bad), "--out-dir", str(tmp_path)])
     assert code == 2
+
+
+@pytest.mark.parametrize("line, field_path", [
+    ('{"kind":"ego","t":0}', "line 2: missing key 'p'"),
+    ("[1,2]", "line 2: expected an object"),
+    ('{"kind":"ego","t":0,"p":[0,0],"v":[0],"a":[0,0]}', "line 2.v"),
+    ('{"t":0}', "line 2.kind"),
+])
+def test_replay_malformed_record_exit_two(tmp_path, capsys, line, field_path):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text('{"kind":"header"}\n' + line + "\n", encoding="utf-8")
+    assert main(["replay", str(bad), "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {field_path}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("edit, field_path", [
+    (lambda inst: inst.pop("scenario"), "instances[0].scenario"),
+    (lambda inst: inst.update(fault=[]), "instances[0].fault"),
+    (lambda inst: inst["fault"].update(kind="gremlin"), "instances[0].fault.kind"),
+])
+def test_bench_malformed_instance_exit_two(tmp_path, capsys, edit, field_path):
+    inst = INSTS["cs1_plan_none"].to_dict()
+    edit(inst)
+    bpath = tmp_path / "bench.json"
+    bpath.write_text(json.dumps({"instances": [inst]}), encoding="utf-8")
+    assert main(["bench", "--benchmark", str(bpath), "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {field_path}" in err

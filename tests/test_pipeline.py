@@ -10,38 +10,55 @@ from causetrace.pipeline import (control_tick, localization_tick,
                                  make_planner_context, perception_tick,
                                  planning_tick, prediction_tick)
 from causetrace.scenario import scenario_from_dict
-from causetrace.world import EgoState, TruthObject
+from causetrace.world import EgoState
 from conftest import static_object, straight_road_doc
+
+EXACT_LOC = LocalizationOut((0.0, 0.0), 0.0, 0.0)
 
 
 def truth_list():
-    return [
-        TruthObject("car", "Vehicle", OrientedBox((40.0, 0.0), (2.2, 0.9), 0.0), (5.0, 0.0)),
-        TruthObject("ped", "Pedestrian", OrientedBox((30.0, 5.0), (0.25, 0.25), 0.0),
-                    (0.0, -1.5)),
-    ]
+    return PerceptionOut((
+        PerceivedObject("car", "Vehicle", OrientedBox((40.0, 0.0), (2.2, 0.9), 0.0),
+                        (5.0, 0.0)),
+        PerceivedObject("ped", "Pedestrian", OrientedBox((30.0, 5.0), (0.25, 0.25), 0.0),
+                        (0.0, -1.5)),
+    ))
+
+
+def sense(faults, t):
+    """perception_tick over truth_list() with exact localization."""
+    return perception_tick(truth_list(), EXACT_LOC, EXACT_LOC.p, faults, t)
 
 
 def test_perception_identity_without_faults():
-    out, changed = perception_tick(truth_list(), [], 1000, 0.0)
+    out, changed = sense([], 1000)
     assert not changed
     assert [o.id for o in out.objects] == ["car", "ped"]
     assert out.objects[0].box.center == (40.0, 0.0)
+    assert out == truth_list()
+
+
+def test_perception_shifts_boxes_by_localization_error():
+    believed = LocalizationOut((6.0, 0.5), 0.0, 0.0)
+    out, changed = perception_tick(truth_list(), believed, (5.0, 0.0), [], 1000)
+    assert not changed  # a localization error is not a perception fault
+    assert [o.box.center for o in out.objects] == [(41.0, 0.5), (31.0, 5.5)]
+    assert [o.box.heading for o in out.objects] == [0.0, 0.0]
 
 
 def test_miss_detection_window():
     fault = FaultSpec(ComponentId.PERCEPTION, "miss_detection",
                       Trigger(t0=2000, t1=6000, object_id="ped"))
-    inside, changed = perception_tick(truth_list(), [fault], 3000, 0.0)
+    inside, changed = sense([fault], 3000)
     assert changed and [o.id for o in inside.objects] == ["car"]
-    outside, changed = perception_tick(truth_list(), [fault], 6000, 0.0)
+    outside, changed = sense([fault], 6000)
     assert not changed and len(outside.objects) == 2
 
 
 def test_wrong_velocity_shifts_along_heading():
     fault = FaultSpec(ComponentId.PERCEPTION, "wrong_velocity",
                       Trigger(object_id="car"), magnitude={"dv": -5.0})
-    out, changed = perception_tick(truth_list(), [fault], 0, 0.0)
+    out, changed = sense([fault], 0)
     assert changed
     car = next(o for o in out.objects if o.id == "car")
     assert car.v == pytest.approx((0.0, 0.0))
@@ -50,7 +67,7 @@ def test_wrong_velocity_shifts_along_heading():
 def test_wrong_longitudinal_shift_uses_ego_heading():
     fault = FaultSpec(ComponentId.PERCEPTION, "wrong_longitudinal_distance",
                       Trigger(object_id="car"), magnitude={"offset": 10.0})
-    out, _ = perception_tick(truth_list(), [fault], 0, 0.0)
+    out, _ = sense([fault], 0)
     car = next(o for o in out.objects if o.id == "car")
     assert car.box.center == pytest.approx((50.0, 0.0))
 

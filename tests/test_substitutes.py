@@ -1,19 +1,20 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causetrace.benchmark import builtin_instances, load_builtin_scenario
 from causetrace.middleware import ComponentId
 from causetrace.oracles import OracleConfig
 from causetrace.payloads import PlanningOut, TrajPoint
-from causetrace.pipeline import perception_tick
-from causetrace.runner import AdsConfig, rtest, run_with_substitution
-from causetrace.scenario import object_pose_at, scenario_from_dict
+from causetrace.runner import AdsConfig, rtest, run_scheduler, run_with_substitution
+from causetrace.scenario import bbox_at, object_pose_at, scenario_from_dict
 from causetrace.substitutes import (IdealAll, Original, QuantizationUnits,
                                     SubstitutionPlan, ideal_localization,
                                     ideal_perception, ideal_prediction,
                                     quantize_state, sim_control_apply, split_trace)
-from causetrace.world import EgoState, ground_truth_objects
+from causetrace.world import EgoState
 from conftest import straight_road_doc
 
 INSTS = {i.id: i for i in builtin_instances()}
@@ -94,15 +95,61 @@ def test_split_trace_partitions_messages():
         assert ordinals == list(range(1, len(ordinals) + 1))
 
 
+def perception_vs_ideal(sc):
+    """(pipeline payload, ideal_perception payload) per perception tick of a
+    fault-free run, the substitute seeing from the ego position at that tick."""
+    trace = run_scheduler(sc, AdsConfig())
+    ego_p = {w.t: w.p for w in trace.ego_log}
+    return [(m.payload, ideal_perception(sc, m.t_pub, ego_p[m.t_pub]))
+            for m in trace.rows[ComponentId.PERCEPTION]]
+
+
 def test_ideal_perception_equals_faultless_tick():
-    sc = load_builtin_scenario("cs2")
-    t = 3000
-    ego_p = (20.0, 0.0)
-    ideal = ideal_perception(sc, t, ego_p)
-    truth = ground_truth_objects(sc, t, ego_p)
-    ticked, changed = perception_tick(truth, [], t, 0.0)
-    assert not changed
-    assert ideal == ticked
+    pairs = perception_vs_ideal(load_builtin_scenario("cs2"))
+    assert pairs and all(seen == ideal for seen, ideal in pairs)
+
+
+def test_object_at_rest_then_moving_has_one_heading():
+    # At rest until 2 s without a heading override, then walking towards +y.
+    # Perception, its substitute and the oracle's bbox_at must agree on the
+    # heading throughout; it is 0.0 while the object has never moved.
+    doc = straight_road_doc(t_max_ms=3000, objects=[{
+        "id": "ped", "kind": "Pedestrian", "size": [0.5, 0.5, 1.8], "waypoints": [
+            {"t_ms": 0, "p": [40.0, -8.0], "v": [0.0, 0.0], "a": [0.0, 0.0]},
+            {"t_ms": 2000, "p": [40.0, -8.0], "v": [0.0, 0.0], "a": [0.0, 1.5]},
+            {"t_ms": 4000, "p": [40.0, -5.0], "v": [0.0, 3.0], "a": [0.0, 0.0]}]}])
+    sc = scenario_from_dict(doc)
+    ped = sc.object_by_id("ped")
+    pairs = perception_vs_ideal(sc)
+    assert len(pairs) == 30
+    for t, (seen, ideal) in zip(range(0, 3000, 100), pairs):
+        headings = {o.box.heading for o in seen.objects + ideal.objects}
+        assert headings == {bbox_at(ped, t).heading}
+        assert headings == ({0.0} if t <= 2000 else {math.pi / 2})
+
+
+@st.composite
+def single_segment_object(draw):
+    xy = st.floats(-20.0, 20.0)
+    vel = st.one_of(st.just([0.0, 0.0]), st.lists(st.floats(-4.0, 4.0), min_size=2, max_size=2))
+    t0 = draw(st.integers(0, 800))
+    doc = {"id": "obj", "kind": draw(st.sampled_from(["Pedestrian", "Vehicle"])),
+           "size": [draw(st.floats(0.3, 5.0)), draw(st.floats(0.3, 2.5)), 1.5],
+           "waypoints": [
+               {"t_ms": t0, "p": [30.0 + draw(xy), draw(xy)], "v": draw(vel), "a": [0.0, 0.0]},
+               {"t_ms": t0 + draw(st.integers(1, 1500)), "p": [30.0 + draw(xy), draw(xy)],
+                "v": draw(vel), "a": [0.0, 0.0]}]}
+    if draw(st.booleans()):
+        doc["heading_override"] = draw(st.floats(-math.pi, math.pi))
+    return doc
+
+
+@settings(max_examples=25, deadline=None)
+@given(obj=single_segment_object())
+def test_unfaulted_perception_equals_substitute(obj):
+    sc = scenario_from_dict(straight_road_doc(t_max_ms=1500, objects=[obj]))
+    pairs = perception_vs_ideal(sc)
+    assert pairs and all(seen == ideal for seen, ideal in pairs)
 
 
 def test_ideal_perception_immune_to_fault():

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from causetrace.scenario import scenario_from_dict
-from causetrace.world import (EgoState, WHEELBASE, ground_truth_objects, step_ego)
+from causetrace.scenario import bbox_at, object_pose_at, scenario_from_dict
+from causetrace.substitutes import ideal_perception
+from causetrace.world import EgoState, ObjectTracker, WHEELBASE, step_ego
 from conftest import static_object, straight_road_doc
 
 
@@ -61,26 +62,54 @@ def scenario_with_objects():
     ]))
 
 
-def test_ground_truth_unlimited_range():
+def test_ground_truth_range_includes():
+    # Both objects lie 27.5 m from the ego, inside the 60 m sensor range.
     sc = scenario_with_objects()
-    got = ground_truth_objects(sc, 0, (5.0, 0.0), sensor_range=float("inf"))
-    assert {o.id for o in got} == {"near", "far"}
+    got = ideal_perception(sc, 0, (57.5, 0.0))
+    assert {o.id for o in got.objects} == {"near", "far"}
 
 
 def test_ground_truth_range_excludes():
     sc = scenario_with_objects()
-    got = ground_truth_objects(sc, 0, (5.0, 0.0), sensor_range=60.0)
-    assert {o.id for o in got} == {"near"}
+    got = ideal_perception(sc, 0, (5.0, 0.0))
+    assert {o.id for o in got.objects} == {"near"}
 
 
 def test_ground_truth_matches_pose_interpolation():
     from causetrace.benchmark import load_builtin_scenario
-    from causetrace.scenario import object_pose_at
 
     sc = load_builtin_scenario("cs2")
     t = 7000
     lead = sc.object_by_id("lead")
-    got = ground_truth_objects(sc, t, (0.0, 0.0), sensor_range=float("inf"))
-    box = next(o.box for o in got if o.id == "lead")
     p, v, _ = object_pose_at(lead, t)
-    assert box.center == pytest.approx(p)
+    got = ideal_perception(sc, t, (60.0, 0.0))
+    seen = next(o for o in got.objects if o.id == "lead")
+    assert seen.box.center == pytest.approx(p)
+    assert seen.v == pytest.approx(v)
+    trk = ObjectTracker(lead)
+    assert trk.box_at(t).center == pytest.approx(p)
+
+
+def test_object_tracker_is_the_scenario_model():
+    # Along a monotone time axis the tracker gives exactly bbox_at's boxes,
+    # through the stop-and-go segments of the cs2 lead vehicle.
+    from causetrace.benchmark import load_builtin_scenario
+
+    lead = load_builtin_scenario("cs2").object_by_id("lead")
+    trk = ObjectTracker(lead)
+    for t in range(-100, 32000, 10):
+        assert trk.box_at(t) == bbox_at(lead, t)
+
+
+def test_object_tracker_builds_static_box_once(monkeypatch):
+    import causetrace.world as world
+
+    calls = []
+    real = world.bbox_at
+    monkeypatch.setattr(world, "bbox_at", lambda obj, t: calls.append(t) or real(obj, t))
+    curb = scenario_with_objects().object_by_id("near")
+    trk = ObjectTracker(curb)
+    boxes = [trk.box_at(t) for t in range(0, 5000, 10)]
+    assert len(calls) == 1
+    assert all(b is boxes[0] for b in boxes)
+    assert boxes[0] == bbox_at(curb, 2500)
