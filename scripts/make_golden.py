@@ -1,7 +1,8 @@
 """Regenerate tests/golden.json, the behaviour lock of the frozen benchmark.
 
-For every one of the 42 built-in benchmark instances this runs `attribute()`
-once with the default configuration and records three things:
+For every one of the 42 instances in src/causetrace/data/benchmark.json (the
+only copy of the frozen benchmark) this runs `attribute()` once with the
+default configuration and records three things:
 
 * ``trace_digest``: the sha256 of the serialized original (faulted) run, as
   `causetrace run` writes it, taken before `split_trace` annotates states;
@@ -28,7 +29,7 @@ import sys
 from pathlib import Path
 
 from causetrace import attribution
-from causetrace.benchmark import builtin_instances, load_builtin_scenario
+from causetrace.benchmark import load_benchmark, load_builtin_scenario
 from causetrace.middleware import trace_digest
 from causetrace.oracles import OracleConfig
 from causetrace.runner import AdsConfig
@@ -52,7 +53,7 @@ def _rerun_row(plan, passed: bool) -> list:
 
 def golden_entry(inst_id: str) -> dict:
     """Attribute one built-in instance and return its golden record."""
-    inst = {i.id: i for i in builtin_instances()}[inst_id]
+    inst = {i.id: i for i in load_benchmark()}[inst_id]
     scenario = load_builtin_scenario(inst.scenario)
     digests: list[str] = []
     reruns: list[list] = []
@@ -93,7 +94,7 @@ def main(argv: list[str]) -> int:
             print(inst_id, json.dumps(golden_entry(inst_id)))
         return 0
     golden = {}
-    for inst in builtin_instances():
+    for inst in load_benchmark():
         golden[inst.id] = golden_entry(inst.id)
         print(f"{inst.id}: {len(golden[inst.id]['reruns'])} re-runs", flush=True)
     lines = [f"{json.dumps(k)}: {json.dumps(v)}" for k, v in golden.items()]

@@ -17,7 +17,8 @@ from .geometry import OrientedBox, Vec2
 from .middleware import ComponentId
 from .payloads import (ControlOut, LocalizationOut, PerceivedObject, PerceptionOut,
                        PlanningOut, PredictedTrajectory, PredictionOut, TrajPoint)
-from .scenario import ParseError, SimTime, ValidationError, expect, parse_number
+from .scenario import (ParseError, SimTime, ValidationError, expect, parse_number,
+                       parse_vec)
 
 FAULT_KINDS: dict[str, ComponentId] = {
     "miss_detection": ComponentId.PERCEPTION,
@@ -105,21 +106,7 @@ def fault_from_dict(doc: dict, path: str = "fault") -> FaultSpec:
     if doc["target"] != FAULT_KINDS[kind].value:
         raise ValidationError(f"{path}.target", f"fault kind {kind!r} targets "
                               f"{FAULT_KINDS[kind].value}, not {doc['target']!r}")
-    trig_path = f"{path}.trigger"
-    trig_doc = expect(doc.get("trigger", {}), dict, trig_path)
-    try:
-        region = None
-        if "region" in trig_doc:
-            (cx, cy), r = trig_doc["region"]["center"], trig_doc["region"]["radius"]
-            region = ((float(cx), float(cy)), float(r))
-        trigger = Trigger(
-            t0=int(trig_doc.get("t0_ms", 0)),
-            t1=int(trig_doc.get("t1_ms", 1 << 62)),
-            object_id=trig_doc.get("object_id"),
-            region=region,
-        )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"{trig_path}: malformed trigger: {exc!r}") from None
+    trigger = _trigger_from_dict(doc.get("trigger", {}), f"{path}.trigger")
     magnitude = dict(expect(doc.get("magnitude", {}), dict, f"{path}.magnitude"))
     for key in MAGNITUDE_NUMBERS:
         if key in magnitude:
@@ -128,6 +115,29 @@ def fault_from_dict(doc: dict, path: str = "fault") -> FaultSpec:
         raise ValidationError(f"{path}.magnitude.mode", f"unknown mode {magnitude['mode']!r}")
     return FaultSpec(target=FAULT_KINDS[kind], kind=kind, trigger=trigger,
                      magnitude=magnitude)
+
+
+def _trigger_from_dict(doc, path: str) -> Trigger:
+    expect(doc, dict, path)
+    t0 = parse_number(doc.get("t0_ms", 0), f"{path}.t0_ms", int)
+    t1 = parse_number(doc.get("t1_ms", 1 << 62), f"{path}.t1_ms", int)
+    if t1 <= t0:
+        raise ValidationError(f"{path}.t1_ms", f"must be > t0_ms ({t0})")
+    object_id = doc.get("object_id")
+    if object_id is not None:
+        expect(object_id, str, f"{path}.object_id")
+    region = None
+    if "region" in doc:
+        where = f"{path}.region"
+        raw = expect(doc["region"], dict, where)
+        for key in ("center", "radius"):
+            if key not in raw:
+                raise ParseError(f"{where}: missing key {key!r}")
+        radius = parse_number(raw["radius"], f"{where}.radius")
+        if radius < 0:
+            raise ValidationError(f"{where}.radius", "must be >= 0")
+        region = (parse_vec(raw["center"], f"{where}.center"), radius)
+    return Trigger(t0=t0, t1=t1, object_id=object_id, region=region)
 
 
 def load_fault_file(path: str | Path) -> list[FaultSpec]:

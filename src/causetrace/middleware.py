@@ -26,14 +26,6 @@ class ComponentId(str, Enum):
     LOCALIZATION = "localization"
 
 
-COMPONENTS = (
-    ComponentId.PERCEPTION,
-    ComponentId.PREDICTION,
-    ComponentId.PLANNING,
-    ComponentId.CONTROL,
-    ComponentId.LOCALIZATION,
-)
-
 # Firing order inside one tick: sensing before planning before control.
 TICK_PRIORITY = (
     ComponentId.LOCALIZATION,
@@ -89,7 +81,7 @@ class Bus:
     """Single-run message bus; strictly single-threaded."""
 
     def __init__(self) -> None:
-        self.trace = Trace(rows={c: [] for c in COMPONENTS}, records=[], ego_log=[])
+        self.trace = Trace(rows={c: [] for c in ComponentId}, records=[], ego_log=[])
         self._latest: dict[ComponentId, Message] = {}
 
     def publish(self, component: ComponentId, payload: Any, t: SimTime,

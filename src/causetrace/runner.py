@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 from .faults import FaultSpec
 from .geometry import OrientedBox, min_obb_distance, obb_separation_at_least
@@ -54,15 +53,10 @@ class AdsConfig:
     units: QuantizationUnits = field(default_factory=QuantizationUnits)
 
 
-@dataclass
-class RunHooks:
-    substitution: SubstitutionPlan = field(default_factory=SubstitutionPlan)
-    wrappers: dict[ComponentId, Callable] = field(default_factory=dict)
-
-
-def run_scheduler(scenario: Scenario, ads: AdsConfig, hooks: RunHooks | None = None) -> Trace:
-    hooks = hooks or RunHooks()
-    plan_modes = {c: hooks.substitution.mode_of(c) for c in ComponentId}
+def run_scheduler(scenario: Scenario, ads: AdsConfig,
+                  plan: SubstitutionPlan | None = None) -> Trace:
+    plan = plan or SubstitutionPlan()
+    plan_modes = {c: plan.mode_of(c) for c in ComponentId}
     bus = Bus()
     trace = bus.trace
     ctx = make_planner_context(scenario)
@@ -80,13 +74,7 @@ def run_scheduler(scenario: Scenario, ads: AdsConfig, hooks: RunHooks | None = N
         return substitution_active(plan_modes[component], state_tracker.index)
 
     def fire(component: ComponentId, t: SimTime) -> None:
-        wrapper = hooks.wrappers.get(component)
         try:
-            if wrapper is not None:
-                payload, changed, inputs = wrapper(t=t, bus=bus, ego=ego, scenario=scenario)
-                bus.record_execution(component, inputs,
-                                     bus.publish(component, payload, t, changed))
-                return
             if component is ComponentId.LOCALIZATION:
                 if active(component):
                     payload, changed = ideal_localization(ego), False
@@ -201,15 +189,14 @@ class RunResult:
 
 def rtest(scenario: Scenario, ads: AdsConfig, oracles: OracleConfig) -> RunResult:
     """One full simulated run plus the violation verdict over its artifacts."""
-    trace = run_scheduler(scenario, ads, RunHooks())
-    verdict = evaluate(trace.ego_log, scenario, oracles)
-    trace.verdict = verdict
+    verdict, trace = run_with_substitution(scenario, ads, SubstitutionPlan(), oracles)
     return RunResult(verdict, trace.ego_log, trace)
 
 
 def run_with_substitution(scenario: Scenario, ads: AdsConfig, plan: SubstitutionPlan,
                           oracles: OracleConfig) -> tuple[Verdict, Trace]:
-    trace = run_scheduler(scenario, ads, RunHooks(substitution=plan))
+    """One run with the plan's substitutes active, plus its verdict."""
+    trace = run_scheduler(scenario, ads, plan)
     verdict = evaluate(trace.ego_log, scenario, oracles)
     trace.verdict = verdict
     return verdict, trace

@@ -49,7 +49,6 @@ def quantize_state(p: Vec2, v: Vec2, a: Vec2, units: QuantizationUnits) -> State
 class DynamicState:
     index: int  # 1-based position in the state sequence
     key: StateKey
-    ordinal: int  # nth visit of this key (1-based)
     t_start: SimTime
     t_end: SimTime  # time of the last sample inside the state
 
@@ -61,35 +60,31 @@ class OnlineStateTracker:
         self.units = units
         self.index = 0
         self.key: StateKey | None = None
-        self.ordinal = 0
-        self._visits: dict[StateKey, int] = {}
 
-    def observe(self, p: Vec2, v: Vec2, a: Vec2) -> tuple[int, StateKey, int]:
+    def observe(self, p: Vec2, v: Vec2, a: Vec2) -> tuple[int, StateKey]:
         key = quantize_state(p, v, a, self.units)
         if key != self.key:
             self.index += 1
             self.key = key
-            self.ordinal = self._visits.get(key, 0) + 1
-            self._visits[key] = self.ordinal
-        return self.index, key, self.ordinal
+        return self.index, key
 
 
 def split_trace(trace: Trace, units: QuantizationUnits) -> list[DynamicState]:
     """Quantize the ego log into merged states and assign every message to one.
 
-    Consecutive identical keys merge; repeated visits to a key get distinct
-    ordinals. Messages are annotated in place (state_key / state_index).
+    Consecutive identical keys merge; a later visit to a key is a new state.
+    Messages are annotated in place (state_key / state_index).
     """
     assert trace.ego_log, "split_trace needs the ego waypoint log"
     states: list[DynamicState] = []
     tracker = OnlineStateTracker(units)
     sample_index: list[tuple[SimTime, int]] = []
     for w in trace.ego_log:
-        idx, key, ordinal = tracker.observe(w.p, w.v, w.a)
+        idx, key = tracker.observe(w.p, w.v, w.a)
         if idx > len(states):
-            states.append(DynamicState(idx, key, ordinal, w.t, w.t))
+            states.append(DynamicState(idx, key, w.t, w.t))
         else:
-            states[-1] = DynamicState(idx, key, ordinal, states[-1].t_start, w.t)
+            states[-1] = DynamicState(idx, key, states[-1].t_start, w.t)
         sample_index.append((w.t, idx))
     for row in trace.rows.values():
         for msg in row:

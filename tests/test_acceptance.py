@@ -20,9 +20,8 @@ from causetrace.attribution import (DtestSession, attribute,
                                     attribute_interval_dd,
                                     attribute_message_nonplanning,
                                     audit_suffix_monotonicity, tarantula_scores)
-from causetrace.benchmark import (ARCHETYPE, BUILDERS, builtin_instances,
-                                  load_builtin_scenario, run_benchmark,
-                                  scenario_path)
+from causetrace.benchmark import (ARCHETYPE, load_benchmark, load_builtin_scenario,
+                                  run_benchmark, scenario_path)
 from causetrace.cli import main as cli_main
 from causetrace.faults import FAULT_KINDS
 from causetrace.geometry import OrientedBox, min_obb_distance
@@ -34,7 +33,7 @@ from causetrace.substitutes import (IdealFromState, QuantizationUnits,
                                     SubstitutionPlan, split_trace)
 from conftest import static_object, straight_road_doc
 
-INSTANCES = builtin_instances()
+INSTANCES = load_benchmark()
 BY_ID = {i.id: i for i in INSTANCES}
 NONPLANNING = ("perception", "prediction", "control", "localization")
 
@@ -232,7 +231,7 @@ def _exhaustive_scan(inst_id: str):
     if 1 not in indices:
         indices = [1] + indices
     jobs = [(inst_id, s) for s in indices]
-    with ProcessPoolExecutor(max_workers=4) as ex:
+    with ProcessPoolExecutor(4) as ex:
         outcomes = dict(ex.map(_audit_job, jobs))
     ordered = [(s, outcomes[s]) for s in indices]
     flips = sum(1 for (_, a), (_, b) in zip(ordered, ordered[1:]) if a != b)
@@ -303,17 +302,17 @@ def _flip_job(inst_id: str):
 
 def test_criterion_9_baseline_soundness():
     baseline_ok = True
-    for name in BUILDERS:
+    for name in ARCHETYPE:
         res = rtest(load_builtin_scenario(name), AdsConfig(), OracleConfig())
         if not res.verdict.passed:
             baseline_ok = False
-    with ProcessPoolExecutor(max_workers=4) as ex:
+    with ProcessPoolExecutor(4) as ex:
         flips = dict(ex.map(_flip_job, [i.id for i in INSTANCES]))
     flips_ok = all(flips.values())
     ok = baseline_ok and flips_ok
     bad = [k for k, v in flips.items() if not v]
     report("criterion-9", ok,
-           f"all {len(BUILDERS)} scenario files pass fault-free; "
+           f"all {len(ARCHETYPE)} scenario files pass fault-free; "
            f"{sum(flips.values())}/{len(flips)} fault specs flip to their recorded "
            f"violation kind" + (f"; failing: {bad}" if bad else ""))
     assert baseline_ok

@@ -10,7 +10,7 @@ from causetrace.attribution import (AttributionReport, DegenerateInput, DtestSes
                                     attribute_message_planning,
                                     audit_suffix_monotonicity, build_verdict_matrix,
                                     tarantula_scores, verdict_matrix_csv)
-from causetrace.benchmark import builtin_instances, load_builtin_scenario
+from causetrace.benchmark import load_benchmark, load_builtin_scenario
 from causetrace.faults import FaultSpec, Trigger
 from causetrace.middleware import Bus, ComponentId
 from causetrace.oracles import OracleConfig
@@ -21,7 +21,7 @@ from causetrace.substitutes import (DynamicState, IdealFromState, IdealWithinSta
                                     SubstitutionPlan, split_trace)
 from conftest import straight_road_doc
 
-INSTS = {i.id: i for i in builtin_instances()}
+INSTS = {i.id: i for i in load_benchmark()}
 
 
 class StubSession:
@@ -52,7 +52,7 @@ def synthetic_trace(n_states: int, component=ComponentId.PERCEPTION, per_state=1
     states = []
     for s in range(1, n_states + 1):
         t0 = (s - 1) * 100
-        states.append(DynamicState(s, (s, 0, 0, 0, 0, 0), 1, t0, t0 + 99))
+        states.append(DynamicState(s, (s, 0, 0, 0, 0, 0), t0, t0 + 99))
         for k in range(per_state):
             msg = bus.publish(component, ControlOut(0, 0), t0 + k * 10)
             msg.state_index = s

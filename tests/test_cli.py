@@ -3,11 +3,11 @@ from pathlib import Path
 
 import pytest
 
-from causetrace.benchmark import builtin_instances, scenario_path
+from causetrace.benchmark import load_benchmark, scenario_path
 from causetrace.cli import main
 from conftest import straight_road_doc
 
-INSTS = {i.id: i for i in builtin_instances()}
+INSTS = {i.id: i for i in load_benchmark()}
 
 
 def write_fault(tmp_path, inst_id) -> str:
@@ -98,6 +98,27 @@ MALFORMED = {
     "fault_unknown_prediction_mode": (None, {
         "target": "prediction", "kind": "wrong_prediction_trajectory",
         "magnitude": {"mode": "sideways"}}, None, "fault.magnitude.mode"),
+    "fault_trigger_t0_not_number": (None, {
+        "target": "perception", "kind": "miss_detection", "trigger": {"t0_ms": "soon"}},
+        None, "fault.trigger.t0_ms"),
+    "fault_trigger_window_empty": (None, {"faults": [{
+        "target": "perception", "kind": "miss_detection",
+        "trigger": {"t0_ms": 5000, "t1_ms": 1000}}]}, None, "faults[0].trigger.t1_ms"),
+    "fault_trigger_object_id_not_string": (None, {
+        "target": "perception", "kind": "miss_detection", "trigger": {"object_id": [1]}},
+        None, "fault.trigger.object_id"),
+    "fault_trigger_center_not_finite": (None, {
+        "target": "perception", "kind": "miss_detection",
+        "trigger": {"region": {"center": ["nan", 0], "radius": 1.0}}},
+        None, "fault.trigger.region.center[0]"),
+    "fault_trigger_radius_not_finite": (None, {
+        "target": "perception", "kind": "miss_detection",
+        "trigger": {"region": {"center": [0.0, 0.0], "radius": "inf"}}},
+        None, "fault.trigger.region.radius"),
+    "fault_trigger_radius_negative": (None, {
+        "target": "perception", "kind": "miss_detection",
+        "trigger": {"region": {"center": [0.0, 0.0], "radius": -1.0}}},
+        None, "fault.trigger.region.radius"),
     "oracle_negative_c": (None, None, {"safe_distance_c": -1}, "safe_distance_c"),
     "oracle_unknown_kind": (None, None, {"enabled": ["speedng"]}, "enabled[0]"),
 }
@@ -154,7 +175,7 @@ def test_attribute_unattributable_exit_four(tmp_path):
 
 def test_bench_small_subset(tmp_path, capsys):
     from causetrace.benchmark import data_dir
-    subset = {"instances": [i.to_dict() for i in builtin_instances()
+    subset = {"instances": [i.to_dict() for i in load_benchmark()
                             if i.id in ("cs1_plan_none", "cs5_plan_none")]}
     bpath = tmp_path / "bench.json"
     bpath.write_text(json.dumps(subset), encoding="utf-8")

@@ -6,7 +6,7 @@ import copy
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from causetrace.benchmark import builtin_instances
+from causetrace.benchmark import load_benchmark
 from causetrace.faults import fault_from_dict
 from causetrace.middleware import trace_record
 from causetrace.scenario import ParseError, ValidationError, scenario_from_dict
@@ -56,7 +56,7 @@ VALID_SCENARIO = straight_road_doc(objects=[static_object(), {
     signals=[{"id": "sig", "stop_line": [90.0, 0.0], "phases": [
         {"t_start_ms": 0, "t_end_ms": 6000, "color": "Green"}]}])
 VALID_SCENARIO["map"]["successors"] = {"lane0": ["lane1"]}
-VALID_FAULTS = [inst.fault.to_dict() for inst in builtin_instances()]
+VALID_FAULTS = [inst.fault.to_dict() for inst in load_benchmark()]
 VALID_FAULTS.append({"target": "perception", "kind": "miss_detection", "trigger": {
     "t0_ms": 0, "t1_ms": 100, "object_id": "ped", "region": {"center": [1, 2], "radius": 3}}})
 VALID_EGO_RECORD = {"kind": "ego", "t": 10, "p": [1.0, 2.0], "v": [0.5, 0.0],

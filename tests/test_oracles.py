@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from causetrace.benchmark import builtin_instances, load_builtin_scenario
+from causetrace.benchmark import load_benchmark, load_builtin_scenario
 from causetrace.oracles import (OracleConfig, PlanningCheckContext, check_mission,
                                 check_safe_distance, check_speeding, evaluate,
                                 planning_message_violates)
@@ -14,7 +14,7 @@ from causetrace.runner import AdsConfig, rtest
 from causetrace.scenario import Waypoint, scenario_from_dict
 from conftest import static_object, straight_road_doc
 
-INSTS = {i.id: i for i in builtin_instances()}
+INSTS = {i.id: i for i in load_benchmark()}
 
 
 def ego_log_straight(speed=10.0, n=50, y=0.0, t0=0):

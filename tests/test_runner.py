@@ -1,26 +1,26 @@
 import pytest
 
+from causetrace import runner
 from causetrace.middleware import ComponentId
 from causetrace.oracles import OracleConfig
-from causetrace.runner import (AdsConfig, RunHooks, SimPanic, run_scheduler,
-                               run_with_substitution, rtest)
+from causetrace.runner import AdsConfig, SimPanic, run_scheduler, run_with_substitution, rtest
 from causetrace.scenario import scenario_from_dict
 from causetrace.substitutes import IdealAll, SubstitutionPlan
 from conftest import straight_road_doc
 
 
-def test_component_panic_becomes_sim_panic_with_diagnostics():
+def test_component_panic_becomes_sim_panic_with_diagnostics(monkeypatch):
     sc = scenario_from_dict(straight_road_doc(t_max_ms=2000))
+    real_tick = runner.perception_tick
 
-    def broken(t, bus, ego, scenario):
+    def broken(truth, loc, ego_p, faults, t):
         if t >= 500:
             raise RuntimeError("boom")
-        from causetrace.payloads import PerceptionOut
-        return PerceptionOut(()), False, {}
+        return real_tick(truth, loc, ego_p, faults, t)
 
-    hooks = RunHooks(wrappers={ComponentId.PERCEPTION: broken})
+    monkeypatch.setattr(runner, "perception_tick", broken)
     with pytest.raises(SimPanic) as exc:
-        run_scheduler(sc, AdsConfig(), hooks)
+        run_scheduler(sc, AdsConfig())
     panic = exc.value
     assert panic.component is ComponentId.PERCEPTION
     assert panic.t == 500
@@ -30,9 +30,9 @@ def test_component_panic_becomes_sim_panic_with_diagnostics():
 
 
 def test_ego_log_ends_at_collision_tick():
-    from causetrace.benchmark import builtin_instances, load_builtin_scenario
+    from causetrace.benchmark import load_benchmark, load_builtin_scenario
 
-    inst = {i.id: i for i in builtin_instances()}["cs3_perc_miss"]
+    inst = {i.id: i for i in load_benchmark()}["cs3_perc_miss"]
     sc = load_builtin_scenario("cs3")
     res = rtest(sc, AdsConfig(faults=[inst.fault]), OracleConfig())
     contact = [d for d in res.trace.diagnostics if d.startswith("contact")][0]
@@ -45,9 +45,9 @@ def test_ego_log_ends_at_collision_tick():
 
 
 def test_latest_reflects_substituted_payload():
-    from causetrace.benchmark import builtin_instances, load_builtin_scenario
+    from causetrace.benchmark import load_benchmark, load_builtin_scenario
 
-    inst = {i.id: i for i in builtin_instances()}["cs2_perc_miss"]
+    inst = {i.id: i for i in load_benchmark()}["cs2_perc_miss"]
     sc = load_builtin_scenario("cs2")
     ads = AdsConfig(faults=[inst.fault])
     # Faulty run: the lead car is missing from perception output on approach.

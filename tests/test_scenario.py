@@ -29,9 +29,9 @@ def test_minimal_scenario_no_objects():
 
 
 def test_builtin_archetypes_round_trip(tmp_path):
-    from causetrace.benchmark import BUILDERS, load_builtin_scenario
+    from causetrace.benchmark import ARCHETYPE, load_builtin_scenario
 
-    for name in BUILDERS:
+    for name in ARCHETYPE:
         sc = load_builtin_scenario(name)
         out = tmp_path / f"{name}.json"
         save_scenario(sc, out)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from causetrace.benchmark import builtin_instances, load_builtin_scenario
+from causetrace.benchmark import load_benchmark, load_builtin_scenario
 from causetrace.middleware import ComponentId
 from causetrace.oracles import OracleConfig
 from causetrace.payloads import PlanningOut, TrajPoint
@@ -17,7 +17,7 @@ from causetrace.substitutes import (IdealAll, Original, QuantizationUnits,
 from causetrace.world import EgoState
 from conftest import straight_road_doc
 
-INSTS = {i.id: i for i in builtin_instances()}
+INSTS = {i.id: i for i in load_benchmark()}
 UNITS = QuantizationUnits()
 
 
@@ -87,12 +87,6 @@ def test_split_trace_partitions_messages():
         # Concatenating per-state message sets in state order reproduces the row.
         by_state = [m for s in range(1, n + 1) for m in row if m.state_index == s]
         assert [m.seq for m in by_state] == [m.seq for m in row]
-    # Ordinals distinguish repeated visits.
-    seen = {}
-    for s in states:
-        seen.setdefault(s.key, []).append(s.ordinal)
-    for ordinals in seen.values():
-        assert ordinals == list(range(1, len(ordinals) + 1))
 
 
 def perception_vs_ideal(sc):
