@@ -14,7 +14,9 @@ re-running with the substitute active from a candidate state onward.
 from __future__ import annotations
 
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .middleware import ComponentId, Message, Trace
 from .oracles import (OracleConfig, PlanningCheckContext, planning_message_violates,
@@ -186,8 +188,6 @@ def attribute_message_planning(trace: Trace, scenario: Scenario,
                                oracles: OracleConfig) -> Message:
     """First planning output message that itself violates the driving rules."""
     planner_ctx = make_planner_context(scenario)
-    ego_by_t = {w.t: w for w in trace.ego_log}
-    sample_ts = sorted(ego_by_t)
     held_since: int | None = None
     for msg in trace.rows[ComponentId.PLANNING]:
         plan = msg.payload
@@ -198,13 +198,13 @@ def attribute_message_planning(trace: Trace, scenario: Scenario,
         else:
             held_since = None
             held_ms = 0
-        t_key = msg.t_pub if msg.t_pub in ego_by_t else max(
-            (t for t in sample_ts if t <= msg.t_pub), default=sample_ts[0])
+        # ego sample at or before the message (the first sample if none is)
+        i = bisect_right(trace.ego_log, msg.t_pub, key=attrgetter("t"))
         ctx = PlanningCheckContext(
             scenario=scenario,
             planner_ctx=planner_ctx,
             config=oracles,
-            ego_p=ego_by_t[t_key].p,
+            ego_p=trace.ego_log[max(i - 1, 0)].p,
             held_duration_ms=held_ms,
         )
         if planning_message_violates(plan, msg.t_pub, ctx):

@@ -13,7 +13,6 @@ The files under `data/` (benchmark.json and one scenario file per name in
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import partial
 from importlib import resources
@@ -21,7 +20,7 @@ from pathlib import Path
 
 from .faults import FaultSpec, fault_from_dict
 from .middleware import ComponentId
-from .scenario import Scenario, expect, load_scenario
+from .scenario import Scenario, expect, load_json, load_scenario
 
 # Every scenario file name, and the archetype it realizes (cs3b/cs4b are
 # geometry variants).
@@ -68,7 +67,7 @@ def load_benchmark(path: Path | None = None) -> list[BenchInstance]:
     """Instances of a benchmark file; malformed ones raise ParseError /
     ValidationError with a path such as `instances[0].scenario`."""
     path = path or (data_dir() / "benchmark.json")
-    doc = expect(json.loads(Path(path).read_text(encoding="utf-8")), dict, "top level")
+    doc = expect(load_json(path), dict, "top level")
     out = []
     for i, raw in enumerate(expect(doc.get("instances"), list, "instances")):
         where = f"instances[{i}]"
@@ -148,9 +147,10 @@ def run_benchmark(instances: list[BenchInstance], parallel: int = 1,
     """Attribute every instance and aggregate the per-component result table."""
     run = partial(run_instance, strategy=strategy, audit_monotonicity=audit_monotonicity,
                   scenario_dir=scenario_dir)
-    if parallel > 1 and len(instances) > 1:
+    workers = min(parallel, len(instances))  # the pool forks them all at once
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(parallel) as ex:
+        with ProcessPoolExecutor(workers) as ex:
             rows = list(ex.map(run, instances))
     else:
         rows = [run(inst) for inst in instances]

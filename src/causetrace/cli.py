@@ -26,7 +26,7 @@ from .middleware import save_trace, trace_digest
 from .oracles import ALL_KINDS, OracleConfig
 from .runner import AdsConfig, rtest
 from .scenario import (ParseError, Scenario, ValidationError, Waypoint, expect,
-                       load_scenario, parse_number)
+                       load_json, load_scenario, parse_number)
 
 EXIT_PASS = 0
 EXIT_VIOLATION = 1
@@ -38,7 +38,7 @@ EXIT_UNATTRIBUTABLE = 4
 def _load_oracle_config(path: str | None) -> OracleConfig:
     if path is None:
         return OracleConfig()
-    doc = expect(json.loads(Path(path).read_text(encoding="utf-8")), dict, path)
+    doc = expect(load_json(path), dict, path)
     enabled = expect(doc.get("enabled", list(ALL_KINDS)), list, "enabled")
     for i, kind in enumerate(enabled):
         if kind not in ALL_KINDS:
@@ -171,6 +171,16 @@ def cmd_replay(args) -> int:
     return EXIT_PASS
 
 
+def _worker_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a whole number >= 1, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="causetrace", description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -197,7 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("bench", help="run the frozen fault benchmark")
     sp.add_argument("--benchmark", default=None, help="benchmark JSON (default: built-in)")
     sp.add_argument("--scenario-dir", default=None)
-    sp.add_argument("--parallel", type=int, default=1)
+    sp.add_argument("--parallel", type=_worker_count, default=1,
+                    help="worker processes (at most one per instance)")
     sp.add_argument("--strategy", choices=["binary", "interval-dd"], default="binary")
     sp.add_argument("--audit-monotonicity", action="store_true")
     common(sp)
@@ -215,7 +226,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ParseError, ValidationError, json.JSONDecodeError) as exc:
+    except (ParseError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except OSError as exc:

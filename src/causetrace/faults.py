@@ -8,7 +8,6 @@ what marks a message as fault-affected in the trace.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -17,8 +16,8 @@ from .geometry import OrientedBox, Vec2
 from .middleware import ComponentId
 from .payloads import (ControlOut, LocalizationOut, PerceivedObject, PerceptionOut,
                        PlanningOut, PredictedTrajectory, PredictionOut, TrajPoint)
-from .scenario import (ParseError, SimTime, ValidationError, expect, parse_number,
-                       parse_vec)
+from .scenario import (ParseError, SimTime, ValidationError, expect, load_json,
+                       parse_number, parse_vec)
 
 FAULT_KINDS: dict[str, ComponentId] = {
     "miss_detection": ComponentId.PERCEPTION,
@@ -141,7 +140,7 @@ def _trigger_from_dict(doc, path: str) -> Trigger:
 
 
 def load_fault_file(path: str | Path) -> list[FaultSpec]:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    doc = load_json(path)
     if isinstance(doc, dict) and "faults" not in doc:
         return [fault_from_dict(doc)]
     faults = expect(doc["faults"] if isinstance(doc, dict) else doc, list, "faults")

@@ -1,9 +1,10 @@
 """In-process publish/subscribe bus with complete, deterministic trace recording.
 
 A run owns one `Bus`. Components publish typed payloads; every message lands in
-the per-component trace row with a dense seq starting at 1. Serialization is
-canonical JSON-lines (fixed key order, shortest round-trip floats) so that two
-runs of the same configuration produce byte-identical files.
+the per-component trace row with a dense seq starting at 1, and carries the seq
+of each input message its firing consumed. Serialization is canonical JSON-lines
+(fixed key order, shortest round-trip floats) so that two runs of the same
+configuration produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -12,10 +13,12 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import attrgetter
 from pathlib import Path
 from typing import Any
 
-from .scenario import ParseError, SimTime, Waypoint, expect, parse_number, parse_vec
+from .scenario import (ParseError, SimTime, Waypoint, expect, load_json, parse_number,
+                       parse_vec)
 
 
 class ComponentId(str, Enum):
@@ -49,14 +52,7 @@ class Message:
     state_key: tuple[int, ...] | None = None
     state_index: int | None = None
     fault_affected: bool = False
-
-
-@dataclass
-class ExecutionRecord:
-    component: ComponentId
-    input_snapshot: dict[str, int]  # topic -> seq consumed
-    output_seq: int
-    t: SimTime
+    inputs: dict[str, int] = field(default_factory=dict)  # topic -> seq consumed
 
 
 @dataclass
@@ -68,7 +64,6 @@ class Verdict:
 @dataclass
 class Trace:
     rows: dict[ComponentId, list[Message]]
-    records: list[ExecutionRecord]
     ego_log: list[Waypoint]  # sampled at a fixed period
     verdict: Verdict | None = None
     diagnostics: list[str] = field(default_factory=list)
@@ -81,28 +76,22 @@ class Bus:
     """Single-run message bus; strictly single-threaded."""
 
     def __init__(self) -> None:
-        self.trace = Trace(rows={c: [] for c in ComponentId}, records=[], ego_log=[])
-        self._latest: dict[ComponentId, Message] = {}
+        self.trace = Trace(rows={c: [] for c in ComponentId}, ego_log=[])
 
     def publish(self, component: ComponentId, payload: Any, t: SimTime,
-                fault_affected: bool = False) -> Message:
+                fault_affected: bool = False,
+                inputs: dict[str, int] | None = None) -> Message:
         row = self.trace.rows[component]
         if row and t < row[-1].t_pub:
             raise OrderError(f"{component.value}: publish at t={t} before t={row[-1].t_pub}")
         msg = Message(component=component, seq=len(row) + 1, t_pub=t, payload=payload,
-                      fault_affected=fault_affected)
+                      fault_affected=fault_affected, inputs=inputs or {})
         row.append(msg)
-        self._latest[component] = msg
         return msg
 
     def latest(self, component: ComponentId) -> Message | None:
-        return self._latest.get(component)
-
-    def record_execution(self, component: ComponentId, inputs: dict[str, int],
-                         output: Message) -> None:
-        self.trace.records.append(
-            ExecutionRecord(component, inputs, output.seq, output.t_pub)
-        )
+        row = self.trace.rows[component]
+        return row[-1] if row else None
 
 
 # ---------------------------------------------------------------------------
@@ -131,25 +120,26 @@ def serialize_trace(trace: Trace) -> str:
     lines = []
     lines.append(_dumps({"kind": "header", "messages": trace.message_count(),
                          "ego_samples": len(trace.ego_log)}))
-    for component in TICK_PRIORITY:
-        for m in trace.rows[component]:
-            lines.append(_dumps({
-                "kind": "msg",
-                "component": component.value,
-                "seq": m.seq,
-                "t_pub": m.t_pub,
-                "payload": m.payload,
-                "state_key": list(m.state_key) if m.state_key is not None else None,
-                "state_index": m.state_index,
-                "fault_affected": m.fault_affected,
-            }))
-    for r in trace.records:
+    messages = [m for component in TICK_PRIORITY for m in trace.rows[component]]
+    for m in messages:
+        lines.append(_dumps({
+            "kind": "msg",
+            "component": m.component.value,
+            "seq": m.seq,
+            "t_pub": m.t_pub,
+            "payload": m.payload,
+            "state_key": list(m.state_key) if m.state_key is not None else None,
+            "state_index": m.state_index,
+            "fault_affected": m.fault_affected,
+        }))
+    # Firing order: by time, and within one tick in TICK_PRIORITY order (stable sort).
+    for m in sorted(messages, key=attrgetter("t_pub")):
         lines.append(_dumps({
             "kind": "exec",
-            "component": r.component.value,
-            "inputs": dict(sorted(r.input_snapshot.items())),
-            "output_seq": r.output_seq,
-            "t": r.t,
+            "component": m.component.value,
+            "inputs": dict(sorted(m.inputs.items())),
+            "output_seq": m.seq,
+            "t": m.t_pub,
         }))
     for w in trace.ego_log:
         lines.append(_dumps({"kind": "ego", "t": w.t, "p": list(w.p), "v": list(w.v),
@@ -187,12 +177,4 @@ def trace_record(raw: Any, path: str) -> dict:
 
 def load_trace_records(path: str | Path) -> list[dict]:
     """Checked record stream of a serialized trace (for replay tooling)."""
-    out = []
-    for n, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if line.strip():
-            try:
-                raw = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"line {n}: invalid JSON: {exc}") from None
-            out.append(trace_record(raw, f"line {n}"))
-    return out
+    return [trace_record(raw, f"line {n}") for n, raw in load_json(path, lines=True)]

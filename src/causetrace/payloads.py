@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .geometry import OrientedBox, Vec2
 from .scenario import SimTime
@@ -59,15 +61,9 @@ class PredictedTrajectory:
         if t >= pts[-1][0]:
             x, y = pts[-1][1], pts[-1][2]
             return OrientedBox((x, y), self.half_extents, self._heading_at(len(pts) - 1))
-        lo, hi = 0, len(pts) - 1
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if pts[mid][0] <= t:
-                lo = mid
-            else:
-                hi = mid
+        lo = bisect_right(pts, t, key=itemgetter(0)) - 1
         t0, x0, y0 = pts[lo]
-        t1, x1, y1 = pts[hi]
+        t1, x1, y1 = pts[lo + 1]
         u = (t - t0) / (t1 - t0)
         return OrientedBox((x0 + (x1 - x0) * u, y0 + (y1 - y0) * u),
                            self.half_extents, self._heading_at(lo))

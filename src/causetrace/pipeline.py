@@ -10,7 +10,9 @@ destination.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .faults import (FaultSpec, apply_control_faults, apply_localization_faults,
                      apply_perception_faults, apply_planning_faults,
@@ -46,11 +48,13 @@ def perception_tick(truth: PerceptionOut, loc: LocalizationOut, ego_p: Vec2,
 # prediction
 
 
-def prediction_tick(perc_history: list[PerceptionOut], faults: list[FaultSpec],
+def prediction_tick(perceptions: list[PerceptionOut], faults: list[FaultSpec],
                     t: SimTime) -> tuple[PredictionOut, bool]:
-    """Constant-velocity extrapolation of the latest perception over 3 s."""
-    latest = perc_history[-1]
-    prev = perc_history[-2] if len(perc_history) > 1 else None
+    """Constant-velocity extrapolation of the latest perception over 3 s. An
+    object with a non-finite velocity takes it from its shift since the
+    perception before (`perceptions` is oldest first; only the last two count)."""
+    latest = perceptions[-1]
+    prev = perceptions[-2] if len(perceptions) > 1 else None
     trajs = []
     for o in latest.objects:
         vx, vy = o.v
@@ -384,11 +388,11 @@ CONTROL_SPEED_LOOKAHEAD_MS = 100
 def _plan_speed_at(traj, t_q: SimTime) -> float:
     if t_q <= traj[0].t:
         return traj[0].speed
-    for i in range(len(traj) - 1):
-        if traj[i].t <= t_q < traj[i + 1].t:
-            u = (t_q - traj[i].t) / (traj[i + 1].t - traj[i].t)
-            return traj[i].speed + (traj[i + 1].speed - traj[i].speed) * u
-    return traj[-1].speed
+    i = bisect_right(traj, t_q, key=attrgetter("t")) - 1
+    if i == len(traj) - 1:
+        return traj[-1].speed
+    u = (t_q - traj[i].t) / (traj[i + 1].t - traj[i].t)
+    return traj[i].speed + (traj[i + 1].speed - traj[i].speed) * u
 
 
 def control_tick(plan: PlanningOut | None, loc: LocalizationOut,

@@ -4,7 +4,9 @@ SimTime advances in 1 ms ticks. At each tick the due components fire in a fixed
 priority order (localization, perception, prediction, planning, control), then
 the world integrates 1 ms of ego motion from the latest control command (or
 along the planning trajectory when control is substituted). The ego log is
-sampled at 100 Hz; a contact (box distance exactly zero) stops the run early.
+sampled at 100 Hz, and the set of active substitutes is worked out there, since
+the state index only advances at a sample; a contact (box distance exactly zero)
+stops the run early. Each firing publishes one message carrying its inputs.
 Identical inputs produce byte-identical serialized traces.
 """
 
@@ -12,12 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Any
 
 from .faults import FaultSpec
 from .geometry import OrientedBox, min_obb_distance, obb_separation_at_least
 from .middleware import Bus, ComponentId, TICK_PRIORITY, Trace, Verdict
 from .oracles import OracleConfig, evaluate
-from .payloads import PerceptionOut
 from .pipeline import (control_tick, localization_tick, make_planner_context,
                        perception_tick, planning_tick, prediction_tick)
 from .scenario import Scenario, SimTime, Waypoint
@@ -56,7 +58,6 @@ class AdsConfig:
 def run_scheduler(scenario: Scenario, ads: AdsConfig,
                   plan: SubstitutionPlan | None = None) -> Trace:
     plan = plan or SubstitutionPlan()
-    plan_modes = {c: plan.mode_of(c) for c in ComponentId}
     bus = Bus()
     trace = bus.trace
     ctx = make_planner_context(scenario)
@@ -67,91 +68,60 @@ def run_scheduler(scenario: Scenario, ads: AdsConfig,
     trackers = [ObjectTracker(o) for o in scenario.objects]
     state_tracker = OnlineStateTracker(ads.units)
     faults = {c: [f for f in ads.faults if f.target is c] for c in ComponentId}
-    perc_history: list[PerceptionOut] = []
-    collided = False
+    ideal: set[ComponentId] = set()  # substitutes active at the current state index
 
-    def active(component: ComponentId) -> bool:
-        return substitution_active(plan_modes[component], state_tracker.index)
+    def fire(component: ComponentId, t: SimTime) -> tuple[Any, bool, dict[str, int]]:
+        """Payload, fault flag and consumed input seqs of one firing. Every
+        component fires at t=0 in TICK_PRIORITY order, so each input exists."""
+        sub = component in ideal
+        fs = faults[component]
+        if component is ComponentId.LOCALIZATION:
+            out = (ideal_localization(ego), False) if sub else localization_tick(ego, fs, t)
+            return *out, {}
+        loc = bus.latest(ComponentId.LOCALIZATION)
+        if component is ComponentId.PERCEPTION:
+            truth = ideal_perception(scenario, t, ego.p)
+            out = (truth, False) if sub else perception_tick(truth, loc.payload, ego.p, fs, t)
+            return *out, {"localization": loc.seq}
+        if component is ComponentId.PREDICTION:
+            perc = trace.rows[ComponentId.PERCEPTION]
+            out = ((ideal_prediction(scenario, t), False) if sub
+                   else prediction_tick([m.payload for m in perc[-2:]], fs, t))
+            return *out, {"perception": perc[-1].seq}
+        if component is ComponentId.PLANNING:
+            pred = bus.latest(ComponentId.PREDICTION)
+            return (*planning_tick(pred.payload, loc.payload, ctx, fs, t),
+                    {"prediction": pred.seq, "localization": loc.seq})
+        plan_msg = bus.latest(ComponentId.PLANNING)
+        out = ((derived_control(plan_msg.payload, ego.speed, t), False) if sub
+               else control_tick(plan_msg.payload, loc.payload, fs, t))
+        return *out, {"planning": plan_msg.seq, "localization": loc.seq}
 
-    def fire(component: ComponentId, t: SimTime) -> None:
-        try:
-            if component is ComponentId.LOCALIZATION:
-                if active(component):
-                    payload, changed = ideal_localization(ego), False
-                else:
-                    payload, changed = localization_tick(ego, faults[component], t)
-                msg = bus.publish(component, payload, t, changed)
-                bus.record_execution(component, {}, msg)
-            elif component is ComponentId.PERCEPTION:
-                loc_msg = bus.latest(ComponentId.LOCALIZATION)
-                truth = ideal_perception(scenario, t, ego.p)
-                if active(component):
-                    payload, changed = truth, False
-                else:
-                    payload, changed = perception_tick(truth, loc_msg.payload, ego.p,
-                                                       faults[component], t)
-                msg = bus.publish(component, payload, t, changed)
-                bus.record_execution(component, {"localization": loc_msg.seq}, msg)
-            elif component is ComponentId.PREDICTION:
-                perc_msg = bus.latest(ComponentId.PERCEPTION)
-                if active(component):
-                    payload, changed = ideal_prediction(scenario, t), False
-                else:
-                    perc_history.append(perc_msg.payload)
-                    if len(perc_history) > 5:
-                        del perc_history[0]
-                    payload, changed = prediction_tick(perc_history, faults[component], t)
-                msg = bus.publish(component, payload, t, changed)
-                bus.record_execution(component, {"perception": perc_msg.seq}, msg)
-            elif component is ComponentId.PLANNING:
-                pred_msg = bus.latest(ComponentId.PREDICTION)
-                loc_msg = bus.latest(ComponentId.LOCALIZATION)
-                payload, changed = planning_tick(pred_msg.payload, loc_msg.payload,
-                                                 ctx, faults[component], t)
-                msg = bus.publish(component, payload, t, changed)
-                bus.record_execution(component, {"prediction": pred_msg.seq,
-                                                 "localization": loc_msg.seq}, msg)
-            elif component is ComponentId.CONTROL:
-                plan_msg = bus.latest(ComponentId.PLANNING)
-                loc_msg = bus.latest(ComponentId.LOCALIZATION)
-                if active(component):
-                    payload, changed = derived_control(
-                        plan_msg.payload if plan_msg else None, ego.speed, t), False
-                else:
-                    payload, changed = control_tick(plan_msg.payload if plan_msg else None,
-                                                    loc_msg.payload, faults[component], t)
-                msg = bus.publish(component, payload, t, changed)
-                bus.record_execution(component, {"planning": plan_msg.seq if plan_msg else 0,
-                                                 "localization": loc_msg.seq}, msg)
-        except Exception as exc:  # component panic: diagnose and abort the run
-            trace.diagnostics.append(f"panic component={component.value} t={t} err={exc!r}")
-            raise SimPanic(component, t, exc, trace) from exc
-
-    t = 0
-    while t < scenario.t_max:
+    for t in range(scenario.t_max):
         if t % SAMPLE_MS == 0:
             wp = Waypoint(p=ego.p, v=ego.velocity(), a=ego.accel_vec(), t=t)
             trace.ego_log.append(wp)
-            state_tracker.observe(wp.p, wp.v, wp.a)
+            index, _ = state_tracker.observe(wp.p, wp.v, wp.a)
+            ideal = {c for c, mode in plan.modes.items() if substitution_active(mode, index)}
             if _contact(ego, ego_half, ego_r, trackers, t, trace):
-                collided = True
-                break
+                return trace
         for component in TICK_PRIORITY:
             if t % DEFAULT_PERIODS[component] == 0:
-                fire(component, t)
-        if active(ComponentId.CONTROL):
-            plan_msg = bus.latest(ComponentId.PLANNING)
-            nxt = sim_control_apply(plan_msg.payload if plan_msg else None, t + 1, ego)
-            accel = (nxt.speed - ego.speed) * 1000.0
-            ego = EgoState(nxt.p, nxt.heading, nxt.speed, accel, t + 1)
+                try:
+                    payload, changed, inputs = fire(component, t)
+                except Exception as exc:  # component panic: diagnose and abort the run
+                    trace.diagnostics.append(
+                        f"panic component={component.value} t={t} err={exc!r}")
+                    raise SimPanic(component, t, exc, trace) from exc
+                bus.publish(component, payload, t, changed, inputs)
+        if ComponentId.CONTROL in ideal:
+            nxt = sim_control_apply(bus.latest(ComponentId.PLANNING).payload, t + 1, ego)
+            ego = EgoState(nxt.p, nxt.heading, nxt.speed, (nxt.speed - ego.speed) * 1000.0,
+                           t + 1)
         else:
-            cmd = bus.latest(ComponentId.CONTROL)
-            if cmd is None:
-                ego = step_ego(ego, -8.0, 0.0, 1)
-            else:
-                ego = step_ego(ego, cmd.payload.accel_cmd, cmd.payload.steer, 1)
-        t += 1
-    if not collided and scenario.t_max % SAMPLE_MS == 0:
+            cmd = bus.latest(ComponentId.CONTROL).payload
+            ego = step_ego(ego, cmd.accel_cmd, cmd.steer, 1)
+    if scenario.t_max % SAMPLE_MS == 0:
         trace.ego_log.append(Waypoint(p=ego.p, v=ego.velocity(), a=ego.accel_vec(),
                                       t=scenario.t_max))
     return trace

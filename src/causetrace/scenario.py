@@ -453,16 +453,30 @@ def scenario_from_dict(doc: dict) -> Scenario:
     )
 
 
+def load_json(path: str | Path, lines: bool = False):
+    """The JSON document in file `path`; with `lines`, a JSON-lines file as a list
+    of (line number, document) for its non-blank lines. Unreadable, non-UTF-8,
+    malformed, too deeply nested or over-long-integer input raises ParseError
+    naming the file (and the line)."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from None
+    if not lines:
+        return _decode_json(text, str(path))
+    return [(n, _decode_json(line, f"{path}: line {n}"))
+            for n, line in enumerate(text.splitlines(), 1) if line.strip()]
+
+
+def _decode_json(text: str, where: str):
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
+        raise ParseError(f"{where}: invalid JSON: {exc}") from None
+
+
 def load_scenario(path: str | Path) -> Scenario:
-    try:
-        raw = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    try:
-        doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON: {exc}") from exc
-    return scenario_from_dict(doc)
+    return scenario_from_dict(load_json(path))
 
 
 def scenario_to_dict(sc: Scenario) -> dict:

@@ -13,7 +13,9 @@ reaches state k at the same moment by determinism.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from operator import attrgetter, itemgetter
 
 from .geometry import Vec2
 from .middleware import ComponentId, Trace
@@ -95,18 +97,9 @@ def split_trace(trace: Trace, units: QuantizationUnits) -> list[DynamicState]:
 
 
 def _state_at(sample_index: list[tuple[SimTime, int]], t: SimTime) -> int:
-    lo, hi = 0, len(sample_index) - 1
-    if t <= sample_index[0][0]:
-        return sample_index[0][1]
-    if t >= sample_index[-1][0]:
-        return sample_index[-1][1]
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if sample_index[mid][0] <= t:
-            lo = mid
-        else:
-            hi = mid
-    return sample_index[lo][1]
+    """State of the last sample at or before t (the first sample's before it)."""
+    i = bisect_right(sample_index, t, key=itemgetter(0))
+    return sample_index[max(i - 1, 0)][1]
 
 
 # ---------------------------------------------------------------------------
@@ -223,14 +216,8 @@ def sim_control_apply(plan: PlanningOut | None, t: SimTime,
     if t >= traj[-1].t:
         pt = traj[-1]
         return EgoState(pt.p, pt.heading, pt.speed, 0.0, t)
-    lo, hi = 0, len(traj) - 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if traj[mid].t <= t:
-            lo = mid
-        else:
-            hi = mid
-    a, b = traj[lo], traj[hi]
+    lo = bisect_right(traj, t, key=attrgetter("t")) - 1
+    a, b = traj[lo], traj[lo + 1]
     u = (t - a.t) / (b.t - a.t)
     p = (a.p[0] + (b.p[0] - a.p[0]) * u, a.p[1] + (b.p[1] - a.p[1]) * u)
     speed = a.speed + (b.speed - a.speed) * u

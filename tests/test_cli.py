@@ -255,3 +255,71 @@ def test_bench_malformed_instance_exit_two(tmp_path, capsys, edit, field_path):
     assert main(["bench", "--benchmark", str(bpath), "--out-dir", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert f"error: {field_path}" in err
+
+
+BAD_BYTES = {
+    "not_utf8": b'{"t_max_ms": "\xff\xfe"}',
+    "deeply_nested": b"[" * 200000,
+    "integer_over_4300_digits": b"1" * 5000,
+}
+READERS = {
+    "scenario": lambda bad: ["run", bad],
+    "fault": lambda bad: ["run", str(scenario_path("cs1")), "--fault", bad],
+    "oracle_config": lambda bad: ["run", str(scenario_path("cs1")), "--oracle-config", bad],
+    "benchmark": lambda bad: ["bench", "--benchmark", bad],
+    "trace": lambda bad: ["replay", bad],
+}
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+@pytest.mark.parametrize("content", sorted(BAD_BYTES))
+def test_undecodable_file_exit_two_naming_the_file(tmp_path, capsys, reader, content):
+    bad = tmp_path / f"{content}.json"
+    bad.write_bytes(BAD_BYTES[content])
+    assert main(READERS[reader](str(bad)) + ["--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(bad) in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["0", "-3", "x"])
+def test_bench_parallel_below_one_rejected(tmp_path, capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--parallel", value, "--out-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: argument --parallel" in err
+    assert "Traceback" not in err
+
+
+def test_bench_parallel_capped_at_instance_count(monkeypatch):
+    import concurrent.futures
+
+    from causetrace import benchmark
+
+    workers = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    def fake_run(inst, **kwargs):
+        return {"id": inst.id, "expected_component": inst.component.value,
+                "component_success": True, "wall_time_s": 0.0}
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(benchmark, "run_instance", fake_run)
+    three = load_benchmark()[:3]
+    assert benchmark.run_benchmark(three, parallel=100000)["overall"]["instances"] == 3
+    assert benchmark.run_benchmark(three, parallel=2)["overall"]["instances"] == 3
+    assert benchmark.run_benchmark(three[:1], parallel=8)["overall"]["instances"] == 1
+    assert workers == [3, 2]

@@ -16,7 +16,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = json.loads((ROOT / "tests" / "golden.json").read_text(encoding="utf-8"))
-FAST = ("cs1_plan_none", "cs1_pred_none", "cs5_loc_lat")
+FAST = ("cs1_plan_none", "cs1_pred_none", "cs5_loc_lat", "cs1_perc_vel", "cs5_ctrl_lat")
 
 # sha256 of every shipped benchmark file, the only copy of the benchmark. A
 # deliberate change to one of them means new digests here and a regenerated

@@ -1,9 +1,11 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from causetrace.middleware import (Bus, ComponentId, OrderError, serialize_trace,
-                                   trace_digest)
+from causetrace.middleware import (TICK_PRIORITY, Bus, ComponentId, OrderError,
+                                   serialize_trace, trace_digest)
 from causetrace.oracles import OracleConfig
 from causetrace.payloads import ControlOut
 from causetrace.runner import AdsConfig, rtest
@@ -73,13 +75,37 @@ def test_execution_records_reference_past_messages():
     doc = straight_road_doc(t_max_ms=2000)
     res = rtest(scenario_from_dict(doc), AdsConfig(), OracleConfig())
     by_component = res.trace.rows
-    for rec in res.trace.records:
-        assert rec.t <= res.trace.rows[rec.component][rec.output_seq - 1].t_pub
-        for topic, seq in rec.input_snapshot.items():
-            if seq == 0:
-                continue
-            src = by_component[ComponentId(topic)][seq - 1]
-            assert src.t_pub <= rec.t
+    expected_topics = {
+        ComponentId.LOCALIZATION: set(),
+        ComponentId.PERCEPTION: {"localization"},
+        ComponentId.PREDICTION: {"perception"},
+        ComponentId.PLANNING: {"prediction", "localization"},
+        ComponentId.CONTROL: {"planning", "localization"},
+    }
+    for component, row in by_component.items():
+        for msg in row:
+            assert set(msg.inputs) == expected_topics[component]
+            for topic, seq in msg.inputs.items():
+                src = by_component[ComponentId(topic)][seq - 1]
+                assert src.seq == seq
+                assert src.t_pub <= msg.t_pub
+    exec_lines = [json.loads(line) for line in serialize_trace(res.trace).splitlines()
+                  if '"kind":"exec"' in line]
+    assert len(exec_lines) == res.trace.message_count()
+
+
+def test_exec_lines_follow_firing_order_not_publish_order():
+    bus = Bus()
+    # Within each tick, publish in reverse TICK_PRIORITY order.
+    for t in (0, 10):
+        for component in reversed(TICK_PRIORITY):
+            bus.publish(component, ControlOut(0, 0), t, inputs={"planning": t // 10})
+    exec_lines = [json.loads(line) for line in serialize_trace(bus.trace).splitlines()
+                  if '"kind":"exec"' in line]
+    order = [(r["t"], r["component"]) for r in exec_lines]
+    assert order == [(t, c.value) for t in (0, 10) for c in TICK_PRIORITY]
+    assert [r["output_seq"] for r in exec_lines] == [1] * 5 + [2] * 5
+    assert [r["inputs"] for r in exec_lines] == [{"planning": 0}] * 5 + [{"planning": 1}] * 5
 
 
 def test_tick_rates_yield_expected_row_lengths():
