@@ -65,8 +65,8 @@ def golden_entry(inst_id: str) -> dict:
         digests.append(trace_digest(result.trace))
         return result
 
-    def run_with_substitution(scenario, ads, plan, oracles):
-        verdict, trace = real_rerun(scenario, ads, plan, oracles)
+    def run_with_substitution(scenario, ads, plan, oracles, **kwargs):
+        verdict, trace = real_rerun(scenario, ads, plan, oracles, **kwargs)
         reruns.append(_rerun_row(plan, verdict.passed))
         return verdict, trace
 

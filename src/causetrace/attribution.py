@@ -57,13 +57,21 @@ class NoViolatingPlanningMessage(Exception):
 
 
 class DtestSession:
-    """Runs and counts counterfactual re-runs for one attribution task."""
+    """Runs and counts counterfactual re-runs for one attribution task.
 
-    def __init__(self, scenario: Scenario, ads: AdsConfig, oracles: OracleConfig):
+    With `origin`, the original run's trace, each re-run is forked from it and
+    stops once its verdict is decided (see `run_with_substitution`).
+    """
+
+    def __init__(self, scenario: Scenario, ads: AdsConfig, oracles: OracleConfig,
+                 origin: Trace | None = None):
         self.scenario = scenario
         self.ads = ads
         self.oracles = oracles
+        self.origin = origin
         self.calls = 0
+        self.stepped_ms = 0  # simulated ms the re-runs stepped; copied prefixes excluded
+        self.prefix_decided = 0  # re-runs decided from the original run without a step
         self._cache: dict[tuple, bool] = {}
 
     def passed(self, plan: SubstitutionPlan) -> bool:
@@ -71,7 +79,11 @@ class DtestSession:
         if key in self._cache:
             return self._cache[key]
         self.calls += 1
-        verdict, _ = run_with_substitution(self.scenario, self.ads, plan, self.oracles)
+        verdict, trace = run_with_substitution(self.scenario, self.ads, plan, self.oracles,
+                                               origin=self.origin)
+        stepped = trace.ego_log[-1].t - trace.forked_at
+        self.stepped_ms += stepped
+        self.prefix_decided += stepped == 0
         self._cache[key] = verdict.passed
         return verdict.passed
 
@@ -296,9 +308,13 @@ class AttributionReport:
     focus_affected_gap_ms: int | None = None  # 0 when the focus itself is affected
     notes: list[str] = field(default_factory=list)
     verdict_matrix: list[dict] = field(default_factory=list)
+    # Re-run cost (DtestSession.stepped_ms / .prefix_decided), left out of to_dict.
+    rerun_stepped_ms: int = 0
+    rerun_prefix_decided: int = 0
 
     def to_dict(self) -> dict:
         out = dict(self.__dict__)
+        del out["rerun_stepped_ms"], out["rerun_prefix_decided"]
         out["interval"] = list(self.interval) if self.interval else None
         return out
 
@@ -336,7 +352,7 @@ def attribute(scenario: Scenario, ads: AdsConfig, oracles: OracleConfig,
     """Full pipeline: run, attribute the component, then the focus message."""
     t_start = time.perf_counter()
     original = rtest(scenario, ads, oracles)
-    session = DtestSession(scenario, ads, oracles)
+    session = DtestSession(scenario, ads, oracles, origin=original.trace)
     component, outcomes, comp_calls = attribute_component(session, original,
                                                           probe_all=probe_all)
     states = split_trace(original.trace, ads.units)
@@ -393,6 +409,8 @@ def attribute(scenario: Scenario, ads: AdsConfig, oracles: OracleConfig,
         focus_affected_gap_ms=gap,
         notes=notes,
         verdict_matrix=build_verdict_matrix(original.trace, component, focus),
+        rerun_stepped_ms=session.stepped_ms,
+        rerun_prefix_decided=session.prefix_decided,
     )
     return report
 

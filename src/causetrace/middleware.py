@@ -67,6 +67,10 @@ class Trace:
     ego_log: list[Waypoint]  # sampled at a fixed period
     verdict: Verdict | None = None
     diagnostics: list[str] = field(default_factory=list)
+    # One runner.Checkpoint per state start of a simulated run; not serialized.
+    checkpoints: list[tuple] = field(default_factory=list)
+    # The simulated ms before this time were copied from the original run, not stepped.
+    forked_at: SimTime = 0
 
     def message_count(self) -> int:
         return sum(len(r) for r in self.rows.values())

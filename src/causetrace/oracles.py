@@ -37,41 +37,58 @@ class OracleConfig:
                 raise ValidationError(name, "must be >= 0")
 
 
+def carried_heading(w: Waypoint, last: float) -> float:
+    """Heading of the sample's velocity; the last heading while the ego stands still."""
+    return math.atan2(w.v[1], w.v[0]) if w.v != (0.0, 0.0) else last
+
+
 def ego_heading_series(ego_log: list[Waypoint], init_heading: float) -> list[float]:
     headings = []
     last = init_heading
     for w in ego_log:
-        if w.v != (0.0, 0.0):
-            last = math.atan2(w.v[1], w.v[0])
+        last = carried_heading(w, last)
         headings.append(last)
     return headings
+
+
+def _ego_extent(scenario: Scenario) -> tuple[tuple[float, float], float]:
+    half = (scenario.ego_size[0] / 2.0, scenario.ego_size[1] / 2.0)
+    return half, math.hypot(*half)
+
+
+def safe_distance_at(w: Waypoint, heading: float, half: tuple[float, float], ego_r: float,
+                     trackers: list[ObjectTracker], c: float
+                     ) -> tuple[str, float, str] | None:
+    """(object id, distance, detail) of the first object whose box is closer than c
+    to the ego box at one sample; None if all are far enough. The trackers are
+    queried at w.t, so samples must come in log order."""
+    ego_box = OrientedBox(w.p, half, heading)
+    for trk in trackers:
+        other = trk.box_at(w.t)
+        dx, dy = other.center[0] - w.p[0], other.center[1] - w.p[1]
+        lim = ego_r + trk.radius + c
+        if dx * dx + dy * dy > lim * lim:
+            continue
+        if obb_separation_at_least(ego_box, other, c):
+            continue
+        d = min_obb_distance(ego_box, other)
+        if d < c:
+            # Rear approach: object center behind the ego rear axle line.
+            lx = dx * math.cos(heading) + dy * math.sin(heading)
+            detail = "rear-approach" if lx < -half[0] else "front"
+            return trk.obj.id, d, detail
+    return None
 
 
 def check_safe_distance(ego_log: list[Waypoint], scenario: Scenario,
                         c: float) -> tuple[SimTime, str, float, str] | None:
     """Earliest (t, object id, distance, detail) with box distance < c; None if safe."""
-    if not ego_log:
-        return None
-    half = (scenario.ego_size[0] / 2.0, scenario.ego_size[1] / 2.0)
-    ego_r = math.hypot(*half)
-    headings = ego_heading_series(ego_log, scenario.a_init[1])
+    half, ego_r = _ego_extent(scenario)
     trackers = [ObjectTracker(o) for o in scenario.objects]
-    for w, heading in zip(ego_log, headings):
-        ego_box = OrientedBox(w.p, half, heading)
-        for trk in trackers:
-            other = trk.box_at(w.t)
-            dx, dy = other.center[0] - w.p[0], other.center[1] - w.p[1]
-            lim = ego_r + trk.radius + c
-            if dx * dx + dy * dy > lim * lim:
-                continue
-            if obb_separation_at_least(ego_box, other, c):
-                continue
-            d = min_obb_distance(ego_box, other)
-            if d < c:
-                # Rear approach: object center behind the ego rear axle line.
-                lx = dx * math.cos(heading) + dy * math.sin(heading)
-                detail = "rear-approach" if lx < -half[0] else "front"
-                return w.t, trk.obj.id, d, detail
+    for w, heading in zip(ego_log, ego_heading_series(ego_log, scenario.a_init[1])):
+        hit = safe_distance_at(w, heading, half, ego_r, trackers, c)
+        if hit is not None:
+            return w.t, *hit
     return None
 
 
@@ -81,20 +98,45 @@ def check_mission(ego_log: list[Waypoint], a_dest, tolerance: float) -> bool:
     return vec_dist(ego_log[-1].p, a_dest) <= tolerance
 
 
+def speeding_at(w: Waypoint, lane_map, tolerance: float) -> tuple[float, float] | None:
+    """(speed, limit) if the sample exceeds its lane's limit; off-lane never does."""
+    speed = math.hypot(*w.v)
+    if speed < 0.5:
+        return None  # cannot exceed any positive limit worth checking
+    hit = lane_at(lane_map, w.p)
+    if hit is None:
+        return None
+    limit = hit[0].speed_limit
+    return (speed, limit) if speed > limit + tolerance else None
+
+
 def check_speeding(ego_log: list[Waypoint], lane_map, tolerance: float
                    ) -> tuple[SimTime, float, float] | None:
     """Earliest (t, speed, limit) sample exceeding the lane limit; off-lane skipped."""
     for w in ego_log:
-        speed = math.hypot(*w.v)
-        if speed < 0.5:
-            continue  # cannot exceed any positive limit worth checking
-        hit = lane_at(lane_map, w.p)
-        if hit is None:
-            continue
-        limit = hit[0].speed_limit
-        if speed > limit + tolerance:
-            return w.t, speed, limit
+        hit = speeding_at(w, lane_map, tolerance)
+        if hit is not None:
+            return w.t, *hit
     return None
+
+
+def _safe_distance_violation(t: SimTime, obj_id: str, d: float, detail: str) -> dict:
+    return {"kind": SAFE_DISTANCE, "t": t, "object_id": obj_id, "distance": d,
+            "detail": detail}
+
+
+def _speeding_violation(t: SimTime, speed: float, limit: float) -> dict:
+    return {"kind": SPEEDING, "t": t, "speed": speed, "limit": limit}
+
+
+def mission_violation(ego_log: list[Waypoint], scenario: Scenario,
+                      config: OracleConfig) -> dict | None:
+    """The mission violation of a finished run, if the oracle is on and fails."""
+    if MISSION not in config.enabled or check_mission(ego_log, scenario.a_dest,
+                                                      config.dest_tolerance):
+        return None
+    return {"kind": MISSION, "t": ego_log[-1].t if ego_log else 0,
+            "detail": "destination not reached"}
 
 
 def evaluate(ego_log: list[Waypoint], scenario: Scenario, config: OracleConfig) -> Verdict:
@@ -102,21 +144,52 @@ def evaluate(ego_log: list[Waypoint], scenario: Scenario, config: OracleConfig) 
     if SAFE_DISTANCE in config.enabled:
         hit = check_safe_distance(ego_log, scenario, config.safe_distance_c)
         if hit is not None:
-            t, obj_id, d, detail = hit
-            violations.append({"kind": SAFE_DISTANCE, "t": t, "object_id": obj_id,
-                               "distance": d, "detail": detail})
-    if MISSION in config.enabled:
-        if not check_mission(ego_log, scenario.a_dest, config.dest_tolerance):
-            t = ego_log[-1].t if ego_log else 0
-            violations.append({"kind": MISSION, "t": t,
-                               "detail": "destination not reached"})
+            violations.append(_safe_distance_violation(*hit))
+    mission = mission_violation(ego_log, scenario, config)
+    if mission is not None:
+        violations.append(mission)
     if SPEEDING in config.enabled:
         hit = check_speeding(ego_log, scenario.map, config.speed_tolerance)
         if hit is not None:
-            t, speed, limit = hit
-            violations.append({"kind": SPEEDING, "t": t, "speed": speed, "limit": limit})
+            violations.append(_speeding_violation(*hit))
     violations.sort(key=lambda v: v["t"])
     return Verdict(passed=not violations, violations=violations)
+
+
+class SampleMonitor:
+    """Safe distance and speeding judged online, one ego sample at a time.
+
+    Samples must come in log order; `heading` is the heading that
+    `ego_heading_series` carries into the first of them. The first violation is
+    kept in `violation`, with the same fields `evaluate` gives it. Mission needs
+    the end of the run and is left to `mission_violation`.
+    """
+
+    def __init__(self, scenario: Scenario, config: OracleConfig, heading: float):
+        self.config = config
+        self.lane_map = scenario.map
+        self.half, self.ego_r = _ego_extent(scenario)
+        self.trackers = ([ObjectTracker(o) for o in scenario.objects]
+                         if SAFE_DISTANCE in config.enabled else None)
+        self.speeding = SPEEDING in config.enabled
+        self.heading = heading
+        self.violation: dict | None = None
+
+    def violated(self, w: Waypoint) -> bool:
+        """Judge the next sample; True if it is the first violating one."""
+        self.heading = carried_heading(w, self.heading)
+        if self.trackers is not None:
+            hit = safe_distance_at(w, self.heading, self.half, self.ego_r, self.trackers,
+                                   self.config.safe_distance_c)
+            if hit is not None:
+                self.violation = _safe_distance_violation(w.t, *hit)
+                return True
+        if self.speeding:
+            hit = speeding_at(w, self.lane_map, self.config.speed_tolerance)
+            if hit is not None:
+                self.violation = _speeding_violation(w.t, *hit)
+                return True
+        return False
 
 
 # ---------------------------------------------------------------------------

@@ -8,24 +8,34 @@ sampled at 100 Hz, and the set of active substitutes is worked out there, since
 the state index only advances at a sample; a contact (box distance exactly zero)
 stops the run early. Each firing publishes one message carrying its inputs.
 Identical inputs produce byte-identical serialized traces.
+
+A run records a checkpoint at the first sample of every state. A counterfactual
+re-run given the original trace resumes from the checkpoint of the state where
+its substitutes first become active, since it equals the original run up to
+there, and it stops at its first safe-distance or speeding violation, since
+that decides its verdict.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Any
+from operator import attrgetter
+from typing import Any, NamedTuple
 
 from .faults import FaultSpec
 from .geometry import OrientedBox, min_obb_distance, obb_separation_at_least
 from .middleware import Bus, ComponentId, TICK_PRIORITY, Trace, Verdict
-from .oracles import OracleConfig, evaluate
+from .oracles import (MISSION, OracleConfig, SampleMonitor, ego_heading_series, evaluate,
+                      mission_violation)
 from .pipeline import (control_tick, localization_tick, make_planner_context,
                        perception_tick, planning_tick, prediction_tick)
 from .scenario import Scenario, SimTime, Waypoint
-from .substitutes import (OnlineStateTracker, QuantizationUnits, SubstitutionPlan,
-                          derived_control, ideal_localization, ideal_perception,
-                          ideal_prediction, sim_control_apply, substitution_active)
+from .substitutes import (OnlineStateTracker, QuantizationUnits, StateKey,
+                          SubstitutionPlan, derived_control, ideal_localization,
+                          ideal_perception, ideal_prediction, sim_control_apply,
+                          substitution_active)
 from .world import EgoState, ObjectTracker, step_ego
 
 SAMPLE_MS = 10  # ego log and state tracking at 100 Hz
@@ -55,8 +65,28 @@ class AdsConfig:
     units: QuantizationUnits = field(default_factory=QuantizationUnits)
 
 
+class Checkpoint(NamedTuple):
+    """The scheduler at the first sample of a state, before the sample is taken.
+
+    Rows only grow and payloads are immutable, so the run up to here is the
+    trace's rows cut to `row_lens` (ComponentId order) and its ego log cut to
+    `log_len`; nothing is copied when a checkpoint is taken.
+    """
+
+    t: SimTime
+    ego: EgoState
+    log_len: int
+    key: StateKey | None  # state key before the sample
+    row_lens: tuple[int, ...]
+
+
 def run_scheduler(scenario: Scenario, ads: AdsConfig,
-                  plan: SubstitutionPlan | None = None) -> Trace:
+                  plan: SubstitutionPlan | None = None,
+                  fork: tuple[Trace, int] | None = None,
+                  monitor: SampleMonitor | None = None) -> Trace:
+    """One run. `fork` = (origin, k) resumes the run `origin` from its checkpoint
+    at state k; `monitor` judges each sample and stops the run at the first
+    violating one."""
     plan = plan or SubstitutionPlan()
     bus = Bus()
     trace = bus.trace
@@ -67,6 +97,15 @@ def run_scheduler(scenario: Scenario, ads: AdsConfig,
     ego_r = math.hypot(*ego_half)
     trackers = [ObjectTracker(o) for o in scenario.objects]
     state_tracker = OnlineStateTracker(ads.units)
+    if fork is not None:
+        origin, k = fork
+        cp = origin.checkpoints[k - 1]
+        ego = cp.ego
+        trace.ego_log = origin.ego_log[:cp.log_len]
+        trace.rows = {c: row[:n] for (c, row), n in zip(origin.rows.items(), cp.row_lens)}
+        trace.checkpoints = origin.checkpoints[:k - 1]
+        trace.forked_at = cp.t
+        state_tracker.index, state_tracker.key = k - 1, cp.key
     faults = {c: [f for f in ads.faults if f.target is c] for c in ComponentId}
     ideal: set[ComponentId] = set()  # substitutes active at the current state index
 
@@ -97,13 +136,19 @@ def run_scheduler(scenario: Scenario, ads: AdsConfig,
                else control_tick(plan_msg.payload, loc.payload, fs, t))
         return *out, {"planning": plan_msg.seq, "localization": loc.seq}
 
-    for t in range(scenario.t_max):
+    for t in range(trace.forked_at, scenario.t_max):
         if t % SAMPLE_MS == 0:
             wp = Waypoint(p=ego.p, v=ego.velocity(), a=ego.accel_vec(), t=t)
-            trace.ego_log.append(wp)
+            key = state_tracker.key
             index, _ = state_tracker.observe(wp.p, wp.v, wp.a)
+            if index > len(trace.checkpoints):
+                trace.checkpoints.append(Checkpoint(
+                    t, ego, len(trace.ego_log), key,
+                    tuple(len(row) for row in trace.rows.values())))
+            trace.ego_log.append(wp)
             ideal = {c for c, mode in plan.modes.items() if substitution_active(mode, index)}
-            if _contact(ego, ego_half, ego_r, trackers, t, trace):
+            if ((monitor is not None and monitor.violated(wp))
+                    or _contact(ego, ego_half, ego_r, trackers, t, trace)):
                 return trace
         for component in TICK_PRIORITY:
             if t % DEFAULT_PERIODS[component] == 0:
@@ -121,9 +166,11 @@ def run_scheduler(scenario: Scenario, ads: AdsConfig,
         else:
             cmd = bus.latest(ComponentId.CONTROL).payload
             ego = step_ego(ego, cmd.accel_cmd, cmd.steer, 1)
-    if scenario.t_max % SAMPLE_MS == 0:
-        trace.ego_log.append(Waypoint(p=ego.p, v=ego.velocity(), a=ego.accel_vec(),
-                                      t=scenario.t_max))
+    if scenario.t_max % SAMPLE_MS == 0:  # closing sample, not a state of its own
+        wp = Waypoint(p=ego.p, v=ego.velocity(), a=ego.accel_vec(), t=scenario.t_max)
+        trace.ego_log.append(wp)
+        if monitor is not None:
+            monitor.violated(wp)
     return trace
 
 
@@ -164,9 +211,46 @@ def rtest(scenario: Scenario, ads: AdsConfig, oracles: OracleConfig) -> RunResul
 
 
 def run_with_substitution(scenario: Scenario, ads: AdsConfig, plan: SubstitutionPlan,
-                          oracles: OracleConfig) -> tuple[Verdict, Trace]:
-    """One run with the plan's substitutes active, plus its verdict."""
-    trace = run_scheduler(scenario, ads, plan)
-    verdict = evaluate(trace.ego_log, scenario, oracles)
+                          oracles: OracleConfig, origin: Trace | None = None
+                          ) -> tuple[Verdict, Trace]:
+    """One run with the plan's substitutes active, plus its verdict.
+
+    Without `origin` the run is simulated from t=0 to its end and the verdict
+    lists every violation kind. `origin` is the trace of the original run (no
+    substitutes) of the same scenario and faults, judged with the same oracles.
+    Up to the first sample of the state where the plan's first substitute
+    becomes active, the re-run equals that run. So its verdict is taken from
+    the original when the original's first safe-distance or speeding violation
+    lies in that prefix, or when no substitute ever becomes active. Otherwise it
+    resumes from the original's checkpoint there and stops at its first
+    safe-distance or speeding violation; the verdict then holds that violation,
+    or else the mission violation, if any.
+    """
+    if origin is None:
+        trace = run_scheduler(scenario, ads, plan)
+        verdict = evaluate(trace.ego_log, scenario, oracles)
+        trace.verdict = verdict
+        return verdict, trace
+    k = plan.first_active_state()
+    if k is None or k > len(origin.checkpoints):
+        # No substitute becomes active before the run ends: this is the original.
+        return origin.verdict, Trace(origin.rows, origin.ego_log, origin.verdict,
+                                     forked_at=origin.ego_log[-1].t)
+    cp = origin.checkpoints[k - 1]
+    decided = [v for v in origin.verdict.violations if v["kind"] != MISSION]
+    if decided and decided[0]["t"] <= cp.t:
+        t = decided[0]["t"]
+        verdict = Verdict(False, decided[:1])
+        # The trace an early-stopped run would leave: the samples through t and
+        # the messages published before it.
+        rows = {c: row[:bisect_left(row, t, key=attrgetter("t_pub"))]
+                for c, row in origin.rows.items()}
+        ego_log = origin.ego_log[:bisect_right(origin.ego_log, t, key=attrgetter("t"))]
+        return verdict, Trace(rows, ego_log, verdict, forked_at=t)
+    headings = ego_heading_series(origin.ego_log[:cp.log_len], scenario.a_init[1])
+    monitor = SampleMonitor(scenario, oracles, headings[-1] if headings else scenario.a_init[1])
+    trace = run_scheduler(scenario, ads, plan, fork=(origin, k), monitor=monitor)
+    violation = monitor.violation or mission_violation(trace.ego_log, scenario, oracles)
+    verdict = Verdict(violation is None, [violation] if violation else [])
     trace.verdict = verdict
     return verdict, trace

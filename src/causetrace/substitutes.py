@@ -7,7 +7,8 @@ the planning trajectory (control). State quantization turns the sampled ego
 dynamics into integer keys; consecutive equal keys form one state, and the
 state index is the time axis of the message-level search. A re-run substitutes
 from state k onward, and runs identically to the original until then, so it
-reaches state k at the same moment by determinism.
+reaches state k at the same moment by determinism; the runner therefore forks
+such a re-run from the original run's checkpoint at state k.
 """
 
 from __future__ import annotations
@@ -152,6 +153,13 @@ class SubstitutionPlan:
 
     def to_dict(self) -> dict:
         return {c.value: self.mode_of(c).to_dict() for c in ComponentId}
+
+    def first_active_state(self) -> int | None:
+        """Lowest state index at which some substitute is active; None if none is."""
+        starts = [1 if isinstance(m, IdealAll)
+                  else m.index if isinstance(m, IdealFromState) else m.a
+                  for m in self.modes.values() if not isinstance(m, Original)]
+        return min(starts, default=None)
 
     @staticmethod
     def ideal_all(*components: ComponentId) -> "SubstitutionPlan":

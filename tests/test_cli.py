@@ -158,6 +158,29 @@ def test_attribute_writes_report_and_matrix(tmp_path, capsys):
     assert sum(1 for line in matrix if line.endswith(",fail")) == 1
 
 
+def test_attribute_prints_rerun_cost_outside_report(tmp_path, capsys, monkeypatch):
+    from causetrace import cli
+    reports = []
+    real = cli.attribute
+    monkeypatch.setattr(cli, "attribute",
+                        lambda *a, **k: reports.append(real(*a, **k)) or reports[-1])
+    fault = write_fault(tmp_path, "cs1_ctrl_long")
+    code = main(["attribute", str(scenario_path("cs1")), "--fault", fault,
+                 "--out-dir", str(tmp_path)])
+    assert code == 0
+    (r,) = reports
+    reruns = r.simulations_total - 1
+    # Some control re-runs start after the original's first violation and are
+    # decided from its prefix; every re-run steps less than the whole run.
+    assert 0 < r.rerun_prefix_decided < reruns
+    assert 0 < r.rerun_stepped_ms < reruns * 25000
+    line = (f"re-run cost: {r.rerun_stepped_ms} simulated ms stepped, "
+            f"{r.rerun_prefix_decided} re-runs decided from the original run's prefix")
+    assert line in capsys.readouterr().out.splitlines()
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert not {k for k in report if k.startswith("rerun_")}
+
+
 def test_attribute_passing_scenario_exit_three(tmp_path, capsys):
     code = main(["attribute", str(scenario_path("cs1")), "--out-dir", str(tmp_path)])
     assert code == 3

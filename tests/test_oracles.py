@@ -5,9 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from causetrace.benchmark import load_benchmark, load_builtin_scenario
-from causetrace.oracles import (OracleConfig, PlanningCheckContext, check_mission,
-                                check_safe_distance, check_speeding, evaluate,
-                                planning_message_violates)
+from causetrace.oracles import (MISSION, OracleConfig, PlanningCheckContext,
+                                SampleMonitor, check_mission, check_safe_distance,
+                                check_speeding, evaluate, planning_message_violates)
 from causetrace.payloads import PlanningOut, TrajPoint
 from causetrace.pipeline import make_planner_context
 from causetrace.runner import AdsConfig, rtest
@@ -151,6 +151,36 @@ def test_evaluate_equals_conjunction_of_checks():
         check_speeding(log, sc.map, cfg.speed_tolerance) is None,
     ]
     assert verdict.passed == all(parts)
+
+
+def first_online_violation(log, sc, cfg):
+    monitor = SampleMonitor(sc, cfg, sc.a_init[1])
+    for w in log:
+        if monitor.violated(w):
+            return monitor.violation
+    return None
+
+
+@pytest.mark.parametrize("inst_id", ["cs1_pred_none", "cs5_ctrl_lat", "cs1_plan_speed",
+                                     "cs1_plan_none"])
+def test_sample_monitor_agrees_with_evaluate(inst_id):
+    inst = INSTS[inst_id]
+    sc = load_builtin_scenario(inst.scenario)
+    res = rtest(sc, AdsConfig(faults=[inst.fault]), OracleConfig())
+    expected = next((v for v in res.verdict.violations if v["kind"] != MISSION), None)
+    assert first_online_violation(res.ego_log, sc, OracleConfig()) == expected
+
+
+def test_sample_monitor_reports_only_enabled_kinds():
+    # The ego speeds from the first sample and later passes an object too closely.
+    sc = scenario_from_dict(straight_road_doc(objects=[static_object(p=(50.0, 1.4))]))
+    log = ego_log_straight(speed=13.0, n=600)
+    verdict = evaluate(log, sc, OracleConfig())
+    assert [v["kind"] for v in verdict.violations] == ["speeding", "safe_distance", "mission"]
+    assert first_online_violation(log, sc, OracleConfig()) == verdict.violations[0]
+    only_close = OracleConfig(enabled=("safe_distance",))
+    assert first_online_violation(log, sc, only_close) == verdict.violations[1]
+    assert first_online_violation(log, sc, OracleConfig(enabled=(MISSION,))) is None
 
 
 @settings(max_examples=30, deadline=None)
