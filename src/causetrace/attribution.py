@@ -59,12 +59,12 @@ class NoViolatingPlanningMessage(Exception):
 class DtestSession:
     """Runs and counts counterfactual re-runs for one attribution task.
 
-    With `origin`, the original run's trace, each re-run is forked from it and
-    stops once its verdict is decided (see `run_with_substitution`).
+    Each re-run is forked from `origin`, the original run's trace, and stops once
+    its verdict is decided (see `run_with_substitution`).
     """
 
     def __init__(self, scenario: Scenario, ads: AdsConfig, oracles: OracleConfig,
-                 origin: Trace | None = None):
+                 origin: Trace):
         self.scenario = scenario
         self.ads = ads
         self.oracles = oracles
@@ -352,7 +352,7 @@ def attribute(scenario: Scenario, ads: AdsConfig, oracles: OracleConfig,
     """Full pipeline: run, attribute the component, then the focus message."""
     t_start = time.perf_counter()
     original = rtest(scenario, ads, oracles)
-    session = DtestSession(scenario, ads, oracles, origin=original.trace)
+    session = DtestSession(scenario, ads, oracles, original.trace)
     component, outcomes, comp_calls = attribute_component(session, original,
                                                           probe_all=probe_all)
     states = split_trace(original.trace, ads.units)

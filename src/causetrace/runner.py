@@ -19,7 +19,7 @@ that decides its verdict.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Any, NamedTuple
@@ -69,15 +69,22 @@ class Checkpoint(NamedTuple):
     """The scheduler at the first sample of a state, before the sample is taken.
 
     Rows only grow and payloads are immutable, so the run up to here is the
-    trace's rows cut to `row_lens` (ComponentId order) and its ego log cut to
-    `log_len`; nothing is copied when a checkpoint is taken.
+    trace cut at `t` (`_prefix`); nothing is copied when a checkpoint is taken.
     """
 
     t: SimTime
     ego: EgoState
-    log_len: int
     key: StateKey | None  # state key before the sample
-    row_lens: tuple[int, ...]
+
+
+def _prefix(trace: Trace, t: SimTime, through: bool = False
+           ) -> tuple[dict[ComponentId, list], list[Waypoint]]:
+    """The rows and ego log of a run up to time t: the messages published before
+    t and the samples before t (through t with `through`). The ego log holds a
+    sample every SAMPLE_MS from t=0, and t is a sample time."""
+    rows = {c: row[:bisect_left(row, t, key=attrgetter("t_pub"))]
+            for c, row in trace.rows.items()}
+    return rows, trace.ego_log[:t // SAMPLE_MS + through]
 
 
 def run_scheduler(scenario: Scenario, ads: AdsConfig,
@@ -101,8 +108,7 @@ def run_scheduler(scenario: Scenario, ads: AdsConfig,
         origin, k = fork
         cp = origin.checkpoints[k - 1]
         ego = cp.ego
-        trace.ego_log = origin.ego_log[:cp.log_len]
-        trace.rows = {c: row[:n] for (c, row), n in zip(origin.rows.items(), cp.row_lens)}
+        trace.rows, trace.ego_log = _prefix(origin, cp.t)
         trace.checkpoints = origin.checkpoints[:k - 1]
         trace.forked_at = cp.t
         state_tracker.index, state_tracker.key = k - 1, cp.key
@@ -142,9 +148,7 @@ def run_scheduler(scenario: Scenario, ads: AdsConfig,
             key = state_tracker.key
             index, _ = state_tracker.observe(wp.p, wp.v, wp.a)
             if index > len(trace.checkpoints):
-                trace.checkpoints.append(Checkpoint(
-                    t, ego, len(trace.ego_log), key,
-                    tuple(len(row) for row in trace.rows.values())))
+                trace.checkpoints.append(Checkpoint(t, ego, key))
             trace.ego_log.append(wp)
             ideal = {c for c, mode in plan.modes.items() if substitution_active(mode, index)}
             if ((monitor is not None and monitor.violated(wp))
@@ -243,11 +247,9 @@ def run_with_substitution(scenario: Scenario, ads: AdsConfig, plan: Substitution
         verdict = Verdict(False, decided[:1])
         # The trace an early-stopped run would leave: the samples through t and
         # the messages published before it.
-        rows = {c: row[:bisect_left(row, t, key=attrgetter("t_pub"))]
-                for c, row in origin.rows.items()}
-        ego_log = origin.ego_log[:bisect_right(origin.ego_log, t, key=attrgetter("t"))]
+        rows, ego_log = _prefix(origin, t, through=True)
         return verdict, Trace(rows, ego_log, verdict, forked_at=t)
-    headings = ego_heading_series(origin.ego_log[:cp.log_len], scenario.a_init[1])
+    headings = ego_heading_series(origin.ego_log[:cp.t // SAMPLE_MS], scenario.a_init[1])
     monitor = SampleMonitor(scenario, oracles, headings[-1] if headings else scenario.a_init[1])
     trace = run_scheduler(scenario, ads, plan, fork=(origin, k), monitor=monitor)
     violation = monitor.violation or mission_violation(trace.ego_log, scenario, oracles)

@@ -155,11 +155,12 @@ class SubstitutionPlan:
         return {c.value: self.mode_of(c).to_dict() for c in ComponentId}
 
     def first_active_state(self) -> int | None:
-        """Lowest state index at which some substitute is active; None if none is."""
+        """Lowest state index at which some substitute may be active; None if none
+        is. State indices start at 1, so a start at 0 or below counts as 1."""
         starts = [1 if isinstance(m, IdealAll)
                   else m.index if isinstance(m, IdealFromState) else m.a
                   for m in self.modes.values() if not isinstance(m, Original)]
-        return min(starts, default=None)
+        return min((max(s, 1) for s in starts), default=None)
 
     @staticmethod
     def ideal_all(*components: ComponentId) -> "SubstitutionPlan":

@@ -256,7 +256,8 @@ def test_criterion_7_search_correctness():
             details.append(f"{inst_id}: non-monotone (reported, skipped)")
             continue
         session = DtestSession(bench_mod.scenario_for_instance(inst),
-                               AdsConfig(faults=[inst.fault]), OracleConfig())
+                               AdsConfig(faults=[inst.fault]), OracleConfig(),
+                               original.trace)
         focus, _ = attribute_message_nonplanning(session, original.trace, states,
                                                  inst.component)
         agree = focus.state_index == boundary_msg_state
@@ -331,7 +332,8 @@ def test_full_monotonicity_audit_all_instances():
             failures.append(f"{inst.id}: non-monotone")
             continue
         session = DtestSession(bench_mod.scenario_for_instance(inst),
-                               AdsConfig(faults=[inst.fault]), OracleConfig())
+                               AdsConfig(faults=[inst.fault]), OracleConfig(),
+                               original.trace)
         focus, _ = attribute_message_nonplanning(session, original.trace, states,
                                                  inst.component)
         if focus.state_index != boundary_state:

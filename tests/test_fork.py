@@ -96,6 +96,21 @@ def test_fork_matches_full_run_all(inst_id):
     assert_fork_matches_full_run(inst_id)
 
 
+def test_start_at_or_below_state_one_resumes_from_t0():
+    # State indices start at 1, so a plan active from state 0 or below is active
+    # from t=0 and must resume from the first checkpoint, not index from the end.
+    inst, scenario, ads, original = _original("cs1_pred_none")
+    oracles = OracleConfig()
+    for mode in (IdealFromState(0), IdealFromState(-3), IdealWithinStates(0, 40)):
+        plan = SubstitutionPlan({inst.component: mode})
+        forked, ftrace = run_with_substitution(scenario, ads, plan, oracles,
+                                               origin=original.trace)
+        full, full_trace = run_with_substitution(scenario, ads, plan, oracles)
+        assert ftrace.forked_at == 0, mode
+        assert forked.passed == full.passed, mode
+        assert ftrace.ego_log == full_trace.ego_log[:len(ftrace.ego_log)], mode
+
+
 def test_checkpoints_are_state_starts():
     _, _, ads, original = _original("cs4_perc_bbox")
     cps = original.trace.checkpoints
@@ -103,7 +118,7 @@ def test_checkpoints_are_state_starts():
     assert len(states) - 1 <= len(cps) <= len(states)
     for k, cp in enumerate(cps, start=1):
         assert cp.t == states[k - 1].t_start
-        assert original.ego_log[cp.log_len].t == cp.t
+        assert original.ego_log[cp.t // runner.SAMPLE_MS].t == cp.t
         assert cp.ego.t == cp.t
 
 
