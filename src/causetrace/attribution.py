@@ -88,8 +88,7 @@ class DtestSession:
         return verdict.passed
 
 
-def attribute_component(session: DtestSession, original: RunResult,
-                        probe_all: bool = False
+def attribute_component(session: DtestSession, original: RunResult
                         ) -> tuple[ComponentId, dict[str, bool], int]:
     """Algorithm: rule out planning first, then probe components in order.
 
@@ -105,17 +104,12 @@ def attribute_component(session: DtestSession, original: RunResult,
     if not combined_pass:
         # Violation survives ideal sensing and actuation: planning is the cause.
         return ComponentId.PLANNING, outcomes, session.calls - calls_before
-    found: ComponentId | None = None
     for component in PROBE_ORDER:
         ok = session.passed(SubstitutionPlan.ideal_all(component))
         outcomes[component.value] = ok
-        if ok and found is None:
-            found = component
-            if not probe_all:
-                break
-    if found is None:
-        raise Unattributable(outcomes)
-    return found, outcomes, session.calls - calls_before
+        if ok:
+            return component, outcomes, session.calls - calls_before
+    raise Unattributable(outcomes)
 
 
 def _component_states(trace: Trace, component: ComponentId) -> list[int]:
@@ -163,15 +157,15 @@ def attribute_message_nonplanning(session: DtestSession, trace: Trace,
     return _focus_in_state(trace, component, left), session.calls - calls_before
 
 
-def audit_suffix_monotonicity(session: DtestSession, trace: Trace,
-                              states: list[DynamicState], component: ComponentId
+def audit_suffix_monotonicity(session: DtestSession, trace: Trace, component: ComponentId
                               ) -> tuple[bool, int | None, list[tuple[int, bool]]]:
     """Exhaustive suffix scan of the dtest predicate.
 
-    Between two states that contain no message of the component the substituted
-    message set is identical, so the predicate is constant there; evaluating it
-    at every state that carries a component message is the full scan. Returns
-    (monotone, last passing index, outcomes).
+    For consecutive states m < m' that contain messages of the component, a
+    substitute from any state in (m, m'] replaces the same messages, so the
+    predicate is constant there; evaluating it at state 1 and at every state
+    that carries a component message is the full scan. Returns (monotone, last
+    passing message state, outcomes); the binary search reports that state too.
     """
     indices = _component_states(trace, component)
     if 1 not in indices:
@@ -185,14 +179,6 @@ def audit_suffix_monotonicity(session: DtestSession, trace: Trace,
     for idx, ok in outcomes:
         if ok:
             boundary = idx
-    if boundary is not None:
-        # The predicate is constant up to the next component-message state, so
-        # the boundary extends to just before it.
-        later = [i for i in indices if i > boundary]
-        if later:
-            boundary = later[0] - 1
-        else:
-            boundary = len(states)
     return monotone, boundary, outcomes
 
 
@@ -347,14 +333,13 @@ def verdict_matrix_csv(rows: list[dict]) -> str:
 
 
 def attribute(scenario: Scenario, ads: AdsConfig, oracles: OracleConfig,
-              strategy: str = "binary", audit_monotonicity: bool = False,
-              probe_all: bool = False) -> AttributionReport:
+              strategy: str = "binary", audit_monotonicity: bool = False
+              ) -> AttributionReport:
     """Full pipeline: run, attribute the component, then the focus message."""
     t_start = time.perf_counter()
     original = rtest(scenario, ads, oracles)
     session = DtestSession(scenario, ads, oracles, original.trace)
-    component, outcomes, comp_calls = attribute_component(session, original,
-                                                          probe_all=probe_all)
+    component, outcomes, comp_calls = attribute_component(session, original)
     states = split_trace(original.trace, ads.units)
     notes: list[str] = []
     audit_result: bool | None = None
@@ -372,7 +357,7 @@ def attribute(scenario: Scenario, ads: AdsConfig, oracles: OracleConfig,
     else:
         if audit_monotonicity:
             monotone, boundary, scan = audit_suffix_monotonicity(
-                session, original.trace, states, component)
+                session, original.trace, component)
             audit_result = monotone
             if not monotone:
                 raise MonotonicityViolation(scan)

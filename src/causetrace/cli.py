@@ -153,10 +153,12 @@ def cmd_replay(args) -> int:
     lines = ["t_ms,ego_x,ego_y,ego_speed,min_distance,nearest_object"]
     if scenario is not None:
         from .geometry import OrientedBox, min_obb_distance
-        from .oracles import ego_heading_series
+        from .oracles import carried_heading
         from .scenario import bbox_at
         half = (scenario.ego_size[0] / 2.0, scenario.ego_size[1] / 2.0)
-        for w, heading in zip(ego, ego_heading_series(ego, scenario.a_init[1])):
+        heading = scenario.a_init[1]
+        for w in ego:
+            heading = carried_heading(w, heading)
             box = OrientedBox(w.p, half, heading)
             best, best_id = float("inf"), ""
             for obj in scenario.objects:

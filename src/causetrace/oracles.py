@@ -8,11 +8,11 @@ object), driving mission (final position reaches the destination), and speeding
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .geometry import OrientedBox, min_obb_distance, obb_separation_at_least, vec_dist
 from .middleware import Verdict
-from .payloads import PlanningOut
+from .payloads import PlanningOut, TrajPoint
 from .pipeline import PlannerContext
 from .scenario import (Scenario, SimTime, ValidationError, Waypoint, bbox_at, lane_at,
                        project_on_polyline)
@@ -42,26 +42,17 @@ def carried_heading(w: Waypoint, last: float) -> float:
     return math.atan2(w.v[1], w.v[0]) if w.v != (0.0, 0.0) else last
 
 
-def ego_heading_series(ego_log: list[Waypoint], init_heading: float) -> list[float]:
-    headings = []
-    last = init_heading
-    for w in ego_log:
-        last = carried_heading(w, last)
-        headings.append(last)
-    return headings
-
-
 def _ego_extent(scenario: Scenario) -> tuple[tuple[float, float], float]:
     half = (scenario.ego_size[0] / 2.0, scenario.ego_size[1] / 2.0)
     return half, math.hypot(*half)
 
 
-def safe_distance_at(w: Waypoint, heading: float, half: tuple[float, float], ego_r: float,
-                     trackers: list[ObjectTracker], c: float
+def safe_distance_at(w: Waypoint | TrajPoint, heading: float, half: tuple[float, float],
+                     ego_r: float, trackers: list[ObjectTracker], c: float
                      ) -> tuple[str, float, str] | None:
     """(object id, distance, detail) of the first object whose box is closer than c
-    to the ego box at one sample; None if all are far enough. The trackers are
-    queried at w.t, so samples must come in log order."""
+    to the ego box at one sample or planned pose; None if all are far enough. The
+    trackers are queried at w.t, so samples must come in time order."""
     ego_box = OrientedBox(w.p, half, heading)
     for trk in trackers:
         other = trk.box_at(w.t)
@@ -77,18 +68,6 @@ def safe_distance_at(w: Waypoint, heading: float, half: tuple[float, float], ego
             lx = dx * math.cos(heading) + dy * math.sin(heading)
             detail = "rear-approach" if lx < -half[0] else "front"
             return trk.obj.id, d, detail
-    return None
-
-
-def check_safe_distance(ego_log: list[Waypoint], scenario: Scenario,
-                        c: float) -> tuple[SimTime, str, float, str] | None:
-    """Earliest (t, object id, distance, detail) with box distance < c; None if safe."""
-    half, ego_r = _ego_extent(scenario)
-    trackers = [ObjectTracker(o) for o in scenario.objects]
-    for w, heading in zip(ego_log, ego_heading_series(ego_log, scenario.a_init[1])):
-        hit = safe_distance_at(w, heading, half, ego_r, trackers, c)
-        if hit is not None:
-            return w.t, *hit
     return None
 
 
@@ -110,25 +89,6 @@ def speeding_at(w: Waypoint, lane_map, tolerance: float) -> tuple[float, float] 
     return (speed, limit) if speed > limit + tolerance else None
 
 
-def check_speeding(ego_log: list[Waypoint], lane_map, tolerance: float
-                   ) -> tuple[SimTime, float, float] | None:
-    """Earliest (t, speed, limit) sample exceeding the lane limit; off-lane skipped."""
-    for w in ego_log:
-        hit = speeding_at(w, lane_map, tolerance)
-        if hit is not None:
-            return w.t, *hit
-    return None
-
-
-def _safe_distance_violation(t: SimTime, obj_id: str, d: float, detail: str) -> dict:
-    return {"kind": SAFE_DISTANCE, "t": t, "object_id": obj_id, "distance": d,
-            "detail": detail}
-
-
-def _speeding_violation(t: SimTime, speed: float, limit: float) -> dict:
-    return {"kind": SPEEDING, "t": t, "speed": speed, "limit": limit}
-
-
 def mission_violation(ego_log: list[Waypoint], scenario: Scenario,
                       config: OracleConfig) -> dict | None:
     """The mission violation of a finished run, if the oracle is on and fails."""
@@ -140,18 +100,13 @@ def mission_violation(ego_log: list[Waypoint], scenario: Scenario,
 
 
 def evaluate(ego_log: list[Waypoint], scenario: Scenario, config: OracleConfig) -> Verdict:
-    violations: list[dict] = []
-    if SAFE_DISTANCE in config.enabled:
-        hit = check_safe_distance(ego_log, scenario, config.safe_distance_c)
-        if hit is not None:
-            violations.append(_safe_distance_violation(*hit))
-    mission = mission_violation(ego_log, scenario, config)
-    if mission is not None:
-        violations.append(mission)
-    if SPEEDING in config.enabled:
-        hit = check_speeding(ego_log, scenario.map, config.speed_tolerance)
-        if hit is not None:
-            violations.append(_speeding_violation(*hit))
+    """The first violation of each enabled kind over a whole run, sorted by time."""
+    monitor = SampleMonitor(scenario, config, scenario.a_init[1])
+    for w in ego_log:
+        monitor.violated(w)
+    violations = [v for v in (monitor.first.get(SAFE_DISTANCE),
+                              mission_violation(ego_log, scenario, config),
+                              monitor.first.get(SPEEDING)) if v is not None]
     violations.sort(key=lambda v: v["t"])
     return Verdict(passed=not violations, violations=violations)
 
@@ -159,37 +114,47 @@ def evaluate(ego_log: list[Waypoint], scenario: Scenario, config: OracleConfig) 
 class SampleMonitor:
     """Safe distance and speeding judged online, one ego sample at a time.
 
-    Samples must come in log order; `heading` is the heading that
-    `ego_heading_series` carries into the first of them. The first violation is
-    kept in `violation`, with the same fields `evaluate` gives it. Mission needs
-    the end of the run and is left to `mission_violation`.
+    Samples must come in log order; `heading` is the heading `carried_heading`
+    carries into the first of them. `first` keeps the first violation of each
+    enabled kind in the order found. Mission needs the end of the run and is
+    left to `mission_violation`.
     """
 
     def __init__(self, scenario: Scenario, config: OracleConfig, heading: float):
         self.config = config
         self.lane_map = scenario.map
         self.half, self.ego_r = _ego_extent(scenario)
-        self.trackers = ([ObjectTracker(o) for o in scenario.objects]
-                         if SAFE_DISTANCE in config.enabled else None)
-        self.speeding = SPEEDING in config.enabled
+        self.trackers = [ObjectTracker(o) for o in scenario.objects]
         self.heading = heading
-        self.violation: dict | None = None
+        self.first: dict[str, dict] = {}
+
+    @property
+    def violation(self) -> dict | None:
+        """The first violation found; safe distance before speeding on one sample."""
+        return next(iter(self.first.values()), None)
+
+    def _watching(self, kind: str) -> bool:
+        return kind in self.config.enabled and kind not in self.first
 
     def violated(self, w: Waypoint) -> bool:
-        """Judge the next sample; True if it is the first violating one."""
+        """Judge the next sample; True if it breaks some kind for the first time."""
+        found = len(self.first)
         self.heading = carried_heading(w, self.heading)
-        if self.trackers is not None:
+        if self._watching(SAFE_DISTANCE):
             hit = safe_distance_at(w, self.heading, self.half, self.ego_r, self.trackers,
                                    self.config.safe_distance_c)
             if hit is not None:
-                self.violation = _safe_distance_violation(w.t, *hit)
-                return True
-        if self.speeding:
+                obj_id, d, detail = hit
+                self.first[SAFE_DISTANCE] = {"kind": SAFE_DISTANCE, "t": w.t,
+                                             "object_id": obj_id, "distance": d,
+                                             "detail": detail}
+        if self._watching(SPEEDING):
             hit = speeding_at(w, self.lane_map, self.config.speed_tolerance)
             if hit is not None:
-                self.violation = _speeding_violation(w.t, *hit)
-                return True
-        return False
+                speed, limit = hit
+                self.first[SPEEDING] = {"kind": SPEEDING, "t": w.t, "speed": speed,
+                                        "limit": limit}
+        return len(self.first) > found
 
 
 # ---------------------------------------------------------------------------
@@ -258,21 +223,14 @@ def planning_message_violates(plan: PlanningOut, t: SimTime,
     is empty/held while the mission is incomplete and nothing ahead justifies
     stopping (after the stall persistence window).
     """
-    planner = ctx.planner_ctx
-    c = ctx.config.safe_distance_c
-    half = planner.ego_half
+    half = ctx.planner_ctx.ego_half
     ego_r = math.hypot(*half)
-
+    # Point times rise within a message, so fresh trackers can follow them.
+    trackers = [ObjectTracker(o) for o in ctx.scenario.objects]
     for pt in plan.trajectory:
-        ego_box = OrientedBox(pt.p, half, pt.heading)
-        for obj in ctx.scenario.objects:
-            box = bbox_at(obj, pt.t)
-            dx, dy = box.center[0] - pt.p[0], box.center[1] - pt.p[1]
-            lim = ego_r + math.hypot(*box.half_extents) + c
-            if dx * dx + dy * dy > lim * lim:
-                continue
-            if min_obb_distance(ego_box, box) < c:
-                return True
+        if safe_distance_at(pt, pt.heading, half, ego_r, trackers,
+                            ctx.config.safe_distance_c) is not None:
+            return True
         if pt.speed > 0.5:
             hit = lane_at(ctx.scenario.map, pt.p)
             if hit is not None and pt.speed > hit[0].speed_limit + ctx.config.speed_tolerance:

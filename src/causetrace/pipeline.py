@@ -48,25 +48,12 @@ def perception_tick(truth: PerceptionOut, loc: LocalizationOut, ego_p: Vec2,
 # prediction
 
 
-def prediction_tick(perceptions: list[PerceptionOut], faults: list[FaultSpec],
+def prediction_tick(perception: PerceptionOut, faults: list[FaultSpec],
                     t: SimTime) -> tuple[PredictionOut, bool]:
-    """Constant-velocity extrapolation of the latest perception over 3 s. An
-    object with a non-finite velocity takes it from its shift since the
-    perception before (`perceptions` is oldest first; only the last two count)."""
-    latest = perceptions[-1]
-    prev = perceptions[-2] if len(perceptions) > 1 else None
+    """Constant-velocity extrapolation of the latest perception over 3 s."""
     trajs = []
-    for o in latest.objects:
+    for o in perception.objects:
         vx, vy = o.v
-        if not (math.isfinite(vx) and math.isfinite(vy)):
-            vx = vy = 0.0
-            if prev is not None:
-                for po in prev.objects:
-                    if po.id == o.id:
-                        dt_s = PREDICTION_STEP_MS / 1000.0
-                        vx = (o.box.center[0] - po.box.center[0]) / dt_s
-                        vy = (o.box.center[1] - po.box.center[1]) / dt_s
-                        break
         x0, y0 = o.box.center
         pts = tuple(
             (t + k * PREDICTION_STEP_MS,
@@ -395,10 +382,10 @@ def _plan_speed_at(traj, t_q: SimTime) -> float:
     return traj[i].speed + (traj[i + 1].speed - traj[i].speed) * u
 
 
-def control_tick(plan: PlanningOut | None, loc: LocalizationOut,
+def control_tick(plan: PlanningOut, loc: LocalizationOut,
                  faults: list[FaultSpec], t: SimTime) -> tuple[ControlOut, bool]:
     """Pure-pursuit steering plus speed tracking with plan-slope feedforward."""
-    if plan is None or len(plan.trajectory) < 2:
+    if len(plan.trajectory) < 2:
         return apply_control_faults(ControlOut(ACCEL_MIN, 0.0), faults, t, loc.p)
     traj = plan.trajectory
 

@@ -27,7 +27,7 @@ from typing import Any, NamedTuple
 from .faults import FaultSpec
 from .geometry import OrientedBox, min_obb_distance, obb_separation_at_least
 from .middleware import Bus, ComponentId, TICK_PRIORITY, Trace, Verdict
-from .oracles import (MISSION, OracleConfig, SampleMonitor, ego_heading_series, evaluate,
+from .oracles import (MISSION, OracleConfig, SampleMonitor, carried_heading, evaluate,
                       mission_violation)
 from .pipeline import (control_tick, localization_tick, make_planner_context,
                        perception_tick, planning_tick, prediction_tick)
@@ -129,10 +129,10 @@ def run_scheduler(scenario: Scenario, ads: AdsConfig,
             out = (truth, False) if sub else perception_tick(truth, loc.payload, ego.p, fs, t)
             return *out, {"localization": loc.seq}
         if component is ComponentId.PREDICTION:
-            perc = trace.rows[ComponentId.PERCEPTION]
+            perc = bus.latest(ComponentId.PERCEPTION)
             out = ((ideal_prediction(scenario, t), False) if sub
-                   else prediction_tick([m.payload for m in perc[-2:]], fs, t))
-            return *out, {"perception": perc[-1].seq}
+                   else prediction_tick(perc.payload, fs, t))
+            return *out, {"perception": perc.seq}
         if component is ComponentId.PLANNING:
             pred = bus.latest(ComponentId.PREDICTION)
             return (*planning_tick(pred.payload, loc.payload, ctx, fs, t),
@@ -249,8 +249,10 @@ def run_with_substitution(scenario: Scenario, ads: AdsConfig, plan: Substitution
         # the messages published before it.
         rows, ego_log = _prefix(origin, t, through=True)
         return verdict, Trace(rows, ego_log, verdict, forked_at=t)
-    headings = ego_heading_series(origin.ego_log[:cp.t // SAMPLE_MS], scenario.a_init[1])
-    monitor = SampleMonitor(scenario, oracles, headings[-1] if headings else scenario.a_init[1])
+    heading = scenario.a_init[1]
+    for w in origin.ego_log[:cp.t // SAMPLE_MS]:
+        heading = carried_heading(w, heading)
+    monitor = SampleMonitor(scenario, oracles, heading)
     trace = run_scheduler(scenario, ads, plan, fork=(origin, k), monitor=monitor)
     violation = monitor.violation or mission_violation(trace.ego_log, scenario, oracles)
     verdict = Verdict(violation is None, [violation] if violation else [])

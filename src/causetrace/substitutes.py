@@ -213,10 +213,9 @@ def ideal_localization(true_ego: EgoState) -> LocalizationOut:
     return LocalizationOut(true_ego.p, true_ego.heading, true_ego.speed)
 
 
-def sim_control_apply(plan: PlanningOut | None, t: SimTime,
-                      fallback: EgoState) -> EgoState:
+def sim_control_apply(plan: PlanningOut, t: SimTime, fallback: EgoState) -> EgoState:
     """Ego state interpolated on the planning trajectory; frozen on empty plans."""
-    if plan is None or len(plan.trajectory) < 2:
+    if len(plan.trajectory) < 2:
         return EgoState(fallback.p, fallback.heading, 0.0, 0.0, t)
     traj = plan.trajectory
     if t <= traj[0].t:
@@ -235,9 +234,9 @@ def sim_control_apply(plan: PlanningOut | None, t: SimTime,
     return EgoState(p, heading, speed, accel, t)
 
 
-def derived_control(plan: PlanningOut | None, ego_speed: float, t: SimTime) -> ControlOut:
+def derived_control(plan: PlanningOut, ego_speed: float, t: SimTime) -> ControlOut:
     """Command the idealized control substitute reports into the trace."""
-    if plan is None or len(plan.trajectory) < 2:
+    if len(plan.trajectory) < 2:
         return ControlOut(0.0, 0.0)
     nxt = sim_control_apply(plan, t + 100, EgoState((0, 0), 0, 0, 0, t))
     accel = max(-8.0, min(3.0, (nxt.speed - ego_speed) / 0.1))

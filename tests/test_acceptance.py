@@ -26,7 +26,7 @@ from causetrace.cli import main as cli_main
 from causetrace.faults import FAULT_KINDS
 from causetrace.geometry import OrientedBox, min_obb_distance
 from causetrace.middleware import ComponentId
-from causetrace.oracles import OracleConfig, check_mission, check_safe_distance, check_speeding
+from causetrace.oracles import SAFE_DISTANCE, SPEEDING, OracleConfig, check_mission, evaluate
 from causetrace.runner import AdsConfig, rtest
 from causetrace.scenario import Waypoint, scenario_from_dict
 from causetrace.substitutes import (IdealFromState, QuantizationUnits,
@@ -164,7 +164,8 @@ def test_criterion_6_oracle_property_suite():
            for k in range(600)]
     mono_ok = True
     cs = [0.05, 0.1, 0.2, 0.25, 0.3, 0.5, 0.8]
-    hits = [check_safe_distance(log, sc, c) is not None for c in cs]
+    hits = [not evaluate(log, sc, OracleConfig(enabled=(SAFE_DISTANCE,),
+                                               safe_distance_c=c)).passed for c in cs]
     for a, b in zip(hits, hits[1:]):
         if a and not b:
             mono_ok = False
@@ -194,8 +195,9 @@ def test_criterion_6_oracle_property_suite():
             for k in range(5)]
     slow = [Waypoint((50.0 + 11.4 * k * 0.01, 0.0), (11.4, 0.0), (0.0, 0.0), k * 10)
             for k in range(5)]
-    sm_ok = (sm_ok and check_speeding(fast, road.map, 0.5) is not None
-             and check_speeding(slow, road.map, 0.5) is None)
+    speeding = OracleConfig(enabled=(SPEEDING,), speed_tolerance=0.5)
+    sm_ok = (sm_ok and not evaluate(fast, road, speeding).passed
+             and evaluate(slow, road, speeding).passed)
 
     ok = mono_ok and sample_ok and sm_ok
     report("criterion-6", ok,
@@ -220,7 +222,8 @@ def _audit_job(args):
 
 def _exhaustive_scan(inst_id: str):
     """Parallel full suffix scan; equivalent to dtest at every state because the
-    predicate is constant across states without messages of the component."""
+    predicate is constant on each (m, m'] between consecutive states m, m' with
+    messages of the component. Returns the last passing message state."""
     inst = BY_ID[inst_id]
     scenario = bench_mod.scenario_for_instance(inst)
     ads = AdsConfig(faults=[inst.fault])
@@ -240,9 +243,7 @@ def _exhaustive_scan(inst_id: str):
     for s, okay in ordered:
         if okay:
             boundary = s
-    later = [s for s in indices if s > boundary]
-    boundary_state = (later[0] - 1) if later else len(states)
-    return original, states, monotone, boundary, boundary_state
+    return original, states, monotone, boundary
 
 
 def test_criterion_7_search_correctness():
@@ -250,8 +251,7 @@ def test_criterion_7_search_correctness():
     details = []
     for inst_id in AUDIT_SUBSET:
         inst = BY_ID[inst_id]
-        original, states, monotone, boundary_msg_state, boundary_state = \
-            _exhaustive_scan(inst_id)
+        original, states, monotone, boundary = _exhaustive_scan(inst_id)
         if not monotone:
             details.append(f"{inst_id}: non-monotone (reported, skipped)")
             continue
@@ -260,9 +260,9 @@ def test_criterion_7_search_correctness():
                                original.trace)
         focus, _ = attribute_message_nonplanning(session, original.trace, states,
                                                  inst.component)
-        agree = focus.state_index == boundary_msg_state
+        agree = focus.state_index == boundary
         all_ok = all_ok and agree
-        details.append(f"{inst_id}: binary={focus.state_index} linear={boundary_msg_state}"
+        details.append(f"{inst_id}: binary={focus.state_index} linear={boundary}"
                        f" {'==' if agree else '!='}")
 
     # Interval delta debugging reproduces the documented 4-state walkthrough.
@@ -327,7 +327,7 @@ def test_full_monotonicity_audit_all_instances():
     for inst in INSTANCES:
         if inst.component is ComponentId.PLANNING:
             continue
-        original, states, monotone, _, boundary_state = _exhaustive_scan(inst.id)
+        original, states, monotone, boundary = _exhaustive_scan(inst.id)
         if not monotone:
             failures.append(f"{inst.id}: non-monotone")
             continue
@@ -336,7 +336,7 @@ def test_full_monotonicity_audit_all_instances():
                                original.trace)
         focus, _ = attribute_message_nonplanning(session, original.trace, states,
                                                  inst.component)
-        if focus.state_index != boundary_state:
+        if focus.state_index != boundary:
             failures.append(f"{inst.id}: binary {focus.state_index} != linear "
-                            f"{boundary_state}")
+                            f"{boundary}")
     assert not failures, failures

@@ -108,7 +108,7 @@ def test_binary_search_equals_linear_scan_on_stub():
         focus, _ = attribute_message_nonplanning(session, trace, states,
                                                  ComponentId.PERCEPTION)
         lin = StubSession(boundary, n)
-        monotone, lin_boundary, _ = audit_suffix_monotonicity(lin, trace, states,
+        monotone, lin_boundary, _ = audit_suffix_monotonicity(lin, trace,
                                                               ComponentId.PERCEPTION)
         assert monotone
         assert focus.state_index == lin_boundary == boundary
@@ -124,9 +124,48 @@ def test_audit_detects_non_monotone_predicate():
             mode = next(iter(plan.modes.values()))
             return mode.index in (1, 2, 3, 9)  # hole between 3 and 9
 
-    monotone, _, outcomes = audit_suffix_monotonicity(Flaky(0, n), trace, states,
+    monotone, _, outcomes = audit_suffix_monotonicity(Flaky(0, n), trace,
                                                       ComponentId.PERCEPTION)
     assert not monotone
+
+
+class MessageSetSession:
+    """A scripted predicate with the substitution's message-set semantics: the
+    re-run passes iff the substitute replaces the decisive message."""
+
+    def __init__(self, trace, component, decisive_seq):
+        self.row = trace.rows[component]
+        self.decisive_seq = decisive_seq
+        self.calls = 0
+
+    def passed(self, plan):
+        self.calls += 1
+        start = next(iter(plan.modes.values())).index
+        return any(m.seq == self.decisive_seq for m in self.row if m.state_index >= start)
+
+
+def sparse_trace(n_states, message_states, component=ComponentId.PERCEPTION):
+    """A trace of n_states states; only `message_states` hold a component message."""
+    trace, states = synthetic_trace(n_states, component)
+    trace.rows[component] = [m for m in trace.rows[component]
+                             if m.state_index in message_states]
+    return trace, states
+
+
+@pytest.mark.parametrize("decisive_state", [1, 4, 7, 11])
+def test_audit_boundary_is_last_passing_message_state(decisive_state):
+    # States 2, 3, 5, 6, 8-10 and 12 hold no message, so each predicate value
+    # holds on (m, m'] between consecutive message states m < m'.
+    trace, states = sparse_trace(12, {1, 4, 7, 11})
+    decisive = next(m.seq for m in trace.rows[ComponentId.PERCEPTION]
+                    if m.state_index == decisive_state)
+    session = MessageSetSession(trace, ComponentId.PERCEPTION, decisive)
+    focus, _ = attribute_message_nonplanning(session, trace, states,
+                                             ComponentId.PERCEPTION)
+    monotone, boundary, _ = audit_suffix_monotonicity(session, trace,
+                                                      ComponentId.PERCEPTION)
+    assert focus.seq == decisive
+    assert monotone and boundary == focus.state_index == decisive_state
 
 
 # --- interval delta debugging -------------------------------------------------
@@ -268,13 +307,3 @@ def test_attribute_interval_dd_strategy_on_real_instance():
     # the two strategies agree in that the interval covers the binary boundary.
     assert a <= binary.focus_state_index <= b
     assert dd.focus_fault_affected
-
-
-def test_probe_all_records_every_component():
-    inst = INSTS["cs5_loc_lat"]
-    sc = load_builtin_scenario(inst.scenario)
-    rep = attribute(sc, AdsConfig(faults=[inst.fault]), OracleConfig(), probe_all=True)
-    assert rep.component_vi == "localization"
-    for comp in ("perception", "prediction", "control", "localization"):
-        assert comp in rep.probe_outcomes
-    assert rep.probe_outcomes["localization"] is True

@@ -5,9 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from causetrace.benchmark import load_benchmark, load_builtin_scenario
-from causetrace.oracles import (MISSION, OracleConfig, PlanningCheckContext,
-                                SampleMonitor, check_mission, check_safe_distance,
-                                check_speeding, evaluate, planning_message_violates)
+from causetrace.oracles import (MISSION, SAFE_DISTANCE, SPEEDING, OracleConfig,
+                                PlanningCheckContext, SampleMonitor, check_mission,
+                                evaluate, planning_message_violates)
 from causetrace.payloads import PlanningOut, TrajPoint
 from causetrace.pipeline import make_planner_context
 from causetrace.runner import AdsConfig, rtest
@@ -22,18 +22,33 @@ def ego_log_straight(speed=10.0, n=50, y=0.0, t0=0):
                      t0 + k * 10) for k in range(n)]
 
 
+def only(kind, log, sc, **config):
+    """The violation `evaluate` reports with only `kind` enabled, or None."""
+    verdict = evaluate(log, sc, OracleConfig(enabled=(kind,), **config))
+    assert len(verdict.violations) <= 1
+    return verdict.violations[0] if verdict.violations else None
+
+
+def close_hit(log, sc, c):
+    return only(SAFE_DISTANCE, log, sc, safe_distance_c=c)
+
+
+def speeding_hit(log, sc, tolerance):
+    return only(SPEEDING, log, sc, speed_tolerance=tolerance)
+
+
 def test_safe_distance_none_when_far():
     sc = scenario_from_dict(straight_road_doc(objects=[static_object(p=(150.0, 0.0))]))
-    assert check_safe_distance(ego_log_straight(), sc, 0.3) is None
+    assert close_hit(ego_log_straight(), sc, 0.3) is None
 
 
 def test_safe_distance_contact_matches_early_stop():
     inst = INSTS["cs1_perc_miss"]
     sc = load_builtin_scenario("cs1")
     res = rtest(sc, AdsConfig(faults=[inst.fault]), OracleConfig())
-    hit = check_safe_distance(res.ego_log, sc, 0.3)
+    hit = close_hit(res.ego_log, sc, 0.3)
     assert hit is not None
-    t, obj_id, dist, detail = hit
+    t, obj_id = hit["t"], hit["object_id"]
     assert obj_id == "ped"
     # The run early-stops at contact; the first sub-threshold sample is just before.
     assert res.ego_log[-1].t - t <= 50
@@ -45,11 +60,10 @@ def test_safe_distance_near_miss_non_contact():
     # Closest approach ~0.25 m: a hazardous-closeness violation without contact.
     sc = scenario_from_dict(straight_road_doc(objects=[static_object(p=(50.0, 1.4))]))
     log = ego_log_straight(speed=10.0, n=600)
-    hit = check_safe_distance(log, sc, 0.3)
+    hit = close_hit(log, sc, 0.3)
     assert hit is not None
-    t, obj_id, dist, detail = hit
-    assert 0.2 < dist < 0.3
-    assert check_safe_distance(log, sc, 0.2) is None
+    assert 0.2 < hit["distance"] < 0.3
+    assert close_hit(log, sc, 0.2) is None
 
 
 def test_safe_distance_rear_approach_detail():
@@ -61,9 +75,9 @@ def test_safe_distance_rear_approach_detail():
         ]}]))
     log = [Waypoint((5.0 + 1.0 * k * 0.01, 0.0), (1.0, 0.0), (0.0, 0.0), k * 10)
            for k in range(300)]
-    hit = check_safe_distance(log, sc, 0.3)
+    hit = close_hit(log, sc, 0.3)
     assert hit is not None
-    assert hit[3] == "rear-approach"
+    assert hit["detail"] == "rear-approach"
 
 
 def test_mission_exact_and_boundary():
@@ -83,13 +97,9 @@ def test_mission_fails_when_frozen():
     assert not check_mission(res.ego_log, sc.a_dest, 2.0)
 
 
-def map_of(sc):
-    return sc.map
-
-
 def test_speeding_none_below_limit():
     sc = scenario_from_dict(straight_road_doc())
-    assert check_speeding(ego_log_straight(speed=10.9), sc.map, 0.5) is None
+    assert speeding_hit(ego_log_straight(speed=10.9), sc, 0.5) is None
 
 
 def test_speeding_reports_earliest_sample():
@@ -97,19 +107,19 @@ def test_speeding_reports_earliest_sample():
     log = ego_log_straight(speed=10.0, n=10) + [
         Waypoint((50.0 + 13.0 * k * 0.01, 0.0), (13.0, 0.0), (0.0, 0.0), 6000 + k * 10)
         for k in range(10)]
-    hit = check_speeding(log, sc.map, 0.5)
-    assert hit == (6000, pytest.approx(13.0), 11.0)
+    hit = speeding_hit(log, sc, 0.5)
+    assert (hit["t"], hit["speed"], hit["limit"]) == (6000, pytest.approx(13.0), 11.0)
 
 
 def test_speeding_within_tolerance():
     sc = scenario_from_dict(straight_road_doc())
-    assert check_speeding(ego_log_straight(speed=11.4), sc.map, 0.5) is None
+    assert speeding_hit(ego_log_straight(speed=11.4), sc, 0.5) is None
 
 
 def test_speeding_skips_off_lane_samples():
     sc = scenario_from_dict(straight_road_doc(lanes=1))
     log = ego_log_straight(speed=15.0, y=30.0)
-    assert check_speeding(log, sc.map, 0.5) is None
+    assert speeding_hit(log, sc, 0.5) is None
 
 
 def test_evaluate_passes_clean_run():
@@ -146,9 +156,9 @@ def test_evaluate_equals_conjunction_of_checks():
     cfg = OracleConfig()
     verdict = evaluate(log, sc, cfg)
     parts = [
-        check_safe_distance(log, sc, cfg.safe_distance_c) is None,
+        close_hit(log, sc, cfg.safe_distance_c) is None,
         check_mission(log, sc.a_dest, cfg.dest_tolerance),
-        check_speeding(log, sc.map, cfg.speed_tolerance) is None,
+        speeding_hit(log, sc, cfg.speed_tolerance) is None,
     ]
     assert verdict.passed == all(parts)
 
@@ -181,6 +191,23 @@ def test_sample_monitor_reports_only_enabled_kinds():
     only_close = OracleConfig(enabled=("safe_distance",))
     assert first_online_violation(log, sc, only_close) == verdict.violations[1]
     assert first_online_violation(log, sc, OracleConfig(enabled=(MISSION,))) is None
+    # Fed on, the monitor keeps the first violation of each kind.
+    monitor = SampleMonitor(sc, OracleConfig(), sc.a_init[1])
+    firsts = [w.t for w in log if monitor.violated(w)]
+    assert firsts == [v["t"] for v in verdict.violations[:2]]
+    assert list(monitor.first.values()) == verdict.violations[:2]
+
+
+def test_evaluate_tie_order_on_last_sample():
+    # The last sample is too close to the object, over the limit and short of
+    # the destination; ties keep the order safe distance, mission, speeding.
+    sc = scenario_from_dict(straight_road_doc(objects=[static_object(p=(50.0, 0.0))]))
+    log = ego_log_straight(n=20) + [
+        Waypoint((47.4, 0.0), (13.0, 0.0), (0.0, 0.0), 5000)]
+    verdict = evaluate(log, sc, OracleConfig())
+    assert [v["kind"] for v in verdict.violations] == ["safe_distance", "mission",
+                                                        "speeding"]
+    assert {v["t"] for v in verdict.violations} == {5000}
 
 
 @settings(max_examples=30, deadline=None)
@@ -190,8 +217,8 @@ def test_safe_distance_monotone_in_c(c1, c2):
         c1, c2 = c2, c1
     sc = scenario_from_dict(straight_road_doc(objects=[static_object(p=(50.0, 2.3))]))
     log = ego_log_straight(n=600)
-    if check_safe_distance(log, sc, c1) is not None:
-        assert check_safe_distance(log, sc, c2) is not None
+    if close_hit(log, sc, c1) is not None:
+        assert close_hit(log, sc, c2) is not None
 
 
 # --- per-message planning checks ---------------------------------------------
@@ -255,3 +282,24 @@ def test_message_check_is_pure():
     ctx = check_ctx(sc)
     results = {planning_message_violates(plan, 0, ctx) for _ in range(5)}
     assert results == {True}
+
+
+def passing_scenario(heading):
+    doc = straight_road_doc(objects=[
+        static_object(p=(50.0, 0.5)),
+        {"id": "car", "kind": "Vehicle", "size": [4.4, 1.8, 1.5],
+         "waypoints": [{"t_ms": 0, "p": [30.0, 3.5], "v": [5.0, 0.0], "a": [0, 0]},
+                       {"t_ms": 5000, "p": [55.0, 3.5], "v": [5.0, 0.0], "a": [0, 0]}]}])
+    doc["ego"]["init_pose"][2] = heading  # the heading a standing ego carries
+    return scenario_from_dict(doc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(x=st.floats(40.0, 60.0), y=st.floats(-2.0, 6.0),
+       heading=st.floats(-math.pi, math.pi), t=st.integers(0, 5000))
+def test_planned_pose_flagged_iff_ego_sample_is(x, y, heading, t):
+    sc = passing_scenario(heading)
+    pose = PlanningOut((TrajPoint(t, (x, y), 0.0, heading),), "Cruise", ())
+    sample = [Waypoint((x, y), (0.0, 0.0), (0.0, 0.0), t)]
+    flagged = planning_message_violates(pose, t, check_ctx(sc))
+    assert flagged == (close_hit(sample, sc, 0.3) is not None)

@@ -75,7 +75,7 @@ def test_wrong_longitudinal_shift_uses_ego_heading():
 def test_prediction_constant_velocity():
     perc = PerceptionOut((PerceivedObject(
         "o", "Vehicle", OrientedBox((0.0, 0.0), (2.0, 1.0), 0.0), (2.0, 0.0)),))
-    out, changed = prediction_tick([perc], [], 0)
+    out, changed = prediction_tick(perc, [], 0)
     assert not changed
     tr = out.trajectories[0]
     t, x, y = tr.points[10]  # +1 s at 100 ms steps
@@ -85,7 +85,7 @@ def test_prediction_constant_velocity():
 def test_prediction_static_object_constant():
     perc = PerceptionOut((PerceivedObject(
         "o", "StaticObstacle", OrientedBox((7.0, 1.0), (0.2, 0.2), 0.0), (0.0, 0.0)),))
-    out, _ = prediction_tick([perc], [], 0)
+    out, _ = prediction_tick(perc, [], 0)
     assert all((x, y) == (7.0, 1.0) for _, x, y in out.trajectories[0].points)
 
 
@@ -94,7 +94,7 @@ def test_no_prediction_trajectory_drops_object():
         "o", "Vehicle", OrientedBox((0.0, 0.0), (2.0, 1.0), 0.0), (2.0, 0.0)),))
     fault = FaultSpec(ComponentId.PREDICTION, "no_prediction_trajectory",
                       Trigger(object_id="o"))
-    out, changed = prediction_tick([perc], [fault], 0)
+    out, changed = prediction_tick(perc, [fault], 0)
     assert changed and out.trajectories == ()
 
 
@@ -103,7 +103,7 @@ def test_wrong_prediction_static_mode():
         "o", "Vehicle", OrientedBox((10.0, 0.0), (2.0, 1.0), 0.0), (4.0, 0.0)),))
     fault = FaultSpec(ComponentId.PREDICTION, "wrong_prediction_trajectory",
                       Trigger(object_id="o"), magnitude={"mode": "static"})
-    out, changed = prediction_tick([perc], [fault], 0)
+    out, changed = prediction_tick(perc, [fault], 0)
     assert changed
     assert all((x, y) == (10.0, 0.0) for _, x, y in out.trajectories[0].points)
 
