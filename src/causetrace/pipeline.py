@@ -17,7 +17,7 @@ from operator import attrgetter
 from .faults import (FaultSpec, apply_control_faults, apply_localization_faults,
                      apply_perception_faults, apply_planning_faults,
                      apply_prediction_faults)
-from .geometry import OrientedBox, Vec2, min_obb_distance, vec_dist
+from .geometry import OrientedBox, Vec2, min_obb_distance
 from .payloads import (ControlOut, LocalizationOut, PerceivedObject, PerceptionOut,
                        PlanningOut, PredictedTrajectory, PredictionOut, TrajPoint)
 from .scenario import Scenario, SimTime, TrafficSignal, point_on_polyline, project_on_polyline
@@ -398,16 +398,20 @@ def control_tick(plan: PlanningOut, loc: LocalizationOut,
     accel = min(ACCEL_MAX, max(ACCEL_MIN, a_ff + CONTROL_KP * err))
 
     lookahead = max(3.0, 0.5 * loc.speed)
-    # Nearest trajectory point, then march forward to the lookahead target.
+    # Nearest trajectory point (the first of equals), then march forward to the
+    # lookahead target.
+    lx, ly = loc.p
     best_i, best_d = 0, math.inf
     for i, pt in enumerate(traj):
-        d = vec_dist(pt.p, loc.p)
+        x, y = pt.p
+        d = math.hypot(x - lx, y - ly)
         if d < best_d:
             best_d, best_i = d, i
     target = traj[-1].p
     acc = 0.0
-    for i in range(best_i, len(traj) - 1):
-        acc += vec_dist(traj[i].p, traj[i + 1].p)
+    seg = plan.path
+    for i in range(best_i, len(seg)):
+        acc += seg[i]
         if acc >= lookahead:
             target = traj[i + 1].p
             break

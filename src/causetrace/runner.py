@@ -1,13 +1,14 @@
 """Deterministic clock-driven scheduler: one run = one trace.
 
-SimTime advances in 1 ms ticks. At each tick the due components fire in a fixed
-priority order (localization, perception, prediction, planning, control), then
-the world integrates 1 ms of ego motion from the latest control command (or
-along the planning trajectory when control is substituted). The ego log is
-sampled at 100 Hz, and the set of active substitutes is worked out there, since
-the state index only advances at a sample; a contact (box distance exactly zero)
-stops the run early. Each firing publishes one message carrying its inputs.
-Identical inputs produce byte-identical serialized traces.
+Components fire at multiples of 10 ms, so SimTime advances in 10 ms blocks. At
+the start of each block the ego log is sampled (100 Hz) and the set of active
+substitutes follows the state index, which only advances at a sample; a contact
+(box distance exactly zero) stops the run early. Then the due components fire in
+a fixed priority order (localization, perception, prediction, planning,
+control), and the world integrates the block's ego motion in 1 ms steps from
+the latest control command (or along the planning trajectory when control is
+substituted). Each firing publishes one message carrying its inputs. Identical
+inputs produce byte-identical serialized traces.
 
 A run records a checkpoint at the first sample of every state. A counterfactual
 re-run given the original trace resumes from the checkpoint of the state where
@@ -47,6 +48,8 @@ DEFAULT_PERIODS = {
     ComponentId.PLANNING: 100,      # 10 Hz
     ComponentId.CONTROL: 10,        # 100 Hz
 }
+# Components fire only at the start of a SAMPLE_MS block.
+assert all(period % SAMPLE_MS == 0 for period in DEFAULT_PERIODS.values())
 
 
 class SimPanic(Exception):
@@ -114,6 +117,7 @@ def run_scheduler(scenario: Scenario, ads: AdsConfig,
         state_tracker.index, state_tracker.key = k - 1, cp.key
     faults = {c: [f for f in ads.faults if f.target is c] for c in ComponentId}
     ideal: set[ComponentId] = set()  # substitutes active at the current state index
+    ideal_index = None  # the state index `ideal` was worked out for
 
     def fire(component: ComponentId, t: SimTime) -> tuple[Any, bool, dict[str, int]]:
         """Payload, fault flag and consumed input seqs of one firing. Every
@@ -142,18 +146,19 @@ def run_scheduler(scenario: Scenario, ads: AdsConfig,
                else control_tick(plan_msg.payload, loc.payload, fs, t))
         return *out, {"planning": plan_msg.seq, "localization": loc.seq}
 
-    for t in range(trace.forked_at, scenario.t_max):
-        if t % SAMPLE_MS == 0:
-            wp = Waypoint(p=ego.p, v=ego.velocity(), a=ego.accel_vec(), t=t)
-            key = state_tracker.key
-            index, _ = state_tracker.observe(wp.p, wp.v, wp.a)
-            if index > len(trace.checkpoints):
-                trace.checkpoints.append(Checkpoint(t, ego, key))
-            trace.ego_log.append(wp)
+    for t in range(trace.forked_at, scenario.t_max, SAMPLE_MS):
+        wp = Waypoint(p=ego.p, v=ego.velocity(), a=ego.accel_vec(), t=t)
+        key = state_tracker.key
+        index, _ = state_tracker.observe(wp.p, wp.v, wp.a)
+        if index > len(trace.checkpoints):
+            trace.checkpoints.append(Checkpoint(t, ego, key))
+        trace.ego_log.append(wp)
+        if index != ideal_index:
             ideal = {c for c, mode in plan.modes.items() if substitution_active(mode, index)}
-            if ((monitor is not None and monitor.violated(wp))
-                    or _contact(ego, ego_half, ego_r, trackers, t, trace)):
-                return trace
+            ideal_index = index
+        if ((monitor is not None and monitor.violated(wp))
+                or _contact(ego, ego_half, ego_r, trackers, t, trace)):
+            return trace
         for component in TICK_PRIORITY:
             if t % DEFAULT_PERIODS[component] == 0:
                 try:
@@ -163,13 +168,18 @@ def run_scheduler(scenario: Scenario, ads: AdsConfig,
                         f"panic component={component.value} t={t} err={exc!r}")
                     raise SimPanic(component, t, exc, trace) from exc
                 bus.publish(component, payload, t, changed, inputs)
+        end = min(t + SAMPLE_MS, scenario.t_max)
         if ComponentId.CONTROL in ideal:
-            nxt = sim_control_apply(bus.latest(ComponentId.PLANNING).payload, t + 1, ego)
-            ego = EgoState(nxt.p, nxt.heading, nxt.speed, (nxt.speed - ego.speed) * 1000.0,
-                           t + 1)
+            # The ego sits on the plan at every ms, and the plan does not change
+            # within a block (an empty plan's fallback keeps p and heading); the
+            # accel is the speed change of the block's last ms.
+            planned = bus.latest(ComponentId.PLANNING).payload
+            before = sim_control_apply(planned, end - 1, ego).speed if end - 1 > t else ego.speed
+            nxt = sim_control_apply(planned, end, ego)
+            ego = EgoState(nxt.p, nxt.heading, nxt.speed, (nxt.speed - before) * 1000.0, end)
         else:
             cmd = bus.latest(ComponentId.CONTROL).payload
-            ego = step_ego(ego, cmd.accel_cmd, cmd.steer, 1)
+            ego = step_ego(ego, cmd.accel_cmd, cmd.steer, end - t)
     if scenario.t_max % SAMPLE_MS == 0:  # closing sample, not a state of its own
         wp = Waypoint(p=ego.p, v=ego.velocity(), a=ego.accel_vec(), t=scenario.t_max)
         trace.ego_log.append(wp)

@@ -36,18 +36,22 @@ class EgoState:
 
 
 def step_ego(state: EgoState, accel_cmd: float, steer: float, dt: SimTime) -> EgoState:
-    """One kinematic-bicycle step over dt milliseconds."""
+    """dt milliseconds of kinematic-bicycle motion under one command, integrated
+    as dt Euler steps of 1 ms. The returned accel is the applied acceleration of
+    the last step."""
     assert dt > 0
     accel_cmd = min(ACCEL_MAX, max(ACCEL_MIN, accel_cmd))
     steer = min(STEER_MAX, max(-STEER_MAX, steer))
-    dt_s = dt / 1000.0
-    heading = state.heading
-    if state.speed > 0.0 and steer != 0.0:
-        heading += (state.speed / WHEELBASE) * math.tan(steer) * dt_s
-    px = state.p[0] + state.speed * math.cos(heading) * dt_s
-    py = state.p[1] + state.speed * math.sin(heading) * dt_s
-    speed = max(0.0, state.speed + accel_cmd * dt_s)
-    applied = (speed - state.speed) / dt_s
+    tan_steer = math.tan(steer)
+    dt_s = 0.001  # 1 ms
+    (px, py), heading, speed = state.p, state.heading, state.speed
+    for _ in range(dt):
+        if speed > 0.0 and steer != 0.0:
+            heading += (speed / WHEELBASE) * tan_steer * dt_s
+        px += speed * math.cos(heading) * dt_s
+        py += speed * math.sin(heading) * dt_s
+        prev, speed = speed, max(0.0, speed + accel_cmd * dt_s)
+    applied = (speed - prev) / dt_s
     return EgoState(p=(px, py), heading=heading, speed=speed, accel=applied, t=state.t + dt)
 
 

@@ -1,16 +1,20 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from causetrace.faults import FaultSpec, Trigger
-from causetrace.geometry import OrientedBox, min_obb_distance
+from causetrace.faults import FaultSpec, Trigger, apply_control_faults
+from causetrace.geometry import OrientedBox, min_obb_distance, vec_dist
 from causetrace.middleware import ComponentId
-from causetrace.payloads import LocalizationOut, PerceivedObject, PerceptionOut
-from causetrace.pipeline import (control_tick, localization_tick,
+from causetrace.payloads import (ControlOut, LocalizationOut, PerceivedObject, PerceptionOut,
+                                 PlanningOut, TrajPoint)
+from causetrace.pipeline import (CONTROL_KP, CONTROL_SPEED_LOOKAHEAD_MS, _plan_speed_at,
+                                 control_tick, localization_tick,
                                  make_planner_context, perception_tick,
                                  planning_tick, prediction_tick)
 from causetrace.scenario import scenario_from_dict
-from causetrace.world import EgoState
+from causetrace.world import ACCEL_MAX, ACCEL_MIN, EgoState, STEER_MAX, WHEELBASE
 from conftest import static_object, straight_road_doc
 
 EXACT_LOC = LocalizationOut((0.0, 0.0), 0.0, 0.0)
@@ -239,6 +243,92 @@ def test_empty_plan_full_brake():
     out, _ = control_tick(PlanningOut((), "Stop", ()), loc, [], 0)
     assert out.accel_cmd == -8.0
     assert out.steer == 0.0
+
+
+def control_tick_reference(plan, loc, faults, t):
+    """control_tick's body from before it read PlanningOut.path: the nearest
+    point and the lookahead sum computed from the trajectory with vec_dist."""
+    if len(plan.trajectory) < 2:
+        return apply_control_faults(ControlOut(ACCEL_MIN, 0.0), faults, t, loc.p)
+    traj = plan.trajectory
+
+    t_q = t + CONTROL_SPEED_LOOKAHEAD_MS
+    v_target = _plan_speed_at(traj, t_q)
+    a_ff = (_plan_speed_at(traj, t_q + 200) - v_target) / 0.2
+    err = v_target - loc.speed
+    if abs(err) < 0.02:
+        err = 0.0
+    accel = min(ACCEL_MAX, max(ACCEL_MIN, a_ff + CONTROL_KP * err))
+
+    lookahead = max(3.0, 0.5 * loc.speed)
+    best_i, best_d = 0, math.inf
+    for i, pt in enumerate(traj):
+        d = vec_dist(pt.p, loc.p)
+        if d < best_d:
+            best_d, best_i = d, i
+    target = traj[-1].p
+    acc = 0.0
+    for i in range(best_i, len(traj) - 1):
+        acc += vec_dist(traj[i].p, traj[i + 1].p)
+        if acc >= lookahead:
+            target = traj[i + 1].p
+            break
+    dx, dy = target[0] - loc.p[0], target[1] - loc.p[1]
+    dist = math.hypot(dx, dy)
+    if dist < 0.3:
+        steer = 0.0
+    else:
+        alpha = math.atan2(dy, dx) - loc.heading
+        alpha = math.atan2(math.sin(alpha), math.cos(alpha))
+        ld = max(lookahead, dist)
+        steer = math.atan2(2.0 * WHEELBASE * math.sin(alpha), ld)
+        steer = min(STEER_MAX, max(-STEER_MAX, steer))
+        if abs(steer) < 5e-4:
+            steer = 0.0
+    return apply_control_faults(ControlOut(accel, steer), faults, t, loc.p)
+
+
+# Grid coordinates give repeated points and points at equal distance from the
+# ego (the first of them must win); free floats give the general case.
+coord = st.one_of(st.sampled_from([-4.0, -1.0, 0.0, 1.0, 2.5, 4.0]),
+                  st.floats(-60.0, 60.0))
+
+
+@st.composite
+def plans(draw):
+    n = draw(st.integers(0, 12))
+    pts = []
+    for k in range(n):
+        pts.append(TrajPoint(k * 100, (draw(coord), draw(coord)),
+                             draw(st.floats(0.0, 15.0)), draw(st.floats(-math.pi, math.pi))))
+    return PlanningOut(tuple(pts), "Cruise", ("cruise",))
+
+
+@settings(max_examples=400, deadline=None)
+@given(plan=plans(), x=coord, y=coord, heading=st.floats(-math.pi, math.pi),
+       speed=st.floats(0.0, 60.0), t=st.sampled_from([0, 50, 100, 400, 1000, 1300]))
+@example(plan=PlanningOut(tuple(TrajPoint(k * 100, p, 5.0, 0.0) for k, p in enumerate(
+    [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, 1.0), (1.0, 0.0)])), "Cruise", ()),
+    x=0.0, y=0.0, heading=0.0, speed=2.0, t=0)
+@example(plan=PlanningOut((TrajPoint(0, (0.0, 0.0), 1.0, 0.0), TrajPoint(100, (1.0, 0.0), 1.0, 0.0)),
+                          "Cruise", ()),
+         x=0.0, y=0.0, heading=0.0, speed=40.0, t=0)  # lookahead past the end
+def test_control_tick_equals_reference(plan, x, y, heading, speed, t):
+    loc = LocalizationOut((x, y), heading, speed)
+    assert control_tick(plan, loc, [], t) == control_tick_reference(plan, loc, [], t)
+
+
+def test_plan_path_is_not_part_of_the_payload():
+    def make():
+        return PlanningOut((TrajPoint(0, (0.0, 0.0), 1.0, 0.0),
+                            TrajPoint(100, (3.0, 4.0), 1.0, 0.0)), "Cruise", ("cruise",))
+
+    plain, cached = make(), make()
+    assert list(cached.path) == [5.0]
+    assert cached.path is cached.path  # built once per plan
+    assert cached == plain and hash(cached) == hash(plain)
+    assert cached.to_dict() == plain.to_dict()
+    assert "path" not in cached.to_dict()
 
 
 # --- localization -----------------------------------------------------------

@@ -5,7 +5,8 @@ from causetrace.middleware import ComponentId
 from causetrace.oracles import OracleConfig
 from causetrace.runner import AdsConfig, SimPanic, run_scheduler, run_with_substitution, rtest
 from causetrace.scenario import scenario_from_dict
-from causetrace.substitutes import IdealAll, SubstitutionPlan
+from causetrace.substitutes import IdealAll, SubstitutionPlan, sim_control_apply
+from causetrace.world import EgoState
 from conftest import straight_road_doc
 
 
@@ -70,3 +71,34 @@ def test_substitution_plan_serializes_for_audit():
     assert doc["control"] == {"mode": "ideal_all"}
     assert doc["planning"] == {"mode": "original"}
 
+
+@pytest.mark.parametrize("plan", [None, SubstitutionPlan({ComponentId.CONTROL: IdealAll()})],
+                         ids=["control", "ideal-control"])
+def test_partial_last_block_cuts_the_full_run(plan):
+    # t_max 2015 ends inside the block that starts at 2010: the run publishes
+    # what the 2020 run publishes through 2010 and samples through 2010, with
+    # no closing sample at 2015.
+    short = run_scheduler(scenario_from_dict(straight_road_doc(t_max_ms=2015)), AdsConfig(), plan)
+    full = run_scheduler(scenario_from_dict(straight_road_doc(t_max_ms=2020)), AdsConfig(), plan)
+    assert short.rows == {c: [m for m in row if m.t_pub <= 2010] for c, row in full.rows.items()}
+    assert short.ego_log == [w for w in full.ego_log if w.t <= 2010]
+    assert short.ego_log[-1].t == 2010
+    assert full.ego_log[-1].t == 2020
+
+
+def test_ideal_control_block_equals_per_ms_chain():
+    # With control substituted the ego sits on the plan: chaining
+    # sim_control_apply ms by ms over each block, as a 1 ms scheduler does,
+    # gives every logged sample, its accel included (the speed change of the
+    # block's last ms).
+    sc = scenario_from_dict(straight_road_doc(t_max_ms=3000))
+    trace = run_scheduler(sc, AdsConfig(), SubstitutionPlan({ComponentId.CONTROL: IdealAll()}))
+    plans = trace.rows[ComponentId.PLANNING]
+    for prev, w in zip(trace.ego_log, trace.ego_log[1:]):
+        plan = [m for m in plans if m.t_pub <= prev.t][-1].payload
+        assert len(plan.trajectory) >= 2  # the fallback is not exercised here
+        ego = EgoState(prev.p, 0.0, 0.0, 0.0, prev.t)
+        for ms in range(prev.t + 1, w.t + 1):
+            nxt = sim_control_apply(plan, ms, ego)
+            ego = EgoState(nxt.p, nxt.heading, nxt.speed, (nxt.speed - ego.speed) * 1000.0, ms)
+        assert (w.p, w.v, w.a) == (ego.p, ego.velocity(), ego.accel_vec())

@@ -1,12 +1,13 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from causetrace.scenario import bbox_at, object_pose_at, scenario_from_dict
 from causetrace.substitutes import ideal_perception
-from causetrace.world import EgoState, ObjectTracker, WHEELBASE, step_ego
+from causetrace.world import (ACCEL_MAX, ACCEL_MIN, EgoState, ObjectTracker, STEER_MAX,
+                              WHEELBASE, step_ego)
 from conftest import static_object, straight_road_doc
 
 
@@ -53,6 +54,45 @@ def test_nonpositive_accel_never_speeds_up(speed, accel, steps):
         s2 = step_ego(s, accel, 0.0, 10)
         assert s2.speed <= s.speed + 1e-12
         s = s2
+
+
+def step_ego_single(state: EgoState, accel_cmd: float, steer: float, dt: int) -> EgoState:
+    """step_ego's body from before it integrated blocks in 1 ms steps: one Euler
+    step over dt ms. With dt=1 it is the reference for step_ego."""
+    accel_cmd = min(ACCEL_MAX, max(ACCEL_MIN, accel_cmd))
+    steer = min(STEER_MAX, max(-STEER_MAX, steer))
+    dt_s = dt / 1000.0
+    heading = state.heading
+    if state.speed > 0.0 and steer != 0.0:
+        heading += (state.speed / WHEELBASE) * math.tan(steer) * dt_s
+    px = state.p[0] + state.speed * math.cos(heading) * dt_s
+    py = state.p[1] + state.speed * math.sin(heading) * dt_s
+    speed = max(0.0, state.speed + accel_cmd * dt_s)
+    applied = (speed - state.speed) / dt_s
+    return EgoState(p=(px, py), heading=heading, speed=speed, accel=applied, t=state.t + dt)
+
+
+def bits(s: EgoState) -> tuple:
+    # float.hex tells -0.0 from 0.0, so equal bits means bit-for-bit equal floats
+    return (s.p[0].hex(), s.p[1].hex(), s.heading.hex(), s.speed.hex(), s.accel.hex(), s.t)
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=st.floats(-500, 500), y=st.floats(-500, 500),
+       heading=st.floats(-math.pi, math.pi), speed=st.floats(0, 30),
+       accel=st.floats(-20, 20), steer=st.one_of(st.just(0.0), st.floats(-1.0, 1.0)),
+       t=st.integers(0, 30000), n=st.integers(1, 120))
+@example(x=0.0, y=0.0, heading=0.3, speed=0.02, accel=-8.0, steer=0.2, t=0, n=10)
+@example(x=-1.5, y=2.0, heading=-2.0, speed=0.05, accel=-50.0, steer=-0.9, t=90, n=100)
+@example(x=0.0, y=0.0, heading=0.0, speed=0.0, accel=5.0, steer=0.7, t=0, n=10)
+def test_block_step_equals_chained_1ms_steps(x, y, heading, speed, accel, steer, t, n):
+    # Covers speeds that clamp to 0 mid-block, steer == 0 and out-of-range
+    # commands: n 1 ms steps in one call equal n chained single steps.
+    s = EgoState((x, y), heading, speed, 0.25, t)
+    want = s
+    for _ in range(n):
+        want = step_ego_single(want, accel, steer, 1)
+    assert bits(step_ego(s, accel, steer, n)) == bits(want)
 
 
 def scenario_with_objects():
