@@ -1,14 +1,14 @@
 """Run alternating parent/change perfbench pairs and write BENCH_<n>.json.
 
     python scripts/bench_pairs.py --out BENCH_9.json --workload attr-single-object \
-        --seed 1 --pairs 10 [--parent HEAD] [--seconds 10] [--trace 0]
+        --seed 1 --pairs 10 [--parent HEAD] [--trace 0]
 
 The change is this checkout as it stands, uncommitted edits included. The
-parent is the commit ``--parent`` names, checked out into a temporary
-``git worktree`` (under ``$TMPDIR``) and removed afterwards. Each pair runs
-``perfbench/run.py`` once in each tree, each in a fresh process; the side that
-runs first alternates from pair to pair, so drift in the machine's speed falls
-on both sides alike.
+parent is the commit ``--parent`` names, unpacked with ``git archive`` into a
+temporary directory (under ``$TMPDIR``) that is removed afterwards. Each pair
+runs ``perfbench/run.py`` once in each tree, each in a fresh process, for the
+``run_seconds`` that BENCHMARK.json sets; the side that runs first alternates
+from pair to pair, so drift in the machine's speed falls on both sides alike.
 
 The output holds every run (the final JSON line of perfbench/run.py, plus the
 speed factor and wall time) and, per workload and seed, each metric's median
@@ -22,6 +22,7 @@ Nothing under perfbench/ is edited.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import platform
@@ -29,6 +30,7 @@ import re
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 import time
 from pathlib import Path
@@ -40,6 +42,14 @@ FACTOR = re.compile(r"measured seconds times ([0-9.]+) give reference seconds")
 def git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=REPO, capture_output=True, text=True,
                           check=True).stdout.strip()
+
+
+def unpack(sha: str, dest: Path) -> None:
+    """The files of commit `sha`, as git archive gives them, under dest."""
+    tar = subprocess.run(["git", "archive", sha], cwd=REPO, capture_output=True,
+                         check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
+        archive.extractall(dest, filter="data")
 
 
 def fingerprint(tree: Path) -> str:
@@ -64,10 +74,9 @@ def machine() -> dict:
             "os": f"{platform.system()} {platform.release()}"}
 
 
-def run_once(tree: Path, args, side: str, pair: int, first: str) -> dict:
+def run_once(tree: Path, args, seconds: str, side: str, pair: int, first: str) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload,
-           "--seed", str(args.seed), "--seconds", str(args.seconds),
-           "--trace", str(args.trace)]
+           "--seed", str(args.seed), "--seconds", seconds, "--trace", str(args.trace)]
     start = time.perf_counter()
     done = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     wall = time.perf_counter() - start
@@ -132,57 +141,54 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--pairs", type=int, required=True)
     p.add_argument("--parent", default="HEAD", help="git revision of the parent side")
-    p.add_argument("--seconds", type=float, default=10.0)
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = p.parse_args(argv)
     if args.pairs < 1:
         p.error("--pairs must be at least 1")
     bench = json.loads((REPO / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in bench["end_to_end"] + bench["per_layer"]}
+    seconds = str(bench["run_seconds"])
     parent_sha = git("rev-parse", args.parent)
 
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
         parent_tree = Path(tmp) / "parent"
-        git("worktree", "add", "--detach", str(parent_tree), parent_sha)
-        try:
-            trees = {"parent": parent_tree, "change": REPO}
-            prints = {side: fingerprint(tree) for side, tree in trees.items()}
-            doc = {
-                "what": "Final JSON line of every perfbench/run.py run, in alternating "
-                        "parent/change pairs (the side that ran first alternates); "
-                        "written by scripts/bench_pairs.py.",
-                "commit": {"parent": parent_sha,
-                           "change": "the source of the commit that last changed this "
-                                     "file (source_fingerprint.change)",
-                           "source_fingerprint": prints},
-                "machine": machine(),
-                "summary": {},
-                "runs": [],
-            }
-            if args.out.exists():
-                old = json.loads(args.out.read_text(encoding="utf-8"))
-                if old["commit"]["source_fingerprint"] != prints:
-                    print(f"error: {args.out} holds runs of other sources "
-                          f"{old['commit']['source_fingerprint']}; move it aside",
-                          file=sys.stderr)
-                    return 2
-                doc.update(old)  # its runs, and any notes kept beside them
-            done = [r["pair"] for r in doc["runs"] if r["workload"] == args.workload
-                    and r["seed"] == args.seed and r.get("trace", 0) == args.trace]
-            start = max(done) + 1 if done else 0
-            for pair in range(start, start + args.pairs):
-                order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
-                for side in order:
-                    run = run_once(trees[side], args, side, pair, order[0])
-                    doc["runs"].append(run)
-                    res = run["result"] or {}
-                    ops = res.get("metrics", {}).get("ops_per_s", {}).get("value")
-                    print(f"pair {pair} {side}: ops_per_s {ops}, failed {res.get('failed')}, "
-                          f"wall {run['wall_s']} s", flush=True)
-                doc["summary"] = summarize(doc["runs"], better)
-                args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
-        finally:
-            git("worktree", "remove", "--force", str(parent_tree))
+        unpack(parent_sha, parent_tree)
+        trees = {"parent": parent_tree, "change": REPO}
+        prints = {side: fingerprint(tree) for side, tree in trees.items()}
+        doc = {
+            "what": "Final JSON line of every perfbench/run.py run, in alternating "
+                    "parent/change pairs (the side that ran first alternates); "
+                    "written by scripts/bench_pairs.py.",
+            "commit": {"parent": parent_sha,
+                       "change": "the source of the commit that last changed this "
+                                 "file (source_fingerprint.change)",
+                       "source_fingerprint": prints},
+            "machine": machine(),
+            "summary": {},
+            "runs": [],
+        }
+        if args.out.exists():
+            old = json.loads(args.out.read_text(encoding="utf-8"))
+            if old["commit"]["source_fingerprint"] != prints:
+                print(f"error: {args.out} holds runs of other sources "
+                      f"{old['commit']['source_fingerprint']}; move it aside",
+                      file=sys.stderr)
+                return 2
+            doc.update(old)  # its runs, and any notes kept beside them
+        done = [r["pair"] for r in doc["runs"] if r["workload"] == args.workload
+                and r["seed"] == args.seed and r.get("trace", 0) == args.trace]
+        start = max(done) + 1 if done else 0
+        for pair in range(start, start + args.pairs):
+            order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+            for side in order:
+                run = run_once(trees[side], args, seconds, side, pair, order[0])
+                doc["runs"].append(run)
+                res = run["result"] or {}
+                ops = res.get("metrics", {}).get("ops_per_s", {}).get("value")
+                print(f"pair {pair} {side}: ops_per_s {ops}, failed {res.get('failed')}, "
+                      f"wall {run['wall_s']} s", flush=True)
+            doc["summary"] = summarize(doc["runs"], better)
+            args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     for name, summary in doc["summary"].items():
         for metric in ("ops_per_s", "latency_s.p50"):
             if metric in summary:

@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property
 from operator import itemgetter
 
-from .geometry import OrientedBox, Vec2, vec_dist
+from .geometry import OrientedBox, Vec2
 from .scenario import SimTime
 
 
@@ -118,15 +116,6 @@ class PlanningOut:
             "decision": self.decision,
             "branch_tags": list(self.branch_tags),
         }
-
-    @cached_property
-    def path(self) -> array:
-        """Length of each segment between consecutive trajectory points, built
-        once per plan for control. Not a field: it stays out of to_dict,
-        equality and hash. Plain doubles, since a plan stays in the trace rows
-        for the whole run."""
-        pts = [pt.p for pt in self.trajectory]
-        return array("d", [vec_dist(a, b) for a, b in zip(pts, pts[1:])])
 
 
 @dataclass(frozen=True)

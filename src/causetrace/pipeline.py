@@ -409,9 +409,9 @@ def control_tick(plan: PlanningOut, loc: LocalizationOut,
             best_d, best_i = d, i
     target = traj[-1].p
     acc = 0.0
-    seg = plan.path
-    for i in range(best_i, len(seg)):
-        acc += seg[i]
+    for i in range(best_i, len(traj) - 1):
+        (ax, ay), (bx, by) = traj[i].p, traj[i + 1].p
+        acc += math.hypot(ax - bx, ay - by)
         if acc >= lookahead:
             target = traj[i + 1].p
             break

@@ -117,7 +117,6 @@ def run_scheduler(scenario: Scenario, ads: AdsConfig,
         state_tracker.index, state_tracker.key = k - 1, cp.key
     faults = {c: [f for f in ads.faults if f.target is c] for c in ComponentId}
     ideal: set[ComponentId] = set()  # substitutes active at the current state index
-    ideal_index = None  # the state index `ideal` was worked out for
 
     def fire(component: ComponentId, t: SimTime) -> tuple[Any, bool, dict[str, int]]:
         """Payload, fault flag and consumed input seqs of one firing. Every
@@ -153,9 +152,7 @@ def run_scheduler(scenario: Scenario, ads: AdsConfig,
         if index > len(trace.checkpoints):
             trace.checkpoints.append(Checkpoint(t, ego, key))
         trace.ego_log.append(wp)
-        if index != ideal_index:
-            ideal = {c for c, mode in plan.modes.items() if substitution_active(mode, index)}
-            ideal_index = index
+        ideal = {c for c, mode in plan.modes.items() if substitution_active(mode, index)}
         if ((monitor is not None and monitor.violated(wp))
                 or _contact(ego, ego_half, ego_r, trackers, t, trace)):
             return trace

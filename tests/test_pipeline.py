@@ -246,8 +246,8 @@ def test_empty_plan_full_brake():
 
 
 def control_tick_reference(plan, loc, faults, t):
-    """control_tick's body from before it read PlanningOut.path: the nearest
-    point and the lookahead sum computed from the trajectory with vec_dist."""
+    """control_tick's body from before it computed the distances inline: the
+    nearest point and the lookahead sum with vec_dist."""
     if len(plan.trajectory) < 2:
         return apply_control_faults(ControlOut(ACCEL_MIN, 0.0), faults, t, loc.p)
     traj = plan.trajectory
@@ -316,19 +316,6 @@ def plans(draw):
 def test_control_tick_equals_reference(plan, x, y, heading, speed, t):
     loc = LocalizationOut((x, y), heading, speed)
     assert control_tick(plan, loc, [], t) == control_tick_reference(plan, loc, [], t)
-
-
-def test_plan_path_is_not_part_of_the_payload():
-    def make():
-        return PlanningOut((TrajPoint(0, (0.0, 0.0), 1.0, 0.0),
-                            TrajPoint(100, (3.0, 4.0), 1.0, 0.0)), "Cruise", ("cruise",))
-
-    plain, cached = make(), make()
-    assert list(cached.path) == [5.0]
-    assert cached.path is cached.path  # built once per plan
-    assert cached == plain and hash(cached) == hash(plain)
-    assert cached.to_dict() == plain.to_dict()
-    assert "path" not in cached.to_dict()
 
 
 # --- localization -----------------------------------------------------------
