@@ -13,10 +13,13 @@ from pair to pair, so drift in the machine's speed falls on both sides alike.
 The output holds every run (the final JSON line of perfbench/run.py, plus the
 speed factor and wall time) and, per workload and seed, each metric's median
 and quartiles on each side, ``change_wins`` (pairs in which the change is
-better, in the direction BENCHMARK.json gives) and ``rel_change`` (change
-median over parent median, minus one). Running the script again with the
-same output file adds runs to it, provided both trees' sources are unchanged.
-Nothing under perfbench/ is edited.
+better, in the direction BENCHMARK.json gives, out of all pairs run) and
+``rel_change`` (change median over parent median, minus one). A pair in which
+either run gave no result (a crash or a timeout) is counted in
+``incomplete_pairs``; it adds to the total of ``change_wins`` but never a win,
+and no metric. Running the script again with the same output file adds runs
+to it, provided both trees' sources are unchanged. Nothing under perfbench/ is
+edited.
 """
 
 from __future__ import annotations
@@ -103,18 +106,18 @@ def quartiles(values: list[float]) -> dict:
 
 def summarize(runs: list[dict], better: dict[str, str]) -> dict:
     """Per workload, seed and trace mode: each metric side by side."""
-    groups: dict[str, dict[int, dict[str, dict]]] = {}
+    groups: dict[str, dict[int, dict[str, dict | None]]] = {}
     for r in runs:
-        if r["result"] is None:
-            continue
         name = f"{r['workload']} seed {r['seed']}" + (" --trace 1" if r.get("trace") else "")
         groups.setdefault(name, {}).setdefault(r["pair"], {})[r["side"]] = r["result"]
     out = {}
     for name, pairs in sorted(groups.items()):
-        whole = [p for _, p in sorted(pairs.items()) if len(p) == 2]
+        whole = [p for _, p in sorted(pairs.items())
+                 if len(p) == 2 and None not in p.values()]
+        summary: dict = {"incomplete_pairs": len(pairs) - len(whole)}
+        out[name] = summary
         if not whole:
             continue
-        summary = {}
         for metric in whole[0]["parent"]["metrics"]:
             par = [p["parent"]["metrics"][metric]["value"] for p in whole]
             chg = [p["change"]["metrics"][metric]["value"] for p in whole]
@@ -122,14 +125,13 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
             if metric in better:
                 sign = 1 if better[metric] == "higher" else -1
                 wins = sum(sign * (c - q) > 0 for q, c in zip(par, chg))
-                entry["change_wins"] = f"{wins}/{len(whole)}"
+                entry["change_wins"] = f"{wins}/{len(pairs)}"
             med = entry["parent"]["median"]
             entry["rel_change"] = entry["change"]["median"] / med - 1 if med else None
             summary[metric] = entry
         for key in ("failed", "attempted"):
             summary[key] = {side: sum(p[side][key] for p in whole)
                             for side in ("parent", "change")}
-        out[name] = summary
     return out
 
 
@@ -190,6 +192,7 @@ def main(argv: list[str] | None = None) -> int:
             doc["summary"] = summarize(doc["runs"], better)
             args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     for name, summary in doc["summary"].items():
+        print(f"{name} incomplete_pairs: {summary['incomplete_pairs']}")
         for metric in ("ops_per_s", "latency_s.p50"):
             if metric in summary:
                 e = summary[metric]

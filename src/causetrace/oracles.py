@@ -10,13 +10,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .geometry import OrientedBox, min_obb_distance, obb_separation_at_least, vec_dist
+from .geometry import (OrientedBox, min_obb_distance, obb_separation_at_least,
+                       point_to_obb_distance, vec_dist)
 from .middleware import Verdict
 from .payloads import PlanningOut, TrajPoint
 from .pipeline import PlannerContext
 from .scenario import (Scenario, SimTime, ValidationError, Waypoint, bbox_at, lane_at,
-                       project_on_polyline)
-from .world import ObjectTracker
+                       point_on_polyline, project_on_polyline)
+from .world import Broadphase, ObjectTracker
 
 SAFE_DISTANCE = "safe_distance"
 MISSION = "mission"
@@ -53,14 +54,18 @@ def safe_distance_at(w: Waypoint | TrajPoint, heading: float, half: tuple[float,
     """(object id, distance, detail) of the first object whose box is closer than c
     to the ego box at one sample or planned pose; None if all are far enough. The
     trackers are queried at w.t, so samples must come in time order."""
-    ego_box = OrientedBox(w.p, half, heading)
+    ego_box = ego_corners = None
     for trk in trackers:
         other = trk.box_at(w.t)
         dx, dy = other.center[0] - w.p[0], other.center[1] - w.p[1]
         lim = ego_r + trk.radius + c
         if dx * dx + dy * dy > lim * lim:
             continue
-        if obb_separation_at_least(ego_box, other, c):
+        if ego_box is None:
+            ego_box = OrientedBox(w.p, half, heading)
+            ego_corners = ego_box.corners()
+        if obb_separation_at_least(ego_box, other, c, ego_corners,
+                                   trk.corners or other.corners()):
             continue
         d = min_obb_distance(ego_box, other)
         if d < c:
@@ -124,7 +129,7 @@ class SampleMonitor:
         self.config = config
         self.lane_map = scenario.map
         self.half, self.ego_r = _ego_extent(scenario)
-        self.trackers = [ObjectTracker(o) for o in scenario.objects]
+        self.objects = Broadphase(scenario.objects)
         self.heading = heading
         self.first: dict[str, dict] = {}
 
@@ -141,8 +146,9 @@ class SampleMonitor:
         found = len(self.first)
         self.heading = carried_heading(w, self.heading)
         if self._watching(SAFE_DISTANCE):
-            hit = safe_distance_at(w, self.heading, self.half, self.ego_r, self.trackers,
-                                   self.config.safe_distance_c)
+            c = self.config.safe_distance_c
+            hit = safe_distance_at(w, self.heading, self.half, self.ego_r,
+                                   self.objects.near(w.p, self.ego_r + c), c)
             if hit is not None:
                 obj_id, d, detail = hit
                 self.first[SAFE_DISTANCE] = {"kind": SAFE_DISTANCE, "t": w.t,
@@ -190,9 +196,6 @@ def trajectory_is_held(plan: PlanningOut) -> bool:
 
 
 def _corridor_blocked_ahead(ctx: PlanningCheckContext, t: SimTime) -> bool:
-    from .geometry import point_to_obb_distance
-    from .scenario import point_on_polyline
-
     planner = ctx.planner_ctx
     s0, _, _ = project_on_polyline(planner.route, ctx.ego_p)
     band = planner.ego_half[1] + ctx.config.safe_distance_c + 0.2
@@ -225,11 +228,12 @@ def planning_message_violates(plan: PlanningOut, t: SimTime,
     """
     half = ctx.planner_ctx.ego_half
     ego_r = math.hypot(*half)
+    c = ctx.config.safe_distance_c
     # Point times rise within a message, so fresh trackers can follow them.
-    trackers = [ObjectTracker(o) for o in ctx.scenario.objects]
+    objects = Broadphase(ctx.scenario.objects)
     for pt in plan.trajectory:
-        if safe_distance_at(pt, pt.heading, half, ego_r, trackers,
-                            ctx.config.safe_distance_c) is not None:
+        if safe_distance_at(pt, pt.heading, half, ego_r, objects.near(pt.p, ego_r + c),
+                            c) is not None:
             return True
         if pt.speed > 0.5:
             hit = lane_at(ctx.scenario.map, pt.p)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import repeat
 from operator import attrgetter
 
 from .faults import (FaultSpec, apply_control_faults, apply_localization_faults,
@@ -20,7 +21,8 @@ from .faults import (FaultSpec, apply_control_faults, apply_localization_faults,
 from .geometry import OrientedBox, Vec2, min_obb_distance
 from .payloads import (ControlOut, LocalizationOut, PerceivedObject, PerceptionOut,
                        PlanningOut, PredictedTrajectory, PredictionOut, TrajPoint)
-from .scenario import Scenario, SimTime, TrafficSignal, point_on_polyline, project_on_polyline
+from .scenario import (Scenario, SimTime, TrafficSignal, lane_at, point_on_polyline,
+                       project_on_polyline)
 from .world import ACCEL_MAX, ACCEL_MIN, EgoState, STEER_MAX, WHEELBASE
 
 PREDICTION_HORIZON_MS = 3000
@@ -55,12 +57,18 @@ def prediction_tick(perception: PerceptionOut, faults: list[FaultSpec],
     for o in perception.objects:
         vx, vy = o.v
         x0, y0 = o.box.center
-        pts = tuple(
-            (t + k * PREDICTION_STEP_MS,
-             x0 + vx * k * PREDICTION_STEP_MS / 1000.0,
-             y0 + vy * k * PREDICTION_STEP_MS / 1000.0)
-            for k in range(PREDICTION_HORIZON_MS // PREDICTION_STEP_MS + 1)
-        )
+        if vx == 0.0 and vy == 0.0:
+            # vx * k * step / 1000.0 is a zero of vx's sign at every k, so every
+            # point holds x0 + vx, y0 + vy.
+            pts = tuple(zip(range(t, t + PREDICTION_HORIZON_MS + 1, PREDICTION_STEP_MS),
+                            repeat(x0 + vx), repeat(y0 + vy)))
+        else:
+            pts = tuple(
+                (t + k * PREDICTION_STEP_MS,
+                 x0 + vx * k * PREDICTION_STEP_MS / 1000.0,
+                 y0 + vy * k * PREDICTION_STEP_MS / 1000.0)
+                for k in range(PREDICTION_HORIZON_MS // PREDICTION_STEP_MS + 1)
+            )
         trajs.append(PredictedTrajectory(o.id, o.kind, o.box.half_extents,
                                           o.box.heading, pts))
     return apply_prediction_faults(PredictionOut(tuple(trajs)), faults, t)
@@ -112,8 +120,6 @@ class PlannerContext:
 
 
 def make_planner_context(scenario: Scenario) -> PlannerContext:
-    from .scenario import lane_at
-
     init_hit = lane_at(scenario.map, scenario.a_init[0])
     assert init_hit is not None
     route_lanes = [init_hit[0]]

@@ -37,7 +37,7 @@ from .substitutes import (OnlineStateTracker, QuantizationUnits, StateKey,
                           SubstitutionPlan, derived_control, ideal_localization,
                           ideal_perception, ideal_prediction, sim_control_apply,
                           substitution_active)
-from .world import EgoState, ObjectTracker, step_ego
+from .world import Broadphase, EgoState, ObjectTracker, step_ego
 
 SAMPLE_MS = 10  # ego log and state tracking at 100 Hz
 
@@ -105,7 +105,7 @@ def run_scheduler(scenario: Scenario, ads: AdsConfig,
                    accel=0.0, t=0)
     ego_half = (scenario.ego_size[0] / 2.0, scenario.ego_size[1] / 2.0)
     ego_r = math.hypot(*ego_half)
-    trackers = [ObjectTracker(o) for o in scenario.objects]
+    objects = Broadphase(scenario.objects)
     state_tracker = OnlineStateTracker(ads.units)
     if fork is not None:
         origin, k = fork
@@ -154,7 +154,7 @@ def run_scheduler(scenario: Scenario, ads: AdsConfig,
         trace.ego_log.append(wp)
         ideal = {c for c, mode in plan.modes.items() if substitution_active(mode, index)}
         if ((monitor is not None and monitor.violated(wp))
-                or _contact(ego, ego_half, ego_r, trackers, t, trace)):
+                or _contact(ego, ego_half, ego_r, objects.near(ego.p, ego_r), t, trace)):
             return trace
         for component in TICK_PRIORITY:
             if t % DEFAULT_PERIODS[component] == 0:
@@ -187,7 +187,7 @@ def run_scheduler(scenario: Scenario, ads: AdsConfig,
 
 def _contact(ego: EgoState, ego_half, ego_r, trackers: list[ObjectTracker], t: SimTime,
              trace: Trace) -> bool:
-    ego_box = None
+    ego_box = ego_corners = None
     for trk in trackers:
         other = trk.box_at(t)
         dx, dy = other.center[0] - ego.p[0], other.center[1] - ego.p[1]
@@ -196,7 +196,9 @@ def _contact(ego: EgoState, ego_half, ego_r, trackers: list[ObjectTracker], t: S
             continue
         if ego_box is None:
             ego_box = OrientedBox(ego.p, ego_half, ego.heading)
-        if obb_separation_at_least(ego_box, other, 1e-9):
+            ego_corners = ego_box.corners()
+        if obb_separation_at_least(ego_box, other, 1e-9, ego_corners,
+                                   trk.corners or other.corners()):
             continue
         if min_obb_distance(ego_box, other) <= 0.0:
             trace.diagnostics.append(f"contact t={t} object={trk.obj.id}")

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import repeat
 from operator import attrgetter, itemgetter
 
 from .geometry import Vec2
@@ -198,14 +199,18 @@ def ideal_prediction(scenario: Scenario, t: SimTime) -> PredictionOut:
     trajs = []
     for obj in scenario.objects:
         box = bbox_at(obj, t)
-        static = obj.is_static
-        pts = [(t, *box.center)]
-        for k in range(1, steps):
-            tq = t + k * PREDICTION_STEP_MS
-            p = box.center if static else object_pose_at(obj, tq)[0]
-            pts.append((tq, p[0], p[1]))
+        if obj.is_static:
+            pts = tuple(zip(range(t, t + PREDICTION_HORIZON_MS + 1, PREDICTION_STEP_MS),
+                            repeat(box.center[0]), repeat(box.center[1])))
+        else:
+            pts = [(t, *box.center)]
+            for k in range(1, steps):
+                tq = t + k * PREDICTION_STEP_MS
+                p = object_pose_at(obj, tq)[0]
+                pts.append((tq, p[0], p[1]))
+            pts = tuple(pts)
         trajs.append(PredictedTrajectory(obj.id, obj.kind, box.half_extents,
-                                         box.heading, tuple(pts)))
+                                         box.heading, pts))
     return PredictionOut(tuple(trajs))
 
 

@@ -59,8 +59,9 @@ class ObjectTracker:
     """The scenario's object model cached along a monotone time axis.
 
     Queries must come in non-decreasing t. The segment index advances instead of
-    being searched for, and a static object's box is built once; poses and boxes
-    are those of `scenario.object_pose_at` / `scenario.bbox_at`.
+    being searched for, and a static object's box is built once, with its corners
+    (`corners`, None for a moving object); poses and boxes are those of
+    `scenario.object_pose_at` / `scenario.bbox_at`.
     """
 
     def __init__(self, obj: TrafficObject):
@@ -68,6 +69,7 @@ class ObjectTracker:
         self.radius = math.hypot(obj.size[0] / 2.0, obj.size[1] / 2.0)
         self._idx = 0
         self._box = bbox_at(obj, obj.waypoints[0].t) if obj.is_static else None
+        self.corners = self._box.corners() if self._box is not None else None
 
     def pose_at(self, t: SimTime) -> tuple[Vec2, Vec2]:
         wps = self.obj.waypoints
@@ -84,3 +86,45 @@ class ObjectTracker:
             return self._box
         p, v = self.pose_at(t)
         return object_box(self.obj, t, p, v)
+
+
+class Broadphase:
+    """A run's object trackers, with a uniform grid over the static ones (Ericson,
+    Real-Time Collision Detection, 2004, ch. 7).
+
+    `near(p, reach)` is a superset, in scenario order, of the trackers whose
+    center lies within `reach + radius` of p: every moving object, and each
+    static object whose center lies in the 3x3 grid cells around p. Each `reach`
+    gets its own grid, built on first use, with cells a hair wider than `reach`
+    plus the largest static radius, so a static object inside that distance is
+    at most one cell away. The neighbourhood of a cell is built once.
+    """
+
+    def __init__(self, objects: tuple[TrafficObject, ...]):
+        self.trackers = [ObjectTracker(o) for o in objects]
+        self._moving = [i for i, trk in enumerate(self.trackers) if trk.corners is None]
+        self._static = [i for i, trk in enumerate(self.trackers) if trk.corners is not None]
+        self._max_r = max((self.trackers[i].radius for i in self._static), default=0.0)
+        # reach -> (cell size, static indices per cell, trackers per neighbourhood)
+        self._grids: dict[float, tuple[float, dict, dict]] = {}
+
+    def near(self, p: Vec2, reach: float) -> list[ObjectTracker]:
+        if not self._static:
+            return self.trackers
+        grid = self._grids.get(reach)
+        if grid is None:
+            cell = (reach + self._max_r) * (1.0 + 1e-9)
+            buckets: dict[tuple[int, int], list[int]] = {}
+            for i in self._static:
+                cx, cy = self.trackers[i]._box.center
+                buckets.setdefault((math.floor(cx / cell), math.floor(cy / cell)), []).append(i)
+            grid = self._grids[reach] = (cell, buckets, {})
+        cell, buckets, hoods = grid
+        key = (math.floor(p[0] / cell), math.floor(p[1] / cell))
+        hood = hoods.get(key)
+        if hood is None:
+            i, j = key
+            near = [k for di in (-1, 0, 1) for dj in (-1, 0, 1)
+                    for k in buckets.get((i + di, j + dj), ())]
+            hood = hoods[key] = [self.trackers[k] for k in sorted(self._moving + near)]
+        return hood

@@ -4,14 +4,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from causetrace.faults import FaultSpec, Trigger, apply_control_faults
+from causetrace.faults import (FaultSpec, Trigger, apply_control_faults,
+                              apply_prediction_faults)
 from causetrace.geometry import OrientedBox, min_obb_distance, vec_dist
 from causetrace.middleware import ComponentId
 from causetrace.payloads import (ControlOut, LocalizationOut, PerceivedObject, PerceptionOut,
-                                 PlanningOut, TrajPoint)
-from causetrace.pipeline import (CONTROL_KP, CONTROL_SPEED_LOOKAHEAD_MS, _plan_speed_at,
-                                 control_tick, localization_tick,
-                                 make_planner_context, perception_tick,
+                                 PlanningOut, PredictedTrajectory, PredictionOut, TrajPoint)
+from causetrace.pipeline import (CONTROL_KP, CONTROL_SPEED_LOOKAHEAD_MS, PREDICTION_HORIZON_MS,
+                                 PREDICTION_STEP_MS, _plan_speed_at, control_tick,
+                                 localization_tick, make_planner_context, perception_tick,
                                  planning_tick, prediction_tick)
 from causetrace.scenario import scenario_from_dict
 from causetrace.world import ACCEL_MAX, ACCEL_MIN, EgoState, STEER_MAX, WHEELBASE
@@ -110,6 +111,41 @@ def test_wrong_prediction_static_mode():
     out, changed = prediction_tick(perc, [fault], 0)
     assert changed
     assert all((x, y) == (10.0, 0.0) for _, x, y in out.trajectories[0].points)
+
+
+def prediction_tick_reference(perception, faults, t):
+    """prediction_tick's body from before standing objects took one pass."""
+    trajs = []
+    for o in perception.objects:
+        vx, vy = o.v
+        x0, y0 = o.box.center
+        pts = tuple(
+            (t + k * PREDICTION_STEP_MS,
+             x0 + vx * k * PREDICTION_STEP_MS / 1000.0,
+             y0 + vy * k * PREDICTION_STEP_MS / 1000.0)
+            for k in range(PREDICTION_HORIZON_MS // PREDICTION_STEP_MS + 1)
+        )
+        trajs.append(PredictedTrajectory(o.id, o.kind, o.box.half_extents,
+                                         o.box.heading, pts))
+    return apply_prediction_faults(PredictionOut(tuple(trajs)), faults, t)
+
+
+signed_zero = st.sampled_from([0.0, -0.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(objects=st.lists(st.tuples(
+    st.one_of(signed_zero, st.floats(-60.0, 60.0)), st.one_of(signed_zero, st.floats(-60.0, 60.0)),
+    st.one_of(signed_zero, st.floats(-20.0, 20.0)), st.one_of(signed_zero, st.floats(-20.0, 20.0))),
+    max_size=4), t=st.integers(0, 40000))
+@example(objects=[(-0.0, -0.0, 0.0, -0.0), (-0.0, 0.0, -0.0, 0.0), (-0.0, -0.0, -0.0, -0.0),
+                  (-0.0, 3.0, 0.0, 1.5)], t=0)
+def test_prediction_tick_equals_reference(objects, t):
+    # repr tells -0.0 from 0.0, so the points must be equal to the bit.
+    perc = PerceptionOut(tuple(
+        PerceivedObject(f"o{i}", "Vehicle", OrientedBox((x, y), (2.0, 1.0), 0.0), (vx, vy))
+        for i, (x, y, vx, vy) in enumerate(objects)))
+    assert repr(prediction_tick(perc, [], t)) == repr(prediction_tick_reference(perc, [], t))
 
 
 # --- planning ---------------------------------------------------------------

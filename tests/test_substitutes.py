@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from causetrace.benchmark import load_benchmark, load_builtin_scenario
 from causetrace.middleware import ComponentId
 from causetrace.oracles import OracleConfig
-from causetrace.payloads import PlanningOut, TrajPoint
+from causetrace.payloads import PlanningOut, PredictedTrajectory, PredictionOut, TrajPoint
+from causetrace.pipeline import PREDICTION_HORIZON_MS, PREDICTION_STEP_MS
 from causetrace.runner import AdsConfig, rtest, run_scheduler, run_with_substitution
 from causetrace.scenario import bbox_at, object_pose_at, scenario_from_dict
 from causetrace.substitutes import (IdealAll, Original, QuantizationUnits,
@@ -171,6 +172,51 @@ def test_ideal_prediction_clamps_at_script_end():
     tr = out.by_id("ped")
     tail = [pt for pt in tr.points if pt[0] >= t_end]
     assert tail and all((x, y) == ped.waypoints[-1].p for _, x, y in tail)
+
+
+def ideal_prediction_reference(scenario, t):
+    """ideal_prediction's body from before static objects took one pass."""
+    steps = PREDICTION_HORIZON_MS // PREDICTION_STEP_MS + 1
+    trajs = []
+    for obj in scenario.objects:
+        box = bbox_at(obj, t)
+        static = obj.is_static
+        pts = [(t, *box.center)]
+        for k in range(1, steps):
+            tq = t + k * PREDICTION_STEP_MS
+            p = box.center if static else object_pose_at(obj, tq)[0]
+            pts.append((tq, p[0], p[1]))
+        trajs.append(PredictedTrajectory(obj.id, obj.kind, box.half_extents,
+                                         box.heading, tuple(pts)))
+    return PredictionOut(tuple(trajs))
+
+
+@st.composite
+def scripted_objects(draw):
+    """Objects of one to three waypoints: static ones (some at -0.0, some held
+    over several waypoints) and moving ones."""
+    coord = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-40.0, 40.0))
+    docs = []
+    for i in range(draw(st.integers(1, 4))):
+        times = sorted(draw(st.sets(st.integers(0, 6000), min_size=1, max_size=3)))
+        static = draw(st.booleans())
+        p = [draw(coord), draw(coord)]
+        wps = []
+        for t in times:
+            v = [draw(st.sampled_from([0.0, -0.0])), 0.0] if static else [draw(coord), draw(coord)]
+            wps.append({"t_ms": t, "p": p if static else [draw(coord), draw(coord)], "v": v,
+                        "a": [0.0, 0.0]})
+        docs.append({"id": f"o{i}", "kind": "Vehicle", "size": [4.0, 2.0, 1.5],
+                     "waypoints": wps})
+    return docs
+
+
+@settings(max_examples=200, deadline=None)
+@given(objects=scripted_objects(), t=st.integers(0, 9000))
+def test_ideal_prediction_equals_reference(objects, t):
+    # Times up to 9 s run past every script's end; repr tells -0.0 from 0.0.
+    sc = scenario_from_dict(straight_road_doc(t_max_ms=9000, objects=objects))
+    assert repr(ideal_prediction(sc, t)) == repr(ideal_prediction_reference(sc, t))
 
 
 def test_ideal_localization_exact():

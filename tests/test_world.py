@@ -1,13 +1,18 @@
 import math
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from causetrace.scenario import bbox_at, object_pose_at, scenario_from_dict
+from causetrace.geometry import OrientedBox, min_obb_distance, obb_separation_at_least
+from causetrace.oracles import safe_distance_at
+from causetrace.runner import _contact
+from causetrace.scenario import (TrafficObject, Waypoint, bbox_at, object_pose_at,
+                                 scenario_from_dict)
 from causetrace.substitutes import ideal_perception
-from causetrace.world import (ACCEL_MAX, ACCEL_MIN, EgoState, ObjectTracker, STEER_MAX,
-                              WHEELBASE, step_ego)
+from causetrace.world import (ACCEL_MAX, ACCEL_MIN, Broadphase, EgoState, ObjectTracker,
+                              STEER_MAX, WHEELBASE, step_ego)
 from conftest import static_object, straight_road_doc
 
 
@@ -153,3 +158,158 @@ def test_object_tracker_builds_static_box_once(monkeypatch):
     assert len(calls) == 1
     assert all(b is boxes[0] for b in boxes)
     assert boxes[0] == bbox_at(curb, 2500)
+
+
+# --- broadphase --------------------------------------------------------------
+
+
+def contact_reference(ego, ego_half, ego_r, trackers, t, trace) -> bool:
+    """runner._contact's body from before the broadphase and the corner reuse,
+    run over every tracker."""
+    ego_box = None
+    for trk in trackers:
+        other = trk.box_at(t)
+        dx, dy = other.center[0] - ego.p[0], other.center[1] - ego.p[1]
+        lim = ego_r + trk.radius
+        if dx * dx + dy * dy > lim * lim:
+            continue
+        if ego_box is None:
+            ego_box = OrientedBox(ego.p, ego_half, ego.heading)
+        if obb_separation_at_least(ego_box, other, 1e-9):
+            continue
+        if min_obb_distance(ego_box, other) <= 0.0:
+            trace.diagnostics.append(f"contact t={t} object={trk.obj.id}")
+            return True
+    return False
+
+
+def safe_distance_reference(w, heading, half, ego_r, trackers, c):
+    """oracles.safe_distance_at's body from before the broadphase and the corner
+    reuse, run over every tracker."""
+    ego_box = OrientedBox(w.p, half, heading)
+    for trk in trackers:
+        other = trk.box_at(w.t)
+        dx, dy = other.center[0] - w.p[0], other.center[1] - w.p[1]
+        lim = ego_r + trk.radius + c
+        if dx * dx + dy * dy > lim * lim:
+            continue
+        if obb_separation_at_least(ego_box, other, c):
+            continue
+        d = min_obb_distance(ego_box, other)
+        if d < c:
+            lx = dx * math.cos(heading) + dy * math.sin(heading)
+            detail = "rear-approach" if lx < -half[0] else "front"
+            return trk.obj.id, d, detail
+    return None
+
+
+xy = st.floats(-60.0, 60.0)
+
+
+@st.composite
+def scenes(draw) -> tuple[TrafficObject, ...]:
+    """Static and moving objects of mixed sizes, some sharing a center."""
+    objects = []
+    centers = [(0.0, 0.0)]
+    for i in range(draw(st.integers(0, 10))):
+        size = (draw(st.floats(0.1, 12.0)), draw(st.floats(0.1, 4.0)), 1.5)
+        p = draw(st.one_of(st.sampled_from(centers), st.tuples(xy, xy)))
+        centers.append(p)
+        if draw(st.booleans()):
+            wps = (Waypoint(p, (0.0, 0.0), (0.0, 0.0), 0),)
+        else:
+            v = (draw(st.floats(-15.0, 15.0)), draw(st.floats(-15.0, 15.0)))
+            t1 = draw(st.integers(100, 2000))
+            wps = (Waypoint(p, v, (0.0, 0.0), 0),
+                   Waypoint((p[0] + v[0] * t1 / 1000.0, p[1] + v[1] * t1 / 1000.0), v,
+                            (0.0, 0.0), t1))
+        heading = draw(st.one_of(st.none(), st.floats(-math.pi, math.pi)))
+        objects.append(TrafficObject(f"o{i}", "StaticObstacle", size, wps, heading))
+    return tuple(objects)
+
+
+def sample_points(data, objects, ego_r, c) -> list[tuple[int, tuple[float, float], float]]:
+    """(t, p, heading) in time order: points near an object, exactly at the
+    circle-test limit of a static one, on grid cell edges, far from everything,
+    and anywhere."""
+    static = [ObjectTracker(o) for o in objects if o.is_static]
+    max_r = max((trk.radius for trk in static), default=1.0)
+    cell = (ego_r + c + max_r) * (1.0 + 1e-9)
+    kinds = [st.tuples(xy, xy), st.tuples(st.integers(-30, 30), st.integers(-30, 30)).map(
+        lambda ij: (ij[0] * cell, ij[1] * cell)),
+        st.tuples(st.sampled_from([-1e5, 1e5]), st.floats(-1e5, 1e5))]
+    if objects:
+        kinds.append(st.tuples(st.sampled_from(objects), st.floats(-8.0, 8.0),
+                               st.floats(-8.0, 8.0)).map(
+            lambda o: (o[0].waypoints[0].p[0] + o[1], o[0].waypoints[0].p[1] + o[2])))
+    if static:
+        def at_limit(arg):
+            trk, (ux, uy) = arg
+            lim = ego_r + trk.radius + c
+            cx, cy = trk.box_at(0).center
+            return cx + ux * lim, cy + uy * lim
+        kinds.append(st.tuples(st.sampled_from(static), st.sampled_from(
+            [(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0), (0.6, 0.8), (-0.6, -0.8)])
+        ).map(at_limit))
+    n = data.draw(st.integers(1, 12))
+    times = sorted(data.draw(st.lists(st.integers(-100, 2500), min_size=n, max_size=n)))
+    return [(t, data.draw(st.one_of(kinds)), data.draw(st.floats(-math.pi, math.pi)))
+            for t in times]
+
+
+reaches = dict(ego_r=st.one_of(st.just(0.0), st.floats(0.0, 4.0)),
+               c=st.one_of(st.just(0.0), st.floats(0.0, 80.0)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(objects=scenes(), data=st.data(), **reaches)
+def test_broadphase_keeps_every_circle_hit(objects, data, ego_r, c):
+    # The trackers a caller's circle test keeps are the same, in the same order,
+    # from near() as from the full list.
+    def kept(trackers, t, p):
+        out = []
+        for trk in trackers:
+            other = trk.box_at(t)
+            dx, dy = other.center[0] - p[0], other.center[1] - p[1]
+            lim = ego_r + trk.radius + c
+            if dx * dx + dy * dy <= lim * lim:
+                out.append(trk.obj.id)
+        return out
+
+    broad = Broadphase(objects)
+    full = [ObjectTracker(o) for o in objects]
+    for t, p, _ in sample_points(data, objects, ego_r, c):
+        assert kept(broad.near(p, ego_r + c), t, p) == kept(full, t, p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(objects=scenes(), data=st.data(), half=st.tuples(st.floats(0.05, 3.0),
+                                                          st.floats(0.05, 1.5)),
+       c=reaches["c"])
+def test_broadphase_checks_equal_full_scans(objects, data, half, c):
+    # safe_distance_at and _contact over near() return the hit, distance, detail
+    # and diagnostic of the pre-broadphase loops over every object.
+    ego_r = math.hypot(*half)
+    safe, safe_ref = Broadphase(objects), [ObjectTracker(o) for o in objects]
+    contact, contact_ref = Broadphase(objects), [ObjectTracker(o) for o in objects]
+    got, want = SimpleNamespace(diagnostics=[]), SimpleNamespace(diagnostics=[])
+    for t, p, heading in sample_points(data, objects, ego_r, c):
+        w = Waypoint(p, (0.0, 0.0), (0.0, 0.0), t)
+        assert (safe_distance_at(w, heading, half, ego_r, safe.near(p, ego_r + c), c)
+                == safe_distance_reference(w, heading, half, ego_r, safe_ref, c))
+        ego = EgoState(p, heading, 0.0, 0.0, t)
+        assert (_contact(ego, half, ego_r, contact.near(p, ego_r), t, got)
+                == contact_reference(ego, half, ego_r, contact_ref, t, want))
+        assert got.diagnostics == want.diagnostics
+
+
+def test_broadphase_pads_its_cells():
+    # The center lies 5 + 1e-300 m from p, which rounds to the 5 m circle-test
+    # limit, so the caller keeps it; without the relative pad on the cell size,
+    # p and the center would fall in cells -1 and 1 of a 5 m grid.
+    obj = TrafficObject("o", "StaticObstacle", (6.0, 8.0, 1.5),
+                        (Waypoint((5.0, 0.0), (0.0, 0.0), (0.0, 0.0), 0),))
+    p = (-1e-300, 0.0)
+    trk = ObjectTracker(obj)
+    assert trk.radius == 5.0 and (trk.box_at(0).center[0] - p[0]) ** 2 <= 5.0 ** 2
+    assert [trk.obj.id for trk in Broadphase((obj,)).near(p, 0.0)] == ["o"]
