@@ -17,7 +17,9 @@ better, in the direction BENCHMARK.json gives, out of all pairs run) and
 ``rel_change`` (change median over parent median, minus one). A pair in which
 either run gave no result (a crash or a timeout) is counted in
 ``incomplete_pairs``; it adds to the total of ``change_wins`` but never a win,
-and no metric. Running the script again with the same output file adds runs
+and no metric. The closing lines print, per group, every ``end_to_end``
+metric of BENCHMARK.json with both medians, ``rel_change`` and
+``change_wins``. Running the script again with the same output file adds runs
 to it, provided both trees' sources are unchanged. Nothing under perfbench/ is
 edited.
 """
@@ -135,6 +137,22 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
     return out
 
 
+def closing_lines(summary: dict, metrics: list[str]) -> list[str]:
+    """Per group: its incomplete pairs, then each of `metrics` it has, with
+    both medians, the relative change and the pairs the change won."""
+    lines = []
+    for name, group in summary.items():
+        lines.append(f"{name} incomplete_pairs: {group['incomplete_pairs']}")
+        for metric in metrics:
+            if metric in group:
+                e = group[metric]
+                rel = "n/a" if e["rel_change"] is None else f"{e['rel_change']:+.1%}"
+                lines.append(f"{name} {metric}: parent {e['parent']['median']:.4g} "
+                             f"change {e['change']['median']:.4g} rel_change {rel} "
+                             f"wins {e.get('change_wins')}")
+    return lines
+
+
 def main(argv: list[str] | None = None) -> int:
     p = argparse.ArgumentParser(description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -191,13 +209,8 @@ def main(argv: list[str] | None = None) -> int:
                       f"wall {run['wall_s']} s", flush=True)
             doc["summary"] = summarize(doc["runs"], better)
             args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
-    for name, summary in doc["summary"].items():
-        print(f"{name} incomplete_pairs: {summary['incomplete_pairs']}")
-        for metric in ("ops_per_s", "latency_s.p50"):
-            if metric in summary:
-                e = summary[metric]
-                print(f"{name} {metric}: parent {e['parent']['median']:.4g} "
-                      f"change {e['change']['median']:.4g} wins {e.get('change_wins')}")
+    for line in closing_lines(doc["summary"], [m["name"] for m in bench["end_to_end"]]):
+        print(line)
     return 0
 
 

@@ -22,7 +22,7 @@ from .middleware import ComponentId, Message, Trace
 from .oracles import (OracleConfig, PlanningCheckContext, planning_message_violates,
                       trajectory_is_held)
 from .pipeline import make_planner_context
-from .runner import AdsConfig, RunResult, rtest, run_with_substitution
+from .runner import AdsConfig, RunResult, collector_paused, rtest, run_with_substitution
 from .scenario import Scenario
 from .substitutes import (DynamicState, IdealFromState, IdealWithinStates,
                           SubstitutionPlan, split_trace)
@@ -332,6 +332,7 @@ def verdict_matrix_csv(rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
+@collector_paused
 def attribute(scenario: Scenario, ads: AdsConfig, oracles: OracleConfig,
               strategy: str = "binary", audit_monotonicity: bool = False
               ) -> AttributionReport:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -69,7 +70,6 @@ class PredictedTrajectory:
                            self.half_extents, self._heading_at(lo))
 
     def _heading_at(self, i: int) -> float:
-        import math
         pts = self.points
         j = min(i + 1, len(pts) - 1)
         k = max(0, j - 1)

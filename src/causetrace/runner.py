@@ -19,11 +19,13 @@ that decides its verdict.
 
 from __future__ import annotations
 
+import functools
+import gc
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Any, NamedTuple
+from typing import Any, Callable, NamedTuple
 
 from .faults import FaultSpec
 from .geometry import OrientedBox, min_obb_distance, obb_separation_at_least
@@ -210,6 +212,27 @@ def _contact(ego: EgoState, ego_half, ego_r, trackers: list[ObjectTracker], t: S
 # rtest / dtest entry points
 
 
+def collector_paused(fn: Callable) -> Callable:
+    """Run `fn` with the cyclic garbage collector off, then put it back on.
+
+    A run keeps its whole trace alive and makes no reference cycles, so a
+    collection during a run or an attribution rescans that growing heap and
+    frees nothing; reference counting frees a finished re-run's trace at once.
+    If the caller has already turned the collector off, `fn` runs unchanged
+    and the collector stays off.
+    """
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+    return paused
+
+
 @dataclass
 class RunResult:
     verdict: Verdict
@@ -217,6 +240,7 @@ class RunResult:
     trace: Trace
 
 
+@collector_paused
 def rtest(scenario: Scenario, ads: AdsConfig, oracles: OracleConfig) -> RunResult:
     """One full simulated run plus the violation verdict over its artifacts."""
     verdict, trace = run_with_substitution(scenario, ads, SubstitutionPlan(), oracles)

@@ -11,6 +11,7 @@ import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import attrgetter
 from pathlib import Path
 
@@ -52,7 +53,7 @@ class TrafficObject:
     waypoints: tuple[Waypoint, ...]
     heading_override: float | None = None
 
-    @property
+    @cached_property
     def is_static(self) -> bool:
         """Never moves: one position and zero velocity at every waypoint."""
         first = self.waypoints[0]

@@ -1,7 +1,9 @@
+import gc
 import math
 
 import pytest
 
+from causetrace import runner
 from causetrace.attribution import (AttributionReport, DegenerateInput, DtestSession,
                                     MonotonicityViolation, NoViolatingPlanningMessage,
                                     NoViolation, Unattributable, attribute,
@@ -10,7 +12,8 @@ from causetrace.attribution import (AttributionReport, DegenerateInput, DtestSes
                                     attribute_message_planning,
                                     audit_suffix_monotonicity, build_verdict_matrix,
                                     tarantula_scores, verdict_matrix_csv)
-from causetrace.benchmark import load_benchmark, load_builtin_scenario
+from causetrace.benchmark import (load_benchmark, load_builtin_scenario,
+                                  scenario_for_instance)
 from causetrace.faults import FaultSpec, Trigger
 from causetrace.middleware import Bus, ComponentId
 from causetrace.oracles import OracleConfig
@@ -248,6 +251,53 @@ def test_attribute_no_violation_raises():
     sc = scenario_from_dict(straight_road_doc(t_max_ms=20000))
     with pytest.raises(NoViolation):
         attribute(sc, AdsConfig(), OracleConfig())
+    assert gc.isenabled()
+
+
+def test_attribute_pauses_the_collector_for_every_run(monkeypatch):
+    inst = INSTS["cs1_plan_none"]
+    real_scheduler = runner.run_scheduler
+    seen = []
+
+    def scheduler(*args, **kwargs):
+        seen.append(gc.isenabled())
+        return real_scheduler(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "run_scheduler", scheduler)
+    assert gc.isenabled()
+    attribute(scenario_for_instance(inst), AdsConfig(faults=[inst.fault]), OracleConfig())
+    assert seen and not any(seen)
+    assert gc.isenabled()
+
+
+def test_attribute_leaves_a_paused_collector_paused():
+    inst = INSTS["cs1_plan_none"]
+    gc.disable()
+    try:
+        attribute(scenario_for_instance(inst), AdsConfig(faults=[inst.fault]), OracleConfig())
+        assert not gc.isenabled()
+        with pytest.raises(NoViolation):
+            attribute(scenario_from_dict(straight_road_doc(t_max_ms=20000)), AdsConfig(),
+                      OracleConfig())
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("inst_id", [
+    i if i in ("cs1_pred_none", "cs5_loc_lat") else pytest.param(i, marks=pytest.mark.slow)
+    for i in sorted(INSTS)])
+def test_attribution_and_run_leave_no_cyclic_garbage(inst_id):
+    # The premise of pausing the collector: nothing the runs allocate is freed
+    # only by it, so a collection afterwards finds nothing.
+    inst = INSTS[inst_id]
+    sc = scenario_for_instance(inst)
+    ads = AdsConfig(faults=[inst.fault])
+    gc.collect()
+    attribute(sc, ads, OracleConfig())
+    assert gc.collect() == 0
+    rtest(sc, ads, OracleConfig())
+    assert gc.collect() == 0
 
 
 def test_attribute_unattributable_on_two_component_fault():

@@ -37,3 +37,22 @@ def test_summarize_keeps_a_group_without_a_whole_pair():
     summary = _bench_pairs().summarize([run("parent", 0, None), run("change", 0, 1.0)],
                                        {"latency_s.p50": "lower"})
     assert summary == {"w seed 1": {"incomplete_pairs": 1}}
+
+
+def test_closing_lines_print_every_end_to_end_metric():
+    def result(p50, rss):
+        return {"metrics": {"latency_s.p50": {"value": p50}, "peak_rss_mb": {"value": rss},
+                            "runner.sim_ms_per_op": {"value": 1.0}},
+                "failed": 0, "attempted": 10}
+
+    runs = [{**run("parent", 0, None), "result": result(2.0, 80.0)},
+            {**run("change", 0, None), "result": result(1.5, 82.0)}]
+    module = _bench_pairs()
+    better = {"latency_s.p50": "lower", "peak_rss_mb": "lower", "ops_per_s": "higher"}
+    lines = module.closing_lines(module.summarize(runs, better),
+                                 ["latency_s.p50", "ops_per_s", "peak_rss_mb"])
+    assert lines == [
+        "w seed 1 incomplete_pairs: 0",
+        "w seed 1 latency_s.p50: parent 2 change 1.5 rel_change -25.0% wins 1/1",
+        "w seed 1 peak_rss_mb: parent 80 change 82 rel_change +2.5% wins 0/1",
+    ]

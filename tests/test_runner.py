@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 from causetrace import runner
@@ -10,8 +12,7 @@ from causetrace.world import EgoState
 from conftest import straight_road_doc
 
 
-def test_component_panic_becomes_sim_panic_with_diagnostics(monkeypatch):
-    sc = scenario_from_dict(straight_road_doc(t_max_ms=2000))
+def _panicking_perception(monkeypatch):
     real_tick = runner.perception_tick
 
     def broken(truth, loc, ego_p, faults, t):
@@ -20,6 +21,11 @@ def test_component_panic_becomes_sim_panic_with_diagnostics(monkeypatch):
         return real_tick(truth, loc, ego_p, faults, t)
 
     monkeypatch.setattr(runner, "perception_tick", broken)
+
+
+def test_component_panic_becomes_sim_panic_with_diagnostics(monkeypatch):
+    sc = scenario_from_dict(straight_road_doc(t_max_ms=2000))
+    _panicking_perception(monkeypatch)
     with pytest.raises(SimPanic) as exc:
         run_scheduler(sc, AdsConfig())
     panic = exc.value
@@ -28,6 +34,38 @@ def test_component_panic_becomes_sim_panic_with_diagnostics(monkeypatch):
     assert any("panic" in d and "boom" in d for d in panic.trace.diagnostics)
     # The partial trace is attached and holds everything up to the panic.
     assert panic.trace.rows[ComponentId.PERCEPTION]
+
+
+def test_rtest_pauses_the_collector_and_restores_it_after_a_panic(monkeypatch):
+    sc = scenario_from_dict(straight_road_doc(t_max_ms=2000))
+    _panicking_perception(monkeypatch)
+    real_scheduler = runner.run_scheduler
+    seen = []
+
+    def scheduler(*args, **kwargs):
+        seen.append(gc.isenabled())
+        return real_scheduler(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "run_scheduler", scheduler)
+    assert gc.isenabled()
+    with pytest.raises(SimPanic):
+        rtest(sc, AdsConfig(), OracleConfig())
+    assert seen == [False]
+    assert gc.isenabled()
+
+
+def test_rtest_leaves_a_paused_collector_paused(monkeypatch):
+    sc = scenario_from_dict(straight_road_doc(t_max_ms=2000))
+    gc.disable()
+    try:
+        rtest(sc, AdsConfig(), OracleConfig())
+        assert not gc.isenabled()
+        _panicking_perception(monkeypatch)
+        with pytest.raises(SimPanic):
+            rtest(sc, AdsConfig(), OracleConfig())
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
 
 
 def test_ego_log_ends_at_collision_tick():

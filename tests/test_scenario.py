@@ -227,3 +227,18 @@ def test_displacement_bounded_by_max_segment_speed(t1, t2):
     p2, _, _ = object_pose_at(obj, t2)
     dist = math.hypot(p2[0] - p1[0], p2[1] - p1[1])
     assert dist <= 1.6 * (t2 - t1) / 1000.0 + 1e-9
+
+
+_COORD = st.sampled_from([0.0, -0.0, 1.0, 2.5])
+_VEC = st.tuples(_COORD, _COORD)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ps=st.lists(st.tuples(_VEC, _VEC), min_size=1, max_size=4))
+def test_is_static_matches_a_fresh_waypoint_scan(ps):
+    wps = tuple(Waypoint(p, v, (0.0, 0.0), 100 * i) for i, (p, v) in enumerate(ps))
+    obj = TrafficObject("o", "StaticObstacle", (1.0, 1.0, 1.0), wps)
+    first = obj.waypoints[0]
+    scanned = all(w.p == first.p and w.v == (0.0, 0.0) for w in obj.waypoints)
+    assert obj.is_static is scanned
+    assert obj.is_static is scanned  # computed once, read again
