@@ -18,7 +18,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from operator import attrgetter
 
-from .middleware import ComponentId, Message, Trace
+from .middleware import TICK_PRIORITY, ComponentId, Message, Trace
 from .oracles import (OracleConfig, PlanningCheckContext, planning_message_violates,
                       trajectory_is_held)
 from .pipeline import make_planner_context
@@ -310,7 +310,6 @@ def build_verdict_matrix(trace: Trace, component: ComponentId,
     """Exactly one cross at the focus message; later messages of the same
     component are unresolved; everything else counts as passing."""
     rows = []
-    from .middleware import TICK_PRIORITY
     for comp in TICK_PRIORITY:
         for m in trace.rows[comp]:
             if comp is component and m.seq == focus.seq:

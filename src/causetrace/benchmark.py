@@ -13,13 +13,17 @@ The files under `data/` (benchmark.json and one scenario file per name in
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from functools import partial
 from importlib import resources
 from pathlib import Path
 
+from .attribution import attribute
 from .faults import FaultSpec, fault_from_dict
 from .middleware import ComponentId
+from .oracles import OracleConfig
+from .runner import AdsConfig
 from .scenario import Scenario, expect, load_json, load_scenario
 
 # Every scenario file name, and the archetype it realizes (cs3b/cs4b are
@@ -95,12 +99,6 @@ def run_instance(inst: BenchInstance, strategy: str = "binary",
                  audit_monotonicity: bool = False,
                  scenario_dir: Path | None = None) -> dict:
     """Attribute one instance; never raises, failures land in the row."""
-    import time as _time
-
-    from .attribution import attribute
-    from .oracles import OracleConfig
-    from .runner import AdsConfig
-
     scenario = scenario_for_instance(inst, scenario_dir)
     ads = AdsConfig(faults=[inst.fault])
     row = {
@@ -109,14 +107,14 @@ def run_instance(inst: BenchInstance, strategy: str = "binary",
         "expected_component": inst.component.value,
         "expected_violation": inst.expected_violation,
     }
-    t0 = _time.perf_counter()
+    t0 = time.perf_counter()
     try:
         report = attribute(scenario, ads, OracleConfig(), strategy=strategy,
                            audit_monotonicity=audit_monotonicity)
     except Exception as exc:
         row.update({"error": f"{type(exc).__name__}: {exc}",
                     "component_success": False, "message_success": False,
-                    "wall_time_s": _time.perf_counter() - t0})
+                    "wall_time_s": time.perf_counter() - t0})
         return row
     near = (not report.focus_fault_affected
             and report.focus_affected_gap_ms is not None

@@ -22,10 +22,11 @@ from .attribution import (MonotonicityViolation, NoViolatingPlanningMessage,
                           verdict_matrix_csv)
 from .benchmark import load_benchmark, run_benchmark, summary_table_csv
 from .faults import load_fault_file
-from .middleware import save_trace, trace_digest
-from .oracles import ALL_KINDS, OracleConfig
+from .geometry import OrientedBox, min_obb_distance
+from .middleware import load_trace_records, save_trace, trace_digest
+from .oracles import ALL_KINDS, OracleConfig, carried_heading
 from .runner import AdsConfig, rtest
-from .scenario import (ParseError, Scenario, ValidationError, Waypoint, expect,
+from .scenario import (ParseError, Scenario, ValidationError, Waypoint, bbox_at, expect,
                        load_json, load_scenario, parse_number)
 
 EXIT_PASS = 0
@@ -141,8 +142,6 @@ def cmd_bench(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    from .middleware import load_trace_records
-
     ego = [Waypoint(r["p"], r["v"], r["a"], r["t"])
            for r in load_trace_records(args.trace) if r["kind"] == "ego"]
     if not ego:
@@ -152,9 +151,6 @@ def cmd_replay(args) -> int:
     out = _out_dir(args)
     lines = ["t_ms,ego_x,ego_y,ego_speed,min_distance,nearest_object"]
     if scenario is not None:
-        from .geometry import OrientedBox, min_obb_distance
-        from .oracles import carried_heading
-        from .scenario import bbox_at
         half = (scenario.ego_size[0] / 2.0, scenario.ego_size[1] / 2.0)
         heading = scenario.a_init[1]
         for w in ego:
@@ -191,18 +187,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):
-        sp.add_argument("--oracle-config", default=None)
         sp.add_argument("--out-dir", default="out")
 
     sp = sub.add_parser("run", help="simulate a scenario and evaluate the oracles")
     sp.add_argument("scenario")
     sp.add_argument("--fault", default=None, help="fault spec JSON file")
+    sp.add_argument("--oracle-config", default=None)
     common(sp)
     sp.set_defaults(fn=cmd_run)
 
     sp = sub.add_parser("attribute", help="attribute a violation to a component/message")
     sp.add_argument("scenario")
     sp.add_argument("--fault", default=None)
+    sp.add_argument("--oracle-config", default=None)
     sp.add_argument("--strategy", choices=["binary", "interval-dd"], default="binary")
     sp.add_argument("--audit-monotonicity", action="store_true")
     common(sp)

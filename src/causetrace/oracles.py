@@ -129,7 +129,7 @@ class SampleMonitor:
         self.config = config
         self.lane_map = scenario.map
         self.half, self.ego_r = _ego_extent(scenario)
-        self.objects = Broadphase(scenario.objects)
+        self.objects = Broadphase(scenario.objects, self.ego_r + config.safe_distance_c)
         self.heading = heading
         self.first: dict[str, dict] = {}
 
@@ -148,7 +148,7 @@ class SampleMonitor:
         if self._watching(SAFE_DISTANCE):
             c = self.config.safe_distance_c
             hit = safe_distance_at(w, self.heading, self.half, self.ego_r,
-                                   self.objects.near(w.p, self.ego_r + c), c)
+                                   self.objects.near(w.p), c)
             if hit is not None:
                 obj_id, d, detail = hit
                 self.first[SAFE_DISTANCE] = {"kind": SAFE_DISTANCE, "t": w.t,
@@ -230,9 +230,9 @@ def planning_message_violates(plan: PlanningOut, t: SimTime,
     ego_r = math.hypot(*half)
     c = ctx.config.safe_distance_c
     # Point times rise within a message, so fresh trackers can follow them.
-    objects = Broadphase(ctx.scenario.objects)
+    objects = Broadphase(ctx.scenario.objects, ego_r + c)
     for pt in plan.trajectory:
-        if safe_distance_at(pt, pt.heading, half, ego_r, objects.near(pt.p, ego_r + c),
+        if safe_distance_at(pt, pt.heading, half, ego_r, objects.near(pt.p),
                             c) is not None:
             return True
         if pt.speed > 0.5:

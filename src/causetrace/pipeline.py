@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
 from operator import attrgetter
 
@@ -77,34 +77,24 @@ def prediction_tick(perception: PerceptionOut, faults: list[FaultSpec],
 # ---------------------------------------------------------------------------
 # planning
 
-
-@dataclass(frozen=True)
-class PlannerParams:
-    # Matches the prediction horizon: the planner never commits to motion it
-    # cannot de-conflict against predicted object futures.
-    horizon_ms: int = 3000
-    step_ms: int = 100
-    accel: float = 2.0
-    comfort_decel: float = 3.0
-    max_decel: float = 8.0
-    lateral_rate: float = 0.85          # m/s of lateral offset build-up
-    safe_gap: float = 0.3               # mirrors the oracle constant c
-    dest_stop_margin: float = 1.2       # stop this far short of the destination
-    nudge_lookahead: float = 32.0
-    max_nudge_offset: float = 2.2
-    pass_speed: float = 5.0
-    pass_zone_before: float = 25.0
-    pass_zone_after: float = 10.0
-    signal_lookahead: float = 60.0
-    static_speed_eps: float = 0.3
-
-    @property
-    def conflict_clear(self) -> float:
-        return self.safe_gap + 0.45
-
-    @property
-    def pass_clear(self) -> float:
-        return self.safe_gap + 0.65
+# The planner looks PREDICTION_HORIZON_MS ahead in PREDICTION_STEP_MS steps:
+# it never commits to motion it cannot de-conflict against predicted object
+# futures.
+ACCEL = 2.0
+COMFORT_DECEL = 3.0
+MAX_DECEL = 8.0
+LATERAL_RATE = 0.85          # m/s of lateral offset build-up
+SAFE_GAP = 0.3               # mirrors the oracle constant c
+CONFLICT_CLEAR = SAFE_GAP + 0.45
+PASS_CLEAR = SAFE_GAP + 0.65
+DEST_STOP_MARGIN = 1.2       # stop this far short of the destination
+NUDGE_LOOKAHEAD = 32.0
+MAX_NUDGE_OFFSET = 2.2
+PASS_SPEED = 5.0
+PASS_ZONE_BEFORE = 25.0
+PASS_ZONE_AFTER = 10.0
+SIGNAL_LOOKAHEAD = 60.0
+STATIC_SPEED_EPS = 0.3
 
 
 @dataclass
@@ -116,7 +106,6 @@ class PlannerContext:
     speed_limit: float
     signals: tuple[TrafficSignal, ...]
     ego_half: tuple[float, float]  # (length/2, width/2)
-    params: PlannerParams = field(default_factory=PlannerParams)
 
 
 def make_planner_context(scenario: Scenario) -> PlannerContext:
@@ -168,57 +157,46 @@ def _obstacle_route_interval(ctx: PlannerContext, box: OrientedBox) -> tuple[flo
     return s_min, s_max, lat_min, lat_max
 
 
-@dataclass
-class _CandidateSpec:
-    stop_s: float | None
-    target_lat: float
-    cap_zone: tuple[float, float] | None  # (s_from, s_to) with pass_speed cap
-    emergency: bool = False
-
-
-def _gen_trajectory(ctx: PlannerContext, t: SimTime, p0: Vec2, heading0: float,
-                    speed0: float, s0: float, lat0: float,
-                    spec: _CandidateSpec) -> tuple[TrajPoint, ...]:
-    par = ctx.params
-    n = par.horizon_ms // par.step_ms
-    dt = par.step_ms / 1000.0
-    pts: list[tuple[float, float, float]] = []  # (s, lat, speed)
-    s, lat, v = s0, lat0, speed0
-    for _ in range(n + 1):
-        pts.append((s, lat, v))
-        if spec.emergency:
+def _gen_trajectory(ctx: PlannerContext, t: SimTime, loc: LocalizationOut, s0: float,
+                    lat0: float, stop_s: float | None, target_lat: float,
+                    cap_zone: tuple[float, float] | None,
+                    emergency: bool = False) -> tuple[TrajPoint, ...]:
+    """Points every PREDICTION_STEP_MS from the current pose: speed bounded by
+    the limit, the pass-speed cap inside `cap_zone` (s_from, s_to), the
+    destination and `stop_s`; lateral offset ramped to `target_lat`."""
+    dt = PREDICTION_STEP_MS / 1000.0
+    s, lat, v = s0, lat0, loc.speed
+    prev, heading = loc.p, loc.heading
+    out = [TrajPoint(t, loc.p, loc.speed, loc.heading)]
+    for k in range(1, PREDICTION_HORIZON_MS // PREDICTION_STEP_MS + 1):
+        if emergency:
             v_allow = 0.0
         else:
             v_allow = ctx.speed_limit
-            if spec.cap_zone is not None and s <= spec.cap_zone[1]:
+            if cap_zone is not None and s <= cap_zone[1]:
                 # Ease into the pass-speed cap with a comfort-decel envelope.
-                gap = max(0.0, spec.cap_zone[0] - s)
-                v_allow = min(v_allow, math.sqrt(par.pass_speed ** 2
-                                                 + 2.0 * par.comfort_decel * gap))
-            rem_dest = (ctx.dest_s - par.dest_stop_margin) - s
-            v_allow = min(v_allow, math.sqrt(max(0.0, 2.0 * par.comfort_decel * rem_dest)))
-            if spec.stop_s is not None:
-                rem = spec.stop_s - s
-                v_allow = min(v_allow, math.sqrt(max(0.0, 2.0 * par.comfort_decel * rem)))
+                gap = max(0.0, cap_zone[0] - s)
+                v_allow = min(v_allow, math.sqrt(PASS_SPEED ** 2 + 2.0 * COMFORT_DECEL * gap))
+            rem_dest = (ctx.dest_s - DEST_STOP_MARGIN) - s
+            v_allow = min(v_allow, math.sqrt(max(0.0, 2.0 * COMFORT_DECEL * rem_dest)))
+            if stop_s is not None:
+                rem = stop_s - s
+                v_allow = min(v_allow, math.sqrt(max(0.0, 2.0 * COMFORT_DECEL * rem)))
         if v_allow >= v:
-            v = min(v + par.accel * dt, v_allow)
+            v = min(v + ACCEL * dt, v_allow)
         else:
-            v = max(v_allow, v - par.max_decel * dt)
-        if spec.target_lat > lat:
-            lat = min(spec.target_lat, lat + par.lateral_rate * dt)
-        elif spec.target_lat < lat:
-            lat = max(spec.target_lat, lat - par.lateral_rate * dt)
+            v = max(v_allow, v - MAX_DECEL * dt)
+        if target_lat > lat:
+            lat = min(target_lat, lat + LATERAL_RATE * dt)
+        elif target_lat < lat:
+            lat = max(target_lat, lat - LATERAL_RATE * dt)
         s += v * dt
-    out: list[TrajPoint] = []
-    for k, (sk, latk, vk) in enumerate(pts):
-        if k == 0:
-            out.append(TrajPoint(t, p0, speed0, heading0))
-            continue
-        p, route_heading = _route_pose(ctx, sk, latk)
-        prev = out[-1].p
+        p, _ = _route_pose(ctx, s, lat)
         dx, dy = p[0] - prev[0], p[1] - prev[1]
-        heading = math.atan2(dy, dx) if (dx * dx + dy * dy) > 1e-12 else out[-1].heading
-        out.append(TrajPoint(t + k * par.step_ms, p, vk, heading))
+        if dx * dx + dy * dy > 1e-12:
+            heading = math.atan2(dy, dx)
+        out.append(TrajPoint(t + k * PREDICTION_STEP_MS, p, v, heading))
+        prev = p
     return tuple(out)
 
 
@@ -227,8 +205,7 @@ def _first_conflict(ctx: PlannerContext, traj: tuple[TrajPoint, ...],
     """Earliest (point index, route s of ego) where a predicted box gets too close."""
     from .geometry import obb_separation_at_least
 
-    par = ctx.params
-    threshold = par.conflict_clear
+    threshold = CONFLICT_CLEAR
     ego_r = math.hypot(*ctx.ego_half)
     items = []
     for tr in pred.trajectories:
@@ -276,7 +253,6 @@ def _first_conflict(ctx: PlannerContext, traj: tuple[TrajPoint, ...],
 
 def planning_tick(pred: PredictionOut, loc: LocalizationOut, ctx: PlannerContext,
                   faults: list[FaultSpec], t: SimTime) -> tuple[PlanningOut, bool]:
-    par = ctx.params
     tags = ["route_follow"]
     s0, lat0, _ = project_on_polyline(ctx.route, loc.p)
 
@@ -291,28 +267,28 @@ def planning_tick(pred: PredictionOut, loc: LocalizationOut, ctx: PlannerContext
         last = tr.points[-1]
         horizon_s = (last[0] - first[0]) / 1000.0
         disp = math.hypot(last[1] - first[1], last[2] - first[2])
-        if horizon_s > 0 and disp / horizon_s > par.static_speed_eps:
+        if horizon_s > 0 and disp / horizon_s > STATIC_SPEED_EPS:
             continue  # moving object: handled by the conflict scan
         box0 = tr.box_at(first[0])
         s_min, s_max, lat_min, lat_max = _obstacle_route_interval(ctx, box0)
-        if s_max < s0 or s_min > s0 + par.nudge_lookahead:
+        if s_max < s0 or s_min > s0 + NUDGE_LOOKAHEAD:
             continue
-        body = ctx.ego_half[1] + par.conflict_clear + 0.1
+        body = ctx.ego_half[1] + CONFLICT_CLEAR + 0.1
         if lat_min > body or lat_max < -body:
             continue  # passable where it stands, no lateral action needed
-        off_left = lat_max + par.pass_clear + ctx.ego_half[1]
-        off_right = lat_min - par.pass_clear - ctx.ego_half[1]
+        off_left = lat_max + PASS_CLEAR + ctx.ego_half[1]
+        off_right = lat_min - PASS_CLEAR - ctx.ego_half[1]
         off = off_left if abs(off_left) <= abs(off_right) else off_right
-        if abs(off) > par.max_nudge_offset:
+        if abs(off) > MAX_NUDGE_OFFSET:
             tags.append("corridor_blocked")
             continue  # too wide to nudge: conflict scan will stop for it
         if nudge is None or s_min < nudge[0]:
             nudge = (s_min, s_max, off)
     if nudge is not None:
         s_min, s_max, off = nudge
-        if s0 < s_max + par.pass_zone_after:
+        if s0 < s_max + PASS_ZONE_AFTER:
             target_lat = off
-            cap_zone = (s_min - par.pass_zone_before, s_max + par.pass_zone_after)
+            cap_zone = (s_min - PASS_ZONE_BEFORE, s_max + PASS_ZONE_AFTER)
             tags.append("nudge_around")
     else:
         tags.append("corridor_clear")
@@ -323,15 +299,14 @@ def planning_tick(pred: PredictionOut, loc: LocalizationOut, ctx: PlannerContext
         s_line, lat_line, _ = project_on_polyline(ctx.route, sig.stop_line)
         if abs(lat_line) > 3.0 or s_line < s0:
             continue
-        if s_line - s0 > par.signal_lookahead:
+        if s_line - s0 > SIGNAL_LOOKAHEAD:
             continue
         if sig.color_at(t) == "Red":
             cand = s_line - ctx.ego_half[0] - 0.5
             stop_s = cand if stop_s is None else min(stop_s, cand)
             tags.append("red_stop")
 
-    spec = _CandidateSpec(stop_s=stop_s, target_lat=target_lat, cap_zone=cap_zone)
-    traj = _gen_trajectory(ctx, t, loc.p, loc.heading, loc.speed, s0, lat0, spec)
+    traj = _gen_trajectory(ctx, t, loc, s0, lat0, stop_s, target_lat, cap_zone)
     conflict = _first_conflict(ctx, traj, pred)
     decision = "Cruise"
     if conflict is not None:
@@ -341,11 +316,9 @@ def planning_tick(pred: PredictionOut, loc: LocalizationOut, ctx: PlannerContext
             cand_stop = conflict[1] - ctx.ego_half[0] - backoff
             if cand_stop <= s0 + 0.2:
                 break
-            cand_spec = _CandidateSpec(
-                stop_s=cand_stop if stop_s is None else min(stop_s, cand_stop),
-                target_lat=target_lat, cap_zone=cap_zone)
-            cand_traj = _gen_trajectory(ctx, t, loc.p, loc.heading, loc.speed, s0, lat0,
-                                        cand_spec)
+            cand_traj = _gen_trajectory(ctx, t, loc, s0, lat0,
+                                        cand_stop if stop_s is None else min(stop_s, cand_stop),
+                                        target_lat, cap_zone)
             if _first_conflict(ctx, cand_traj, pred) is None:
                 traj = cand_traj
                 decision = "Stop"
@@ -353,9 +326,7 @@ def planning_tick(pred: PredictionOut, loc: LocalizationOut, ctx: PlannerContext
                 break
         if not resolved:
             tags.append("emergency_brake")
-            traj = _gen_trajectory(ctx, t, loc.p, loc.heading, loc.speed, s0, lat0,
-                                   _CandidateSpec(stop_s=None, target_lat=lat0,
-                                                  cap_zone=None, emergency=True))
+            traj = _gen_trajectory(ctx, t, loc, s0, lat0, None, lat0, None, emergency=True)
             decision = "Emergency"
     if decision == "Cruise":
         if target_lat != 0.0:

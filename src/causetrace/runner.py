@@ -107,7 +107,7 @@ def run_scheduler(scenario: Scenario, ads: AdsConfig,
                    accel=0.0, t=0)
     ego_half = (scenario.ego_size[0] / 2.0, scenario.ego_size[1] / 2.0)
     ego_r = math.hypot(*ego_half)
-    objects = Broadphase(scenario.objects)
+    objects = Broadphase(scenario.objects, ego_r)
     state_tracker = OnlineStateTracker(ads.units)
     if fork is not None:
         origin, k = fork
@@ -156,7 +156,7 @@ def run_scheduler(scenario: Scenario, ads: AdsConfig,
         trace.ego_log.append(wp)
         ideal = {c for c, mode in plan.modes.items() if substitution_active(mode, index)}
         if ((monitor is not None and monitor.violated(wp))
-                or _contact(ego, ego_half, ego_r, objects.near(ego.p, ego_r), t, trace)):
+                or _contact(ego, ego_half, ego_r, objects.near(ego.p), t, trace)):
             return trace
         for component in TICK_PRIORITY:
             if t % DEFAULT_PERIODS[component] == 0:

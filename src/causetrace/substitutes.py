@@ -109,12 +109,6 @@ def _state_at(sample_index: list[tuple[SimTime, int]], t: SimTime) -> int:
 
 
 @dataclass(frozen=True)
-class Original:
-    def to_dict(self):
-        return {"mode": "original"}
-
-
-@dataclass(frozen=True)
 class IdealAll:
     def to_dict(self):
         return {"mode": "ideal_all"}
@@ -137,30 +131,30 @@ class IdealWithinStates:
         return {"mode": "ideal_within", "a": self.a, "b": self.b}
 
 
-Mode = Original | IdealAll | IdealFromState | IdealWithinStates
+Mode = IdealAll | IdealFromState | IdealWithinStates
 
 
 @dataclass(frozen=True)
 class SubstitutionPlan:
+    """The active substitute of each substituted component; a component
+    without one runs its original code."""
+
     modes: dict[ComponentId, Mode] = field(default_factory=dict)
 
     def __post_init__(self):
-        mode = self.modes.get(ComponentId.PLANNING)
-        if mode is not None and not isinstance(mode, Original):
+        if ComponentId.PLANNING in self.modes:
             raise ValueError("no idealized substitute exists for planning")
 
-    def mode_of(self, component: ComponentId) -> Mode:
-        return self.modes.get(component, Original())
-
     def to_dict(self) -> dict:
-        return {c.value: self.mode_of(c).to_dict() for c in ComponentId}
+        return {c.value: self.modes[c].to_dict() if c in self.modes else {"mode": "original"}
+                for c in ComponentId}
 
     def first_active_state(self) -> int | None:
         """Lowest state index at which some substitute may be active; None if none
         is. State indices start at 1, so a start at 0 or below counts as 1."""
         starts = [1 if isinstance(m, IdealAll)
                   else m.index if isinstance(m, IdealFromState) else m.a
-                  for m in self.modes.values() if not isinstance(m, Original)]
+                  for m in self.modes.values()]
         return min((max(s, 1) for s in starts), default=None)
 
     @staticmethod
@@ -169,8 +163,6 @@ class SubstitutionPlan:
 
 
 def substitution_active(mode: Mode, state_index: int) -> bool:
-    if isinstance(mode, Original):
-        return False
     if isinstance(mode, IdealAll):
         return True
     if isinstance(mode, IdealFromState):

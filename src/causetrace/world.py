@@ -92,39 +92,35 @@ class Broadphase:
     """A run's object trackers, with a uniform grid over the static ones (Ericson,
     Real-Time Collision Detection, 2004, ch. 7).
 
-    `near(p, reach)` is a superset, in scenario order, of the trackers whose
-    center lies within `reach + radius` of p: every moving object, and each
-    static object whose center lies in the 3x3 grid cells around p. Each `reach`
-    gets its own grid, built on first use, with cells a hair wider than `reach`
-    plus the largest static radius, so a static object inside that distance is
-    at most one cell away. The neighbourhood of a cell is built once.
+    `near(p)` is a superset, in scenario order, of the trackers whose center
+    lies within `reach + radius` of p: every moving object, and each static
+    object whose center lies in the 3x3 grid cells around p. The cells are a
+    hair wider than `reach` plus the largest static radius, so a static object
+    inside that distance is at most one cell away. The neighbourhood of a cell
+    is built once.
     """
 
-    def __init__(self, objects: tuple[TrafficObject, ...]):
+    def __init__(self, objects: tuple[TrafficObject, ...], reach: float):
         self.trackers = [ObjectTracker(o) for o in objects]
         self._moving = [i for i, trk in enumerate(self.trackers) if trk.corners is None]
-        self._static = [i for i, trk in enumerate(self.trackers) if trk.corners is not None]
-        self._max_r = max((self.trackers[i].radius for i in self._static), default=0.0)
-        # reach -> (cell size, static indices per cell, trackers per neighbourhood)
-        self._grids: dict[float, tuple[float, dict, dict]] = {}
+        static = [i for i, trk in enumerate(self.trackers) if trk.corners is not None]
+        max_r = max((self.trackers[i].radius for i in static), default=0.0)
+        self._cell = cell = (reach + max_r) * (1.0 + 1e-9)
+        self._buckets: dict[tuple[int, int], list[int]] = {}  # static indices per cell
+        for i in static:
+            cx, cy = self.trackers[i]._box.center
+            self._buckets.setdefault((math.floor(cx / cell), math.floor(cy / cell)), []).append(i)
+        self._hoods: dict[tuple[int, int], list[ObjectTracker]] = {}  # trackers per neighbourhood
 
-    def near(self, p: Vec2, reach: float) -> list[ObjectTracker]:
-        if not self._static:
+    def near(self, p: Vec2) -> list[ObjectTracker]:
+        if not self._buckets:
             return self.trackers
-        grid = self._grids.get(reach)
-        if grid is None:
-            cell = (reach + self._max_r) * (1.0 + 1e-9)
-            buckets: dict[tuple[int, int], list[int]] = {}
-            for i in self._static:
-                cx, cy = self.trackers[i]._box.center
-                buckets.setdefault((math.floor(cx / cell), math.floor(cy / cell)), []).append(i)
-            grid = self._grids[reach] = (cell, buckets, {})
-        cell, buckets, hoods = grid
+        cell = self._cell
         key = (math.floor(p[0] / cell), math.floor(p[1] / cell))
-        hood = hoods.get(key)
+        hood = self._hoods.get(key)
         if hood is None:
             i, j = key
             near = [k for di in (-1, 0, 1) for dj in (-1, 0, 1)
-                    for k in buckets.get((i + di, j + dj), ())]
-            hood = hoods[key] = [self.trackers[k] for k in sorted(self._moving + near)]
+                    for k in self._buckets.get((i + di, j + dj), ())]
+            hood = self._hoods[key] = [self.trackers[k] for k in sorted(self._moving + near)]
         return hood

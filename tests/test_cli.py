@@ -315,6 +315,15 @@ def test_bench_parallel_below_one_rejected(tmp_path, capsys, value):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [["bench"], ["replay", "trace.jsonl"]])
+def test_oracle_config_rejected_where_unread(tmp_path, capsys, argv):
+    # Only run and attribute judge a run with the oracles, so only they take the flag.
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--oracle-config", "x", "--out-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --oracle-config x" in capsys.readouterr().err
+
+
 def test_bench_parallel_capped_at_instance_count(monkeypatch):
     import concurrent.futures
 

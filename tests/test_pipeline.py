@@ -1,20 +1,25 @@
 import math
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from causetrace import pipeline
+from causetrace.benchmark import load_builtin_scenario
 from causetrace.faults import (FaultSpec, Trigger, apply_control_faults,
-                              apply_prediction_faults)
+                              apply_planning_faults, apply_prediction_faults)
 from causetrace.geometry import OrientedBox, min_obb_distance, vec_dist
 from causetrace.middleware import ComponentId
 from causetrace.payloads import (ControlOut, LocalizationOut, PerceivedObject, PerceptionOut,
                                  PlanningOut, PredictedTrajectory, PredictionOut, TrajPoint)
 from causetrace.pipeline import (CONTROL_KP, CONTROL_SPEED_LOOKAHEAD_MS, PREDICTION_HORIZON_MS,
-                                 PREDICTION_STEP_MS, _plan_speed_at, control_tick,
-                                 localization_tick, make_planner_context, perception_tick,
-                                 planning_tick, prediction_tick)
-from causetrace.scenario import scenario_from_dict
+                                 PREDICTION_STEP_MS, _first_conflict, _obstacle_route_interval,
+                                 _plan_speed_at, _route_pose, control_tick, localization_tick,
+                                 make_planner_context, perception_tick, planning_tick,
+                                 prediction_tick)
+from causetrace.scenario import project_on_polyline, scenario_from_dict
+from causetrace.substitutes import ideal_prediction
 from causetrace.world import ACCEL_MAX, ACCEL_MIN, EgoState, STEER_MAX, WHEELBASE
 from conftest import static_object, straight_road_doc
 
@@ -239,6 +244,269 @@ def test_planning_respects_decel_bound():
     for a, b in zip(traj, traj[1:]):
         dt = (b.t - a.t) / 1000.0
         assert abs(b.speed - a.speed) / dt <= 8.0 + 1e-6
+
+
+@dataclass(frozen=True)
+class PlannerParams:
+    """The planner's settings before they became pipeline constants."""
+
+    horizon_ms: int = 3000
+    step_ms: int = 100
+    accel: float = 2.0
+    comfort_decel: float = 3.0
+    max_decel: float = 8.0
+    lateral_rate: float = 0.85
+    safe_gap: float = 0.3
+    dest_stop_margin: float = 1.2
+    nudge_lookahead: float = 32.0
+    max_nudge_offset: float = 2.2
+    pass_speed: float = 5.0
+    pass_zone_before: float = 25.0
+    pass_zone_after: float = 10.0
+    signal_lookahead: float = 60.0
+    static_speed_eps: float = 0.3
+
+    @property
+    def conflict_clear(self) -> float:
+        return self.safe_gap + 0.45
+
+    @property
+    def pass_clear(self) -> float:
+        return self.safe_gap + 0.65
+
+
+@dataclass
+class CandidateSpec:
+    stop_s: float | None
+    target_lat: float
+    cap_zone: tuple[float, float] | None
+    emergency: bool = False
+
+
+def gen_trajectory_reference(ctx, t, p0, heading0, speed0, s0, lat0, spec):
+    """_gen_trajectory's body from before it took one pass: the (s, lat, v)
+    list first, then the points."""
+    par = PlannerParams()
+    n = par.horizon_ms // par.step_ms
+    dt = par.step_ms / 1000.0
+    pts = []
+    s, lat, v = s0, lat0, speed0
+    for _ in range(n + 1):
+        pts.append((s, lat, v))
+        if spec.emergency:
+            v_allow = 0.0
+        else:
+            v_allow = ctx.speed_limit
+            if spec.cap_zone is not None and s <= spec.cap_zone[1]:
+                gap = max(0.0, spec.cap_zone[0] - s)
+                v_allow = min(v_allow, math.sqrt(par.pass_speed ** 2
+                                                 + 2.0 * par.comfort_decel * gap))
+            rem_dest = (ctx.dest_s - par.dest_stop_margin) - s
+            v_allow = min(v_allow, math.sqrt(max(0.0, 2.0 * par.comfort_decel * rem_dest)))
+            if spec.stop_s is not None:
+                rem = spec.stop_s - s
+                v_allow = min(v_allow, math.sqrt(max(0.0, 2.0 * par.comfort_decel * rem)))
+        if v_allow >= v:
+            v = min(v + par.accel * dt, v_allow)
+        else:
+            v = max(v_allow, v - par.max_decel * dt)
+        if spec.target_lat > lat:
+            lat = min(spec.target_lat, lat + par.lateral_rate * dt)
+        elif spec.target_lat < lat:
+            lat = max(spec.target_lat, lat - par.lateral_rate * dt)
+        s += v * dt
+    out = []
+    for k, (sk, latk, vk) in enumerate(pts):
+        if k == 0:
+            out.append(TrajPoint(t, p0, speed0, heading0))
+            continue
+        p, _ = _route_pose(ctx, sk, latk)
+        prev = out[-1].p
+        dx, dy = p[0] - prev[0], p[1] - prev[1]
+        heading = math.atan2(dy, dx) if (dx * dx + dy * dy) > 1e-12 else out[-1].heading
+        out.append(TrajPoint(t + k * par.step_ms, p, vk, heading))
+    return tuple(out)
+
+
+def planning_tick_reference(pred, loc, ctx, faults, t):
+    """planning_tick's body from before the planner's settings became constants."""
+    par = PlannerParams()
+    tags = ["route_follow"]
+    s0, lat0, _ = project_on_polyline(ctx.route, loc.p)
+
+    target_lat = 0.0
+    cap_zone = None
+    nudge = None
+    for tr in pred.trajectories:
+        if tr.kind == "Infrastructure":
+            continue
+        first = tr.points[0]
+        last = tr.points[-1]
+        horizon_s = (last[0] - first[0]) / 1000.0
+        disp = math.hypot(last[1] - first[1], last[2] - first[2])
+        if horizon_s > 0 and disp / horizon_s > par.static_speed_eps:
+            continue
+        box0 = tr.box_at(first[0])
+        s_min, s_max, lat_min, lat_max = _obstacle_route_interval(ctx, box0)
+        if s_max < s0 or s_min > s0 + par.nudge_lookahead:
+            continue
+        body = ctx.ego_half[1] + par.conflict_clear + 0.1
+        if lat_min > body or lat_max < -body:
+            continue
+        off_left = lat_max + par.pass_clear + ctx.ego_half[1]
+        off_right = lat_min - par.pass_clear - ctx.ego_half[1]
+        off = off_left if abs(off_left) <= abs(off_right) else off_right
+        if abs(off) > par.max_nudge_offset:
+            tags.append("corridor_blocked")
+            continue
+        if nudge is None or s_min < nudge[0]:
+            nudge = (s_min, s_max, off)
+    if nudge is not None:
+        s_min, s_max, off = nudge
+        if s0 < s_max + par.pass_zone_after:
+            target_lat = off
+            cap_zone = (s_min - par.pass_zone_before, s_max + par.pass_zone_after)
+            tags.append("nudge_around")
+    else:
+        tags.append("corridor_clear")
+
+    stop_s = None
+    for sig in ctx.signals:
+        s_line, lat_line, _ = project_on_polyline(ctx.route, sig.stop_line)
+        if abs(lat_line) > 3.0 or s_line < s0:
+            continue
+        if s_line - s0 > par.signal_lookahead:
+            continue
+        if sig.color_at(t) == "Red":
+            cand = s_line - ctx.ego_half[0] - 0.5
+            stop_s = cand if stop_s is None else min(stop_s, cand)
+            tags.append("red_stop")
+
+    spec = CandidateSpec(stop_s=stop_s, target_lat=target_lat, cap_zone=cap_zone)
+    traj = gen_trajectory_reference(ctx, t, loc.p, loc.heading, loc.speed, s0, lat0, spec)
+    conflict = _first_conflict(ctx, traj, pred)
+    decision = "Cruise"
+    if conflict is not None:
+        tags.append("stop_for_conflict")
+        resolved = False
+        for backoff in (0.9, 1.6, 2.4, 3.5, 5.0, 7.0, 10.0):
+            cand_stop = conflict[1] - ctx.ego_half[0] - backoff
+            if cand_stop <= s0 + 0.2:
+                break
+            cand_spec = CandidateSpec(
+                stop_s=cand_stop if stop_s is None else min(stop_s, cand_stop),
+                target_lat=target_lat, cap_zone=cap_zone)
+            cand_traj = gen_trajectory_reference(ctx, t, loc.p, loc.heading, loc.speed, s0,
+                                                 lat0, cand_spec)
+            if _first_conflict(ctx, cand_traj, pred) is None:
+                traj = cand_traj
+                decision = "Stop"
+                resolved = True
+                break
+        if not resolved:
+            tags.append("emergency_brake")
+            traj = gen_trajectory_reference(ctx, t, loc.p, loc.heading, loc.speed, s0, lat0,
+                                            CandidateSpec(stop_s=None, target_lat=lat0,
+                                                          cap_zone=None, emergency=True))
+            decision = "Emergency"
+    if decision == "Cruise":
+        if target_lat != 0.0:
+            decision = "Nudge"
+        elif stop_s is not None or ctx.dest_s - s0 < 40.0:
+            tags.append("dest_stop" if stop_s is None else "hold_stop")
+            decision = "Stop" if ctx.dest_s - s0 < 40.0 or stop_s is not None else decision
+        else:
+            tags.append("cruise")
+
+    out = PlanningOut(traj, decision, tuple(tags))
+    return apply_planning_faults(out, faults, t, loc.p)
+
+
+def test_planner_constants_equal_the_old_settings():
+    # _first_conflict reads CONFLICT_CLEAR directly, so the reference planner
+    # shares it; pin every constant to its old setting, to the bit.
+    par = PlannerParams()
+    assert (pipeline.PREDICTION_HORIZON_MS, pipeline.PREDICTION_STEP_MS) == (par.horizon_ms,
+                                                                            par.step_ms)
+    for name in ("accel", "comfort_decel", "max_decel", "lateral_rate", "safe_gap",
+                 "conflict_clear", "pass_clear", "dest_stop_margin", "nudge_lookahead",
+                 "max_nudge_offset", "pass_speed", "pass_zone_before", "pass_zone_after",
+                 "signal_lookahead", "static_speed_eps"):
+        assert repr(getattr(pipeline, name.upper())) == repr(getattr(par, name)), name
+
+
+SIGNAL_PHASES = [{"t_start_ms": 0, "t_end_ms": 10000, "color": "Red"},
+                 {"t_start_ms": 10000, "t_end_ms": 20000, "color": "Green"}]
+BENT_ROAD = {
+    "map": {"lanes": [{"id": "lane0", "centerline": [[0.0, 0.0], [100.0, 0.0]],
+                       "width": 3.5, "speed_limit": 11.0},
+                      {"id": "lane1", "centerline": [[100.0, 0.0], [150.0, 30.0], [220.0, 30.0]],
+                       "width": 3.5, "speed_limit": 9.0}],
+            "successors": {"lane0": ["lane1"]}},
+    "ego": {"init_pose": [5.0, 0.0, 0.0], "dest": [200.0, 30.0], "size": [4.6, 1.9, 1.5]},
+    "objects": [],
+    "signals": [{"id": "s1", "stop_line": [140.0, 24.0], "phases": SIGNAL_PHASES}],
+    "t_max_ms": 20000,
+    "seed": 7,
+}
+PLANNER_SCENARIOS = {
+    "straight": scenario_from_dict(straight_road_doc(t_max_ms=20000, signals=[
+        {"id": "s1", "stop_line": [60.0, 0.0], "phases": SIGNAL_PHASES}])),
+    "bent": scenario_from_dict(BENT_ROAD),
+    **{name: load_builtin_scenario(name) for name in ("cs1", "cs2", "cs3", "cs4", "cs5")},
+}
+PLANNER_CONTEXTS = {name: make_planner_context(sc) for name, sc in PLANNER_SCENARIOS.items()}
+
+
+@st.composite
+def planner_inputs(draw):
+    """A prediction, a localization, a context and a time for planning_tick: the
+    ego on the route or off it, objects static or moving around the route ahead,
+    signals red or green, and the scenario's own objects when drawn."""
+    name = draw(st.sampled_from(sorted(PLANNER_SCENARIOS)))
+    ctx = PLANNER_CONTEXTS[name]
+    t = draw(st.integers(0, 200)) * 100
+    s = draw(st.floats(-5.0, 215.0))
+    lat = draw(st.one_of(st.floats(-1.5, 1.5), st.floats(-25.0, 25.0)))
+    p, heading = _route_pose(ctx, s, lat)
+    loc = LocalizationOut(p, heading + draw(st.floats(-0.4, 0.4)),
+                          draw(st.one_of(st.just(0.0), st.floats(0.0, 14.0))))
+    # Within reach of the trajectory, or anywhere around the route ahead.
+    ahead = st.one_of(st.floats(6.0, 30.0), st.floats(-10.0, 90.0))
+    objects = []
+    for i in range(draw(st.integers(0, 4))):
+        center, oh = _route_pose(ctx, s + draw(ahead), draw(st.floats(-4.0, 4.0)))
+        v = draw(st.one_of(st.just((0.0, 0.0)),
+                           st.tuples(st.floats(-0.1, 0.1), st.floats(-0.1, 0.1)),
+                           st.tuples(st.floats(-12.0, 12.0), st.floats(-3.0, 3.0))))
+        box = OrientedBox(center, (draw(st.floats(0.1, 2.5)), draw(st.floats(0.1, 1.5))),
+                          oh + draw(st.floats(-1.0, 1.0)))
+        kind = draw(st.sampled_from(["Vehicle", "Pedestrian", "StaticObstacle",
+                                     "Infrastructure"]))
+        objects.append(PerceivedObject(f"o{i}", kind, box, v))
+    pred, _ = prediction_tick(PerceptionOut(tuple(objects)), [], t)
+    if draw(st.booleans()):
+        truth = ideal_prediction(PLANNER_SCENARIOS[name], t).trajectories
+        pred = PredictionOut(truth + pred.trajectories)
+    return pred, loc, ctx, t
+
+
+# A wall across the lane 20 m ahead: the conflict scan finds it, and a backed-off
+# stop clears it.
+WALL = PerceivedObject("blk", "StaticObstacle", OrientedBox((45.0, 0.0), (0.4, 1.4), 0.0),
+                       (0.0, 0.0))
+WALL_AHEAD = (prediction_tick(PerceptionOut((WALL,)), [], 12000)[0],
+              LocalizationOut((25.0, 0.0), 0.0, 11.0), PLANNER_CONTEXTS["straight"], 12000)
+
+
+@settings(max_examples=300, deadline=None)
+@given(inputs=planner_inputs())
+@example(inputs=WALL_AHEAD)
+def test_planning_tick_equals_reference(inputs):
+    # repr tells -0.0 from 0.0, so every float of the plan must be equal to the bit.
+    pred, loc, ctx, t = inputs
+    assert repr(planning_tick(pred, loc, ctx, [], t)) == repr(
+        planning_tick_reference(pred, loc, ctx, [], t))
 
 
 # --- control ----------------------------------------------------------------

@@ -11,7 +11,7 @@ from causetrace.payloads import PlanningOut, PredictedTrajectory, PredictionOut,
 from causetrace.pipeline import PREDICTION_HORIZON_MS, PREDICTION_STEP_MS
 from causetrace.runner import AdsConfig, rtest, run_scheduler, run_with_substitution
 from causetrace.scenario import bbox_at, object_pose_at, scenario_from_dict
-from causetrace.substitutes import (IdealAll, Original, QuantizationUnits,
+from causetrace.substitutes import (IdealAll, IdealFromState, QuantizationUnits,
                                     SubstitutionPlan, ideal_localization,
                                     ideal_perception, ideal_prediction,
                                     quantize_state, sim_control_apply, split_trace)
@@ -264,7 +264,8 @@ def test_sim_control_empty_plan_freezes():
 def test_substitution_plan_rejects_planning():
     with pytest.raises(ValueError):
         SubstitutionPlan({ComponentId.PLANNING: IdealAll()})
-    SubstitutionPlan({ComponentId.PLANNING: Original()})  # allowed
+    with pytest.raises(ValueError):
+        SubstitutionPlan({ComponentId.PLANNING: IdealFromState(3)})
 
 
 def test_dtest_empty_plan_reproduces_violation():

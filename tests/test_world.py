@@ -276,10 +276,10 @@ def test_broadphase_keeps_every_circle_hit(objects, data, ego_r, c):
                 out.append(trk.obj.id)
         return out
 
-    broad = Broadphase(objects)
+    broad = Broadphase(objects, ego_r + c)
     full = [ObjectTracker(o) for o in objects]
     for t, p, _ in sample_points(data, objects, ego_r, c):
-        assert kept(broad.near(p, ego_r + c), t, p) == kept(full, t, p)
+        assert kept(broad.near(p), t, p) == kept(full, t, p)
 
 
 @settings(max_examples=300, deadline=None)
@@ -290,15 +290,15 @@ def test_broadphase_checks_equal_full_scans(objects, data, half, c):
     # safe_distance_at and _contact over near() return the hit, distance, detail
     # and diagnostic of the pre-broadphase loops over every object.
     ego_r = math.hypot(*half)
-    safe, safe_ref = Broadphase(objects), [ObjectTracker(o) for o in objects]
-    contact, contact_ref = Broadphase(objects), [ObjectTracker(o) for o in objects]
+    safe, safe_ref = Broadphase(objects, ego_r + c), [ObjectTracker(o) for o in objects]
+    contact, contact_ref = Broadphase(objects, ego_r), [ObjectTracker(o) for o in objects]
     got, want = SimpleNamespace(diagnostics=[]), SimpleNamespace(diagnostics=[])
     for t, p, heading in sample_points(data, objects, ego_r, c):
         w = Waypoint(p, (0.0, 0.0), (0.0, 0.0), t)
-        assert (safe_distance_at(w, heading, half, ego_r, safe.near(p, ego_r + c), c)
+        assert (safe_distance_at(w, heading, half, ego_r, safe.near(p), c)
                 == safe_distance_reference(w, heading, half, ego_r, safe_ref, c))
         ego = EgoState(p, heading, 0.0, 0.0, t)
-        assert (_contact(ego, half, ego_r, contact.near(p, ego_r), t, got)
+        assert (_contact(ego, half, ego_r, contact.near(p), t, got)
                 == contact_reference(ego, half, ego_r, contact_ref, t, want))
         assert got.diagnostics == want.diagnostics
 
@@ -312,4 +312,4 @@ def test_broadphase_pads_its_cells():
     p = (-1e-300, 0.0)
     trk = ObjectTracker(obj)
     assert trk.radius == 5.0 and (trk.box_at(0).center[0] - p[0]) ** 2 <= 5.0 ** 2
-    assert [trk.obj.id for trk in Broadphase((obj,)).near(p, 0.0)] == ["o"]
+    assert [trk.obj.id for trk in Broadphase((obj,), 0.0).near(p)] == ["o"]
