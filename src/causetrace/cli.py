@@ -27,7 +27,7 @@ from .middleware import load_trace_records, save_trace, trace_digest
 from .oracles import ALL_KINDS, OracleConfig, carried_heading
 from .runner import AdsConfig, rtest
 from .scenario import (ParseError, Scenario, ValidationError, Waypoint, bbox_at, expect,
-                       load_json, load_scenario, parse_number)
+                       load_json, load_scenario, parse_number, reject_unknown_keys)
 
 EXIT_PASS = 0
 EXIT_VIOLATION = 1
@@ -40,6 +40,7 @@ def _load_oracle_config(path: str | None) -> OracleConfig:
     if path is None:
         return OracleConfig()
     doc = expect(load_json(path), dict, path)
+    reject_unknown_keys(doc, ("enabled", "safe_distance_c", "dest_tolerance", "speed_tolerance"))
     enabled = expect(doc.get("enabled", list(ALL_KINDS)), list, "enabled")
     for i, kind in enumerate(enabled):
         if kind not in ALL_KINDS:
@@ -151,11 +152,10 @@ def cmd_replay(args) -> int:
     out = _out_dir(args)
     lines = ["t_ms,ego_x,ego_y,ego_speed,min_distance,nearest_object"]
     if scenario is not None:
-        half = (scenario.ego_size[0] / 2.0, scenario.ego_size[1] / 2.0)
         heading = scenario.a_init[1]
         for w in ego:
             heading = carried_heading(w, heading)
-            box = OrientedBox(w.p, half, heading)
+            box = OrientedBox(w.p, scenario.ego_half, heading)
             best, best_id = float("inf"), ""
             for obj in scenario.objects:
                 d = min_obb_distance(box, bbox_at(obj, w.t))

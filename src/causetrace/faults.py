@@ -17,7 +17,7 @@ from .middleware import ComponentId
 from .payloads import (ControlOut, LocalizationOut, PerceivedObject, PerceptionOut,
                        PlanningOut, PredictedTrajectory, PredictionOut, TrajPoint)
 from .scenario import (ParseError, SimTime, ValidationError, expect, load_json,
-                       parse_number, parse_vec)
+                       parse_number, parse_vec, reject_unknown_keys)
 
 FAULT_KINDS: dict[str, ComponentId] = {
     "miss_detection": ComponentId.PERCEPTION,
@@ -96,6 +96,7 @@ class FaultSpec:
 def fault_from_dict(doc: dict, path: str = "fault") -> FaultSpec:
     """Parse one fault; malformed input raises ParseError / ValidationError."""
     expect(doc, dict, path)
+    reject_unknown_keys(doc, ("target", "kind", "trigger", "magnitude"), path)
     for key in ("target", "kind"):
         if key not in doc:
             raise ParseError(f"{path}: missing key {key!r}")
@@ -107,6 +108,7 @@ def fault_from_dict(doc: dict, path: str = "fault") -> FaultSpec:
                               f"{FAULT_KINDS[kind].value}, not {doc['target']!r}")
     trigger = _trigger_from_dict(doc.get("trigger", {}), f"{path}.trigger")
     magnitude = dict(expect(doc.get("magnitude", {}), dict, f"{path}.magnitude"))
+    reject_unknown_keys(magnitude, (*MAGNITUDE_NUMBERS, "mode"), f"{path}.magnitude")
     for key in MAGNITUDE_NUMBERS:
         if key in magnitude:
             parse_number(magnitude[key], f"{path}.magnitude.{key}")
@@ -118,6 +120,7 @@ def fault_from_dict(doc: dict, path: str = "fault") -> FaultSpec:
 
 def _trigger_from_dict(doc, path: str) -> Trigger:
     expect(doc, dict, path)
+    reject_unknown_keys(doc, ("t0_ms", "t1_ms", "object_id", "region"), path)
     t0 = parse_number(doc.get("t0_ms", 0), f"{path}.t0_ms", int)
     t1 = parse_number(doc.get("t1_ms", 1 << 62), f"{path}.t1_ms", int)
     if t1 <= t0:
@@ -129,6 +132,7 @@ def _trigger_from_dict(doc, path: str) -> Trigger:
     if "region" in doc:
         where = f"{path}.region"
         raw = expect(doc["region"], dict, where)
+        reject_unknown_keys(raw, ("center", "radius"), where)
         for key in ("center", "radius"):
             if key not in raw:
                 raise ParseError(f"{where}: missing key {key!r}")

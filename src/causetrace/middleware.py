@@ -4,14 +4,16 @@ A run owns one `Bus`. Components publish typed payloads; every message lands in
 the per-component trace row with a dense seq starting at 1, and carries the seq
 of each input message its firing consumed. Serialization is canonical JSON-lines
 (fixed key order, shortest round-trip floats) so that two runs of the same
-configuration produce byte-identical files.
+configuration produce byte-identical files. A payload is written as its dataclass
+fields in declaration order, tuples as arrays; a payload with a `to_dict`
+(`PerceivedObject`, which flattens its box) is written as that instead.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from operator import attrgetter
 from pathlib import Path
@@ -102,21 +104,15 @@ class Bus:
 # canonical serialization
 
 
-def _canon(obj: Any) -> Any:
-    """Payloads expose to_dict(); containers are converted recursively."""
+def _encode(obj: Any) -> Any:
+    """`json.dumps` hook: a payload is its `to_dict()` if it has one, else its fields."""
     if hasattr(obj, "to_dict"):
-        return _canon(obj.to_dict())
-    if isinstance(obj, dict):
-        return {k: _canon(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_canon(v) for v in obj]
-    if isinstance(obj, Enum):
-        return obj.value
-    return obj
+        return obj.to_dict()
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
 
 
 def _dumps(obj: Any) -> str:
-    return json.dumps(_canon(obj), separators=(",", ":"), allow_nan=False)
+    return json.dumps(obj, separators=(",", ":"), allow_nan=False, default=_encode)
 
 
 def serialize_trace(trace: Trace) -> str:
@@ -132,7 +128,7 @@ def serialize_trace(trace: Trace) -> str:
             "seq": m.seq,
             "t_pub": m.t_pub,
             "payload": m.payload,
-            "state_key": list(m.state_key) if m.state_key is not None else None,
+            "state_key": m.state_key,
             "state_index": m.state_index,
             "fault_affected": m.fault_affected,
         }))
@@ -146,8 +142,7 @@ def serialize_trace(trace: Trace) -> str:
             "t": m.t_pub,
         }))
     for w in trace.ego_log:
-        lines.append(_dumps({"kind": "ego", "t": w.t, "p": list(w.p), "v": list(w.v),
-                             "a": list(w.a)}))
+        lines.append(_dumps({"kind": "ego", "t": w.t, "p": w.p, "v": w.v, "a": w.a}))
     if trace.verdict is not None:
         lines.append(_dumps({"kind": "verdict", "passed": trace.verdict.passed,
                              "violations": trace.verdict.violations}))

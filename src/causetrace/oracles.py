@@ -43,11 +43,6 @@ def carried_heading(w: Waypoint, last: float) -> float:
     return math.atan2(w.v[1], w.v[0]) if w.v != (0.0, 0.0) else last
 
 
-def _ego_extent(scenario: Scenario) -> tuple[tuple[float, float], float]:
-    half = (scenario.ego_size[0] / 2.0, scenario.ego_size[1] / 2.0)
-    return half, math.hypot(*half)
-
-
 def safe_distance_at(w: Waypoint | TrajPoint, heading: float, half: tuple[float, float],
                      ego_r: float, trackers: list[ObjectTracker], c: float
                      ) -> tuple[str, float, str] | None:
@@ -128,7 +123,7 @@ class SampleMonitor:
     def __init__(self, scenario: Scenario, config: OracleConfig, heading: float):
         self.config = config
         self.lane_map = scenario.map
-        self.half, self.ego_r = _ego_extent(scenario)
+        self.half, self.ego_r = scenario.ego_half, scenario.ego_radius
         self.objects = Broadphase(scenario.objects, self.ego_r + config.safe_distance_c)
         self.heading = heading
         self.first: dict[str, dict] = {}
@@ -226,8 +221,7 @@ def planning_message_violates(plan: PlanningOut, t: SimTime,
     is empty/held while the mission is incomplete and nothing ahead justifies
     stopping (after the stall persistence window).
     """
-    half = ctx.planner_ctx.ego_half
-    ego_r = math.hypot(*half)
+    half, ego_r = ctx.scenario.ego_half, ctx.scenario.ego_radius
     c = ctx.config.safe_distance_c
     # Point times rise within a message, so fresh trackers can follow them.
     objects = Broadphase(ctx.scenario.objects, ego_r + c)

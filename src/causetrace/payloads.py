@@ -19,22 +19,21 @@ class PerceivedObject:
     v: Vec2
 
     def to_dict(self) -> dict:
+        """The one payload whose JSON form is not its fields: the box is flattened
+        into `center`, `half_extents` and `heading`."""
         return {
             "id": self.id,
             "kind": self.kind,
-            "center": list(self.box.center),
-            "half_extents": list(self.box.half_extents),
+            "center": self.box.center,
+            "half_extents": self.box.half_extents,
             "heading": self.box.heading,
-            "v": list(self.v),
+            "v": self.v,
         }
 
 
 @dataclass(frozen=True)
 class PerceptionOut:
     objects: tuple[PerceivedObject, ...]
-
-    def to_dict(self) -> dict:
-        return {"objects": [o.to_dict() for o in self.objects]}
 
 
 @dataclass(frozen=True)
@@ -44,15 +43,6 @@ class PredictedTrajectory:
     half_extents: tuple[float, float]
     heading: float  # heading at the first point
     points: tuple[tuple[SimTime, float, float], ...]  # (t_ms, x, y), strictly increasing t
-
-    def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "kind": self.kind,
-            "half_extents": list(self.half_extents),
-            "heading": self.heading,
-            "points": [[t, x, y] for t, x, y in self.points],
-        }
 
     def box_at(self, t: SimTime) -> OrientedBox:
         pts = self.points
@@ -83,9 +73,6 @@ class PredictedTrajectory:
 class PredictionOut:
     trajectories: tuple[PredictedTrajectory, ...]
 
-    def to_dict(self) -> dict:
-        return {"trajectories": [tr.to_dict() for tr in self.trajectories]}
-
     def by_id(self, obj_id: str) -> PredictedTrajectory | None:
         for tr in self.trajectories:
             if tr.id == obj_id:
@@ -100,9 +87,6 @@ class TrajPoint:
     speed: float
     heading: float
 
-    def to_dict(self) -> dict:
-        return {"t": self.t, "p": list(self.p), "speed": self.speed, "heading": self.heading}
-
 
 @dataclass(frozen=True)
 class PlanningOut:
@@ -110,21 +94,11 @@ class PlanningOut:
     decision: str  # Cruise | Stop | Nudge | Emergency
     branch_tags: tuple[str, ...] = field(default_factory=tuple)
 
-    def to_dict(self) -> dict:
-        return {
-            "trajectory": [pt.to_dict() for pt in self.trajectory],
-            "decision": self.decision,
-            "branch_tags": list(self.branch_tags),
-        }
-
 
 @dataclass(frozen=True)
 class ControlOut:
     accel_cmd: float
     steer: float
-
-    def to_dict(self) -> dict:
-        return {"accel_cmd": self.accel_cmd, "steer": self.steer}
 
 
 @dataclass(frozen=True)
@@ -132,6 +106,3 @@ class LocalizationOut:
     p: Vec2
     heading: float
     speed: float
-
-    def to_dict(self) -> dict:
-        return {"p": list(self.p), "heading": self.heading, "speed": self.speed}

@@ -106,6 +106,7 @@ class PlannerContext:
     speed_limit: float
     signals: tuple[TrafficSignal, ...]
     ego_half: tuple[float, float]  # (length/2, width/2)
+    ego_radius: float
 
 
 def make_planner_context(scenario: Scenario) -> PlannerContext:
@@ -136,7 +137,8 @@ def make_planner_context(scenario: Scenario) -> PlannerContext:
         dest_s=dest_s,
         speed_limit=limit,
         signals=scenario.signals,
-        ego_half=(scenario.ego_size[0] / 2.0, scenario.ego_size[1] / 2.0),
+        ego_half=scenario.ego_half,
+        ego_radius=scenario.ego_radius,
     )
 
 
@@ -206,7 +208,7 @@ def _first_conflict(ctx: PlannerContext, traj: tuple[TrajPoint, ...],
     from .geometry import obb_separation_at_least
 
     threshold = CONFLICT_CLEAR
-    ego_r = math.hypot(*ctx.ego_half)
+    ego_r = ctx.ego_radius
     items = []
     for tr in pred.trajectories:
         if tr.kind == "Infrastructure":

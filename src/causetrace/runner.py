@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import functools
 import gc
-import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from operator import attrgetter
@@ -105,8 +104,7 @@ def run_scheduler(scenario: Scenario, ads: AdsConfig,
     ctx = make_planner_context(scenario)
     ego = EgoState(p=scenario.a_init[0], heading=scenario.a_init[1], speed=0.0,
                    accel=0.0, t=0)
-    ego_half = (scenario.ego_size[0] / 2.0, scenario.ego_size[1] / 2.0)
-    ego_r = math.hypot(*ego_half)
+    ego_half, ego_r = scenario.ego_half, scenario.ego_radius
     objects = Broadphase(scenario.objects, ego_r)
     state_tracker = OnlineStateTracker(ads.units)
     if fork is not None:

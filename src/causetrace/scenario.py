@@ -111,6 +111,16 @@ class Scenario:
     seed: int
     ego_size: tuple[float, float, float]
 
+    @cached_property
+    def ego_half(self) -> tuple[float, float]:
+        """Half length and half width of the ego box."""
+        return (self.ego_size[0] / 2.0, self.ego_size[1] / 2.0)
+
+    @cached_property
+    def ego_radius(self) -> float:
+        """Radius of the circle that holds the ego box at any heading."""
+        return math.hypot(*self.ego_half)
+
     def object_by_id(self, obj_id: str) -> TrafficObject:
         for obj in self.objects:
             if obj.id == obj_id:
@@ -254,6 +264,14 @@ def expect(raw, kind: type, path: str):
     if not isinstance(raw, kind):
         raise ParseError(f"{path}: expected {_JSON_TYPE_NAMES[kind]}")
     return raw
+
+
+def reject_unknown_keys(doc: dict, known, path: str = "") -> None:
+    """ValidationError for the first key of `doc` not in `known`: a misspelt key
+    would otherwise be ignored and change what runs."""
+    for key in doc:
+        if key not in known:
+            raise ValidationError(f"{path}.{key}" if path else key, "unknown key")
 
 
 def parse_vec(raw, path: str) -> Vec2:

@@ -119,7 +119,23 @@ MALFORMED = {
         "target": "perception", "kind": "miss_detection",
         "trigger": {"region": {"center": [0.0, 0.0], "radius": -1.0}}},
         None, "fault.trigger.region.radius"),
+    "fault_unknown_key": (None, {
+        "target": "perception", "kind": "miss_detection", "tigger": {"t0_ms": 5000}},
+        None, "fault.tigger: unknown key"),
+    "fault_trigger_unknown_key": (None, {"faults": [{
+        "target": "control", "kind": "wrong_longitudinal_command",
+        "trigger": {"t0": 5000}, "magnitude": {"offset": 0.3}}]},
+        None, "faults[0].trigger.t0: unknown key"),
+    "fault_trigger_region_unknown_key": (None, {
+        "target": "perception", "kind": "miss_detection",
+        "trigger": {"region": {"center": [0.0, 0.0], "radius": 1.0, "radius_m": 2.0}}},
+        None, "fault.trigger.region.radius_m: unknown key"),
+    "fault_magnitude_unknown_key": (None, {
+        "target": "control", "kind": "wrong_longitudinal_command",
+        "trigger": {"t0_ms": 5000}, "magnitude": {"offest": 0.3}},
+        None, "fault.magnitude.offest: unknown key"),
     "oracle_negative_c": (None, None, {"safe_distance_c": -1}, "safe_distance_c"),
+    "oracle_unknown_key": (None, None, {"safe_distance": 2.0}, "safe_distance: unknown key"),
     "oracle_unknown_kind": (None, None, {"enabled": ["speedng"]}, "enabled[0]"),
 }
 

@@ -16,6 +16,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = json.loads((ROOT / "tests" / "golden.json").read_text(encoding="utf-8"))
+# The benchmark's reference; its run:<id> digests are taken after split_trace.
+PERFBENCH_REFERENCE = ROOT / "perfbench" / "reference.json"
 FAST = ("cs1_plan_none", "cs1_pred_none", "cs5_loc_lat", "cs1_perc_vel", "cs5_ctrl_lat")
 
 # sha256 of every shipped benchmark file, the only copy of the benchmark. A
@@ -68,6 +70,22 @@ def test_golden_covers_every_instance():
 @pytest.mark.parametrize("inst_id", FAST)
 def test_golden_fast(golden_entry, inst_id):
     assert golden_entry(inst_id) == GOLDEN[inst_id]
+
+
+@pytest.mark.parametrize("inst_id", FAST)
+def test_state_annotated_trace_digest_fast(inst_id):
+    """The golden digests have state_key null; this pins the bytes after split_trace."""
+    from causetrace.benchmark import load_benchmark, load_builtin_scenario
+    from causetrace.middleware import trace_digest
+    from causetrace.oracles import OracleConfig
+    from causetrace.runner import AdsConfig, rtest
+    from causetrace.substitutes import split_trace
+    reference = json.loads(PERFBENCH_REFERENCE.read_text(encoding="utf-8"))
+    inst = next(i for i in load_benchmark() if i.id == inst_id)
+    ads = AdsConfig(faults=[inst.fault])
+    result = rtest(load_builtin_scenario(inst.scenario), ads, OracleConfig())
+    split_trace(result.trace, ads.units)
+    assert trace_digest(result.trace) == reference[f"run:{inst_id}"]["digest"]
 
 
 @pytest.mark.slow

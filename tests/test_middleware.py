@@ -1,13 +1,16 @@
 import json
+from enum import Enum
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from causetrace.middleware import (TICK_PRIORITY, Bus, ComponentId, OrderError,
+from causetrace.geometry import OrientedBox
+from causetrace.middleware import (TICK_PRIORITY, Bus, ComponentId, OrderError, _dumps,
                                    serialize_trace, trace_digest)
 from causetrace.oracles import OracleConfig
-from causetrace.payloads import ControlOut
+from causetrace.payloads import (ControlOut, LocalizationOut, PerceivedObject, PerceptionOut,
+                                 PlanningOut, PredictedTrajectory, PredictionOut, TrajPoint)
 from causetrace.runner import AdsConfig, rtest
 from causetrace.scenario import scenario_from_dict
 from conftest import straight_road_doc
@@ -126,3 +129,101 @@ def test_serialization_fixed_key_order():
     msg_lines = [l for l in lines if '"kind":"msg"' in l]
     assert msg_lines[0].index('"component"') < msg_lines[0].index('"seq"')
     assert msg_lines[0].index('"seq"') < msg_lines[0].index('"t_pub"')
+
+
+# ---------------------------------------------------------------------------
+# payload JSON form, pinned against the hand-written encoder it replaced
+
+REFERENCE_TO_DICT = {
+    PerceivedObject: lambda o: {
+        "id": o.id,
+        "kind": o.kind,
+        "center": list(o.box.center),
+        "half_extents": list(o.box.half_extents),
+        "heading": o.box.heading,
+        "v": list(o.v),
+    },
+    PerceptionOut: lambda o: {"objects": [REFERENCE_TO_DICT[PerceivedObject](x)
+                                          for x in o.objects]},
+    PredictedTrajectory: lambda o: {
+        "id": o.id,
+        "kind": o.kind,
+        "half_extents": list(o.half_extents),
+        "heading": o.heading,
+        "points": [[t, x, y] for t, x, y in o.points],
+    },
+    PredictionOut: lambda o: {"trajectories": [REFERENCE_TO_DICT[PredictedTrajectory](tr)
+                                               for tr in o.trajectories]},
+    TrajPoint: lambda o: {"t": o.t, "p": list(o.p), "speed": o.speed, "heading": o.heading},
+    PlanningOut: lambda o: {
+        "trajectory": [REFERENCE_TO_DICT[TrajPoint](pt) for pt in o.trajectory],
+        "decision": o.decision,
+        "branch_tags": list(o.branch_tags),
+    },
+    ControlOut: lambda o: {"accel_cmd": o.accel_cmd, "steer": o.steer},
+    LocalizationOut: lambda o: {"p": list(o.p), "heading": o.heading, "speed": o.speed},
+}
+
+
+def reference(obj):
+    """Each payload's listed fields; containers converted recursively."""
+    if type(obj) in REFERENCE_TO_DICT:
+        return reference(REFERENCE_TO_DICT[type(obj)](obj))
+    if isinstance(obj, dict):
+        return {k: reference(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [reference(v) for v in obj]
+    if isinstance(obj, Enum):
+        return obj.value
+    return obj
+
+
+numbers = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                    st.sampled_from([-0.0, 5e-324, 2.225073858507201e-308, 1e308]),
+                    st.integers(-2**80, 2**80))
+vec2 = st.tuples(numbers, numbers)
+times = st.integers(0, 2**40)
+texts = st.text(max_size=5)
+
+
+def tuples_of(elements):
+    return st.lists(elements, max_size=3).map(tuple)
+
+
+perceived = st.builds(PerceivedObject, texts, texts,
+                      st.builds(OrientedBox, vec2, vec2, numbers), vec2)
+trajectories = st.builds(PredictedTrajectory, texts, texts, vec2, numbers,
+                         tuples_of(st.tuples(times, numbers, numbers)))
+points = st.builds(TrajPoint, times, vec2, numbers, numbers)
+payloads = st.one_of(
+    perceived,
+    st.builds(PerceptionOut, tuples_of(perceived)),
+    trajectories,
+    st.builds(PredictionOut, tuples_of(trajectories)),
+    points,
+    st.builds(PlanningOut, tuples_of(points), texts, tuples_of(texts)),
+    st.builds(ControlOut, numbers, numbers),
+    st.builds(LocalizationOut, vec2, numbers, numbers),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(payload=payloads)
+def test_payload_json_is_its_fields_in_declaration_order(payload):
+    expected = json.dumps(reference(payload), separators=(",", ":"), allow_nan=False)
+    assert _dumps(payload) == expected
+
+
+def test_payload_json_rejects_nan():
+    with pytest.raises(ValueError):
+        _dumps(LocalizationOut((0.0, float("nan")), 0.0, 1.0))
+
+
+class NotAPayload:
+    def __init__(self):
+        self.x = 1.0
+
+
+def test_payload_json_rejects_a_non_dataclass_value():
+    with pytest.raises(TypeError):
+        _dumps(PlanningOut((TrajPoint(0, (0.0, 0.0), 1.0, 0.0),), "Cruise", (NotAPayload(),)))
