@@ -22,7 +22,8 @@ from .middleware import TICK_PRIORITY, ComponentId, Message, Trace
 from .oracles import (OracleConfig, PlanningCheckContext, planning_message_violates,
                       trajectory_is_held)
 from .pipeline import make_planner_context
-from .runner import AdsConfig, RunResult, collector_paused, rtest, run_with_substitution
+from .runner import (AdsConfig, ForkMemo, RunResult, collector_paused, rtest,
+                     run_with_substitution)
 from .scenario import Scenario
 from .substitutes import (DynamicState, IdealFromState, IdealWithinStates,
                           SubstitutionPlan, split_trace)
@@ -59,8 +60,11 @@ class NoViolatingPlanningMessage(Exception):
 class DtestSession:
     """Runs and counts counterfactual re-runs for one attribution task.
 
-    Each re-run is forked from `origin`, the original run's trace, and stops once
-    its verdict is decided (see `run_with_substitution`).
+    Each re-run is forked from `origin`, the original run's trace, where its
+    substitute first publishes something the original did not, and stops once
+    its verdict is decided; re-runs that fork at the same state with the same
+    substitutes share one verdict through the session's `memo` (see
+    `run_with_substitution`).
     """
 
     def __init__(self, scenario: Scenario, ads: AdsConfig, oracles: OracleConfig,
@@ -72,6 +76,7 @@ class DtestSession:
         self.calls = 0
         self.stepped_ms = 0  # simulated ms the re-runs stepped; copied prefixes excluded
         self.prefix_decided = 0  # re-runs decided from the original run without a step
+        self.memo = ForkMemo()  # .hits: re-runs decided by an earlier re-run's verdict
         self._cache: dict[tuple, bool] = {}
 
     def passed(self, plan: SubstitutionPlan) -> bool:
@@ -79,11 +84,12 @@ class DtestSession:
         if key in self._cache:
             return self._cache[key]
         self.calls += 1
+        hits = self.memo.hits
         verdict, trace = run_with_substitution(self.scenario, self.ads, plan, self.oracles,
-                                               origin=self.origin)
+                                               origin=self.origin, memo=self.memo)
         stepped = trace.ego_log[-1].t - trace.forked_at
         self.stepped_ms += stepped
-        self.prefix_decided += stepped == 0
+        self.prefix_decided += stepped == 0 and self.memo.hits == hits
         self._cache[key] = verdict.passed
         return verdict.passed
 
@@ -164,8 +170,12 @@ def audit_suffix_monotonicity(session: DtestSession, trace: Trace, component: Co
     For consecutive states m < m' that contain messages of the component, a
     substitute from any state in (m, m'] replaces the same messages, so the
     predicate is constant there; evaluating it at state 1 and at every state
-    that carries a component message is the full scan. Returns (monotone, last
-    passing message state, outcomes); the binary search reports that state too.
+    that carries a component message is the full scan. It is constant between
+    consecutive *differing* message states too, those whose message the
+    substitute would not publish: a substitute from any state in (m, m'] forks
+    at m' (see `runner.run_with_substitution`), and all but the first of those
+    probes are decided without stepping. Returns (monotone, last passing
+    message state, outcomes); the binary search reports that state too.
     """
     indices = _component_states(trace, component)
     if 1 not in indices:
@@ -294,13 +304,14 @@ class AttributionReport:
     focus_affected_gap_ms: int | None = None  # 0 when the focus itself is affected
     notes: list[str] = field(default_factory=list)
     verdict_matrix: list[dict] = field(default_factory=list)
-    # Re-run cost (DtestSession.stepped_ms / .prefix_decided), left out of to_dict.
+    # Re-run cost (DtestSession.stepped_ms / .prefix_decided / .memo.hits), left
+    # out of to_dict.
     rerun_stepped_ms: int = 0
     rerun_prefix_decided: int = 0
+    rerun_memo_decided: int = 0
 
     def to_dict(self) -> dict:
-        out = dict(self.__dict__)
-        del out["rerun_stepped_ms"], out["rerun_prefix_decided"]
+        out = {k: v for k, v in self.__dict__.items() if not k.startswith("rerun_")}
         out["interval"] = list(self.interval) if self.interval else None
         return out
 
@@ -396,6 +407,7 @@ def attribute(scenario: Scenario, ads: AdsConfig, oracles: OracleConfig,
         verdict_matrix=build_verdict_matrix(original.trace, component, focus),
         rerun_stepped_ms=session.stepped_ms,
         rerun_prefix_decided=session.prefix_decided,
+        rerun_memo_decided=session.memo.hits,
     )
     return report
 

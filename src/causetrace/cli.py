@@ -119,7 +119,8 @@ def cmd_attribute(args) -> int:
           f"{report.dtest_message_level} message-level "
           f"({report.simulations_total} simulations total)")
     print(f"re-run cost: {report.rerun_stepped_ms} simulated ms stepped, "
-          f"{report.rerun_prefix_decided} re-runs decided from the original run's prefix")
+          f"{report.rerun_prefix_decided} re-runs decided from the original run's prefix, "
+          f"{report.rerun_memo_decided} by an earlier re-run's verdict")
     print(f"wall time: {report.wall_time_s:.2f} s")
     return EXIT_PASS
 

@@ -145,9 +145,12 @@ def _trigger_from_dict(doc, path: str) -> Trigger:
 
 def load_fault_file(path: str | Path) -> list[FaultSpec]:
     doc = load_json(path)
-    if isinstance(doc, dict) and "faults" not in doc:
-        return [fault_from_dict(doc)]
-    faults = expect(doc["faults"] if isinstance(doc, dict) else doc, list, "faults")
+    if isinstance(doc, dict):
+        if "faults" not in doc:
+            return [fault_from_dict(doc)]
+        reject_unknown_keys(doc, ("faults",))
+        doc = doc["faults"]
+    faults = expect(doc, list, "faults")
     return [fault_from_dict(d, f"faults[{i}]") for i, d in enumerate(faults)]
 
 

@@ -11,33 +11,36 @@ substituted). Each firing publishes one message carrying its inputs. Identical
 inputs produce byte-identical serialized traces.
 
 A run records a checkpoint at the first sample of every state. A counterfactual
-re-run given the original trace resumes from the checkpoint of the state where
-its substitutes first become active, since it equals the original run up to
-there, and it stops at its first safe-distance or speeding violation, since
-that decides its verdict.
+re-run given the original trace equals the original run until one of its
+substitutes first publishes something the original did not; it resumes from the
+checkpoint of that message's state and stops at its first safe-distance or
+speeding violation, since that decides its verdict. Re-runs that fork at the
+same state with the same substitutes active from there on share one future, so
+a later one takes the verdict of the first (`ForkMemo`).
 """
 
 from __future__ import annotations
 
 import functools
 import gc
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import islice
 from operator import attrgetter
 from typing import Any, Callable, NamedTuple
 
 from .faults import FaultSpec
 from .geometry import OrientedBox, min_obb_distance, obb_separation_at_least
-from .middleware import Bus, ComponentId, TICK_PRIORITY, Trace, Verdict
+from .middleware import Bus, ComponentId, Message, TICK_PRIORITY, Trace, Verdict
 from .oracles import (MISSION, OracleConfig, SampleMonitor, carried_heading, evaluate,
                       mission_violation)
 from .pipeline import (control_tick, localization_tick, make_planner_context,
                        perception_tick, planning_tick, prediction_tick)
 from .scenario import Scenario, SimTime, Waypoint
 from .substitutes import (OnlineStateTracker, QuantizationUnits, StateKey,
-                          SubstitutionPlan, derived_control, ideal_localization,
-                          ideal_perception, ideal_prediction, sim_control_apply,
-                          substitution_active)
+                          SubstitutionPlan, active_states, derived_control,
+                          ideal_localization, ideal_perception, ideal_prediction,
+                          sim_control_apply, substitution_active)
 from .world import Broadphase, EgoState, ObjectTracker, step_ego
 
 SAMPLE_MS = 10  # ego log and state tracking at 100 Hz
@@ -245,41 +248,121 @@ def rtest(scenario: Scenario, ads: AdsConfig, oracles: OracleConfig) -> RunResul
     return RunResult(verdict, trace.ego_log, trace)
 
 
+class ForkMemo:
+    """The verdicts of the simulated re-runs of one original run, by fork key (see
+    `run_with_substitution`), and the number of re-runs that took one of them."""
+
+    def __init__(self) -> None:
+        self.verdicts: dict[tuple, Verdict] = {}
+        self.hits = 0
+
+
+def _differs(scenario: Scenario, origin: Trace, m: Message) -> bool:
+    """Whether the substitute of `m`'s component, fired where the original run
+    fired `m`, would publish anything else. Equality is exact: `repr` tells a
+    signed zero apart, which `==` does not."""
+    if m.fault_affected:
+        return True
+    if m.component is ComponentId.PERCEPTION:
+        ideal = ideal_perception(scenario, m.t_pub, origin.ego_log[m.t_pub // SAMPLE_MS].p)
+    elif m.component is ComponentId.PREDICTION:
+        ideal = ideal_prediction(scenario, m.t_pub)
+    else:
+        # Unfaulted localization publishes exactly ideal_localization's value;
+        # the trace keeps too little of the ego state to recompute it.
+        return False
+    return repr(m.payload) != repr(ideal)
+
+
+def _first_difference(scenario: Scenario, origin: Trace, component: ComponentId,
+                      lo: int, end: int) -> int | None:
+    """The state of the first message of `component` in states lo to end - 1 of
+    the original run that its substitute would not publish; None if there is none."""
+    cps = origin.checkpoints
+    row = origin.rows[component]
+    t_end = cps[end - 1].t if end <= len(cps) else scenario.t_max
+    for m in islice(row, bisect_left(row, cps[lo - 1].t, key=attrgetter("t_pub")), None):
+        if m.t_pub >= t_end:
+            return None
+        if _differs(scenario, origin, m):
+            return bisect_right(cps, m.t_pub, key=attrgetter("t"))
+    return None
+
+
+def _fork(scenario: Scenario, plan: SubstitutionPlan, origin: Trace
+          ) -> tuple[int, tuple] | None:
+    """The state where a re-run of `plan` first publishes something the original
+    run did not, and the key of its future; None if that never happens.
+
+    Up to that state's first sample the re-run is the original, message for
+    message. The control substitute moves the ego by another model, so it
+    differs at its first active state; any other substitute is compared with the
+    original's messages from its first active state on, up to the earliest
+    difference found so far. From the fork on, the run is fixed by the fork state
+    and each substitute's remaining active window, which make the key.
+    """
+    cps = origin.checkpoints
+    windows = {c: active_states(m) for c, m in plan.modes.items()}
+    fork = len(cps) + 1  # the original never reaches this state
+    ctrl_lo, ctrl_hi = windows.get(ComponentId.CONTROL, (fork, 0))
+    if ctrl_lo <= ctrl_hi:
+        fork = min(fork, ctrl_lo)
+    for c, (lo, hi) in windows.items():
+        if c is not ComponentId.CONTROL and lo <= hi and lo < fork:
+            state = _first_difference(scenario, origin, c, lo, min(hi + 1, fork))
+            if state is not None:
+                fork = state
+    if fork > len(cps):
+        return None
+    key = tuple(sorted((c.value, max(lo, fork), hi)
+                       for c, (lo, hi) in windows.items() if hi >= fork))
+    return fork, key
+
+
 def run_with_substitution(scenario: Scenario, ads: AdsConfig, plan: SubstitutionPlan,
-                          oracles: OracleConfig, origin: Trace | None = None
-                          ) -> tuple[Verdict, Trace]:
+                          oracles: OracleConfig, origin: Trace | None = None,
+                          memo: ForkMemo | None = None) -> tuple[Verdict, Trace]:
     """One run with the plan's substitutes active, plus its verdict.
 
     Without `origin` the run is simulated from t=0 to its end and the verdict
     lists every violation kind. `origin` is the trace of the original run (no
     substitutes) of the same scenario and faults, judged with the same oracles.
-    Up to the first sample of the state where the plan's first substitute
-    becomes active, the re-run equals that run. So its verdict is taken from
-    the original when the original's first safe-distance or speeding violation
-    lies in that prefix, or when no substitute ever becomes active. Otherwise it
-    resumes from the original's checkpoint there and stops at its first
-    safe-distance or speeding violation; the verdict then holds that violation,
-    or else the mission violation, if any.
+    Up to the first sample of the state where a substitute first publishes
+    something the original did not (`_fork`), the re-run equals that run. So its
+    verdict is taken from the original when the original's first safe-distance
+    or speeding violation lies in that prefix, or when no substitute ever does
+    so. Otherwise, when an earlier re-run with the same `memo` forked at the same
+    state with the same substitutes active from there on, it has that re-run's
+    future and takes its verdict; its trace is the original's through the fork
+    sample. Else it resumes from the original's checkpoint at the fork and stops
+    at its first safe-distance or speeding violation; the verdict then holds that
+    violation, or else the mission violation, if any.
     """
     if origin is None:
         trace = run_scheduler(scenario, ads, plan)
         verdict = evaluate(trace.ego_log, scenario, oracles)
         trace.verdict = verdict
         return verdict, trace
-    k = plan.first_active_state()
-    if k is None or k > len(origin.checkpoints):
-        # No substitute becomes active before the run ends: this is the original.
-        return origin.verdict, Trace(origin.rows, origin.ego_log, origin.verdict,
-                                     forked_at=origin.ego_log[-1].t)
-    cp = origin.checkpoints[k - 1]
+    fork = _fork(scenario, plan, origin)
     decided = [v for v in origin.verdict.violations if v["kind"] != MISSION]
-    if decided and decided[0]["t"] <= cp.t:
+    if decided and (fork is None or decided[0]["t"] <= origin.checkpoints[fork[0] - 1].t):
         t = decided[0]["t"]
         verdict = Verdict(False, decided[:1])
         # The trace an early-stopped run would leave: the samples through t and
         # the messages published before it.
         rows, ego_log = _prefix(origin, t, through=True)
         return verdict, Trace(rows, ego_log, verdict, forked_at=t)
+    if fork is None:
+        # The re-run publishes what the original did, to the end: it is the original.
+        return origin.verdict, Trace(origin.rows, origin.ego_log, origin.verdict,
+                                     forked_at=origin.ego_log[-1].t)
+    k, key = fork
+    cp = origin.checkpoints[k - 1]
+    if memo is not None and key in memo.verdicts:
+        memo.hits += 1
+        verdict = memo.verdicts[key]
+        rows, ego_log = _prefix(origin, cp.t, through=True)
+        return verdict, Trace(rows, ego_log, verdict, forked_at=cp.t)
     heading = scenario.a_init[1]
     for w in origin.ego_log[:cp.t // SAMPLE_MS]:
         heading = carried_heading(w, heading)
@@ -288,4 +371,6 @@ def run_with_substitution(scenario: Scenario, ads: AdsConfig, plan: Substitution
     violation = monitor.violation or mission_violation(trace.ego_log, scenario, oracles)
     verdict = Verdict(violation is None, [violation] if violation else [])
     trace.verdict = verdict
+    if memo is not None:
+        memo.verdicts[key] = verdict
     return verdict, trace

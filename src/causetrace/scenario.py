@@ -288,7 +288,7 @@ def _size(raw, path: str) -> tuple[float, float, float]:
 
 
 def _parse_waypoint(raw: dict, path: str) -> Waypoint:
-    expect(raw, dict, path)
+    reject_unknown_keys(expect(raw, dict, path), ("t_ms", "p", "v", "a"), path)
     try:
         t = parse_number(raw["t_ms"], f"{path}.t_ms", int)
         p = parse_vec(raw["p"], f"{path}.p")
@@ -303,7 +303,8 @@ def _parse_waypoint(raw: dict, path: str) -> Waypoint:
 
 def _parse_object(raw: dict, idx: int) -> TrafficObject:
     path = f"objects[{idx}]"
-    expect(raw, dict, path)
+    reject_unknown_keys(expect(raw, dict, path),
+                        ("id", "kind", "size", "waypoints", "heading_override"), path)
     try:
         obj_id = str(raw["id"])
         kind = raw["kind"]
@@ -339,7 +340,8 @@ def _parse_object(raw: dict, idx: int) -> TrafficObject:
 
 def _parse_lane(raw: dict, idx: int) -> Lane:
     path = f"map.lanes[{idx}]"
-    expect(raw, dict, path)
+    reject_unknown_keys(expect(raw, dict, path), ("id", "centerline", "width", "speed_limit"),
+                        path)
     try:
         lane_id = str(raw["id"])
         pts = tuple(parse_vec(p, f"{path}.centerline[{i}]")
@@ -359,7 +361,7 @@ def _parse_lane(raw: dict, idx: int) -> Lane:
 
 def _parse_signal(raw: dict, idx: int, t_max: SimTime) -> TrafficSignal:
     path = f"signals[{idx}]"
-    expect(raw, dict, path)
+    reject_unknown_keys(expect(raw, dict, path), ("id", "stop_line", "phases"), path)
     try:
         sig_id = str(raw["id"])
         stop_line = parse_vec(raw["stop_line"], f"{path}.stop_line")
@@ -369,7 +371,9 @@ def _parse_signal(raw: dict, idx: int, t_max: SimTime) -> TrafficSignal:
     phases = []
     for i, ph in enumerate(phases_raw):
         ph_path = f"{path}.phases[{i}]"
-        color = expect(ph, dict, ph_path).get("color")
+        reject_unknown_keys(expect(ph, dict, ph_path), ("color", "t_start_ms", "t_end_ms"),
+                            ph_path)
+        color = ph.get("color")
         if color not in SIGNAL_COLORS:
             raise ValidationError(f"{ph_path}.color", f"unknown color {color!r}")
         try:
@@ -404,10 +408,13 @@ def _reachable_lanes(lane_map: LaneMap, start: str) -> set[str]:
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
-    expect(doc, dict, "top level")
+    reject_unknown_keys(expect(doc, dict, "top level"),
+                        ("map", "ego", "objects", "signals", "t_max_ms", "seed"))
     try:
         map_raw = expect(doc["map"], dict, "map")
+        reject_unknown_keys(map_raw, ("lanes", "successors"), "map")
         ego = expect(doc["ego"], dict, "ego")
+        reject_unknown_keys(ego, ("init_pose", "dest", "size"), "ego")
         t_max = parse_number(doc["t_max_ms"], "t_max_ms", int)
         seed = parse_number(doc["seed"], "seed", int)
     except KeyError as exc:

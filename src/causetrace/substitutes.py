@@ -6,9 +6,9 @@ prediction, localization) or bypass the motion model by driving the ego along
 the planning trajectory (control). State quantization turns the sampled ego
 dynamics into integer keys; consecutive equal keys form one state, and the
 state index is the time axis of the message-level search. A re-run substitutes
-from state k onward, and runs identically to the original until then, so it
-reaches state k at the same moment by determinism; the runner therefore forks
-such a re-run from the original run's checkpoint at state k.
+from state k onward, and runs identically to the original until a substitute
+publishes something the original did not, at state k or later; the runner
+therefore forks such a re-run from the original run's checkpoint at that state.
 """
 
 from __future__ import annotations
@@ -149,25 +149,25 @@ class SubstitutionPlan:
         return {c.value: self.modes[c].to_dict() if c in self.modes else {"mode": "original"}
                 for c in ComponentId}
 
-    def first_active_state(self) -> int | None:
-        """Lowest state index at which some substitute may be active; None if none
-        is. State indices start at 1, so a start at 0 or below counts as 1."""
-        starts = [1 if isinstance(m, IdealAll)
-                  else m.index if isinstance(m, IdealFromState) else m.a
-                  for m in self.modes.values()]
-        return min((max(s, 1) for s in starts), default=None)
-
     @staticmethod
     def ideal_all(*components: ComponentId) -> "SubstitutionPlan":
         return SubstitutionPlan({c: IdealAll() for c in components})
 
 
-def substitution_active(mode: Mode, state_index: int) -> bool:
+def active_states(mode: Mode) -> tuple[int, float]:
+    """First and last state index at which the substitute is active; the last is
+    infinite for a substitute that stays on. State indices start at 1, so a start
+    at 0 or below counts as 1. The window is empty when first > last."""
     if isinstance(mode, IdealAll):
-        return True
+        return 1, math.inf
     if isinstance(mode, IdealFromState):
-        return state_index >= mode.index
-    return mode.a <= state_index <= mode.b
+        return max(mode.index, 1), math.inf
+    return max(mode.a, 1), mode.b
+
+
+def substitution_active(mode: Mode, state_index: int) -> bool:
+    lo, hi = active_states(mode)
+    return lo <= state_index <= hi
 
 
 # ---------------------------------------------------------------------------

@@ -134,6 +134,15 @@ MALFORMED = {
         "target": "control", "kind": "wrong_longitudinal_command",
         "trigger": {"t0_ms": 5000}, "magnitude": {"offest": 0.3}},
         None, "fault.magnitude.offest: unknown key"),
+    "scenario_unknown_key": (lambda d: _set(d, "t_maxx", 1000), None, None,
+                             "t_maxx: unknown key"),
+    "scenario_object_unknown_key": (
+        lambda d: _set(d, "objects", [{
+            "id": "o", "kind": "Vehicle", "size": [4.0, 1.8, 1.5], "heading_overide": 0.5,
+            "waypoints": [{"t_ms": 0, "p": [50, 0], "v": [0, 0], "a": [0, 0]}]}]),
+        None, None, "objects[0].heading_overide: unknown key"),
+    "fault_file_unknown_key": (None, {"faults": [], "fault": {
+        "target": "perception", "kind": "miss_detection"}}, None, "fault: unknown key"),
     "oracle_negative_c": (None, None, {"safe_distance_c": -1}, "safe_distance_c"),
     "oracle_unknown_key": (None, None, {"safe_distance": 2.0}, "safe_distance: unknown key"),
     "oracle_unknown_kind": (None, None, {"enabled": ["speedng"]}, "enabled[0]"),
@@ -180,18 +189,21 @@ def test_attribute_prints_rerun_cost_outside_report(tmp_path, capsys, monkeypatc
     real = cli.attribute
     monkeypatch.setattr(cli, "attribute",
                         lambda *a, **k: reports.append(real(*a, **k)) or reports[-1])
-    fault = write_fault(tmp_path, "cs1_ctrl_long")
+    fault = write_fault(tmp_path, "cs1_pred_none")
     code = main(["attribute", str(scenario_path("cs1")), "--fault", fault,
                  "--out-dir", str(tmp_path)])
     assert code == 0
     (r,) = reports
     reruns = r.simulations_total - 1
-    # Some control re-runs start after the original's first violation and are
-    # decided from its prefix; every re-run steps less than the whole run.
-    assert 0 < r.rerun_prefix_decided < reruns
+    # Some re-runs are decided from the original's prefix and some by the verdict
+    # of an earlier re-run that forked at the same state; the rest step, each less
+    # than the whole run.
+    assert r.rerun_prefix_decided > 0 and r.rerun_memo_decided > 0
+    assert r.rerun_prefix_decided + r.rerun_memo_decided < reruns
     assert 0 < r.rerun_stepped_ms < reruns * 25000
     line = (f"re-run cost: {r.rerun_stepped_ms} simulated ms stepped, "
-            f"{r.rerun_prefix_decided} re-runs decided from the original run's prefix")
+            f"{r.rerun_prefix_decided} re-runs decided from the original run's prefix, "
+            f"{r.rerun_memo_decided} by an earlier re-run's verdict")
     assert line in capsys.readouterr().out.splitlines()
     report = json.loads((tmp_path / "report.json").read_text())
     assert not {k for k in report if k.startswith("rerun_")}

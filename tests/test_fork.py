@@ -10,6 +10,7 @@ that run's log, sample for sample.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -18,11 +19,12 @@ from causetrace import runner
 from causetrace.benchmark import load_benchmark, load_builtin_scenario
 from causetrace.middleware import ComponentId
 from causetrace.oracles import MISSION, OracleConfig
+from causetrace.payloads import PerceptionOut
 from causetrace.runner import AdsConfig, rtest, run_with_substitution
 from causetrace.scenario import scenario_from_dict
 from causetrace.substitutes import (IdealAll, IdealFromState, IdealWithinStates,
-                                    SubstitutionPlan, split_trace)
-from conftest import straight_road_doc
+                                    SubstitutionPlan, ideal_perception, split_trace)
+from conftest import static_object, straight_road_doc
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = json.loads((ROOT / "tests" / "golden.json").read_text(encoding="utf-8"))
@@ -164,10 +166,11 @@ def test_violation_before_checkpoint_decides_without_stepping(monkeypatch):
     assert all(m.t_pub < first["t"] for row in trace.rows.values() for m in row)
 
 
-def test_whole_run_rerun_stops_at_first_violation():
-    # Ideal perception does not remove the prediction fault: the re-run fails.
+def test_whole_run_rerun_stops_at_first_violation(monkeypatch):
+    # Ideal control does not remove the prediction fault: the re-run, forked at
+    # t=0 because the control substitute moves the ego by another model, fails.
     _, scenario, ads, original = _original("cs1_pred_none")
-    plan = SubstitutionPlan({ComponentId.PERCEPTION: IdealAll()})
+    plan = SubstitutionPlan({ComponentId.CONTROL: IdealAll()})
     oracles = OracleConfig()
     full, full_trace = run_with_substitution(scenario, ads, plan, oracles)
     forked, ftrace = run_with_substitution(scenario, ads, plan, oracles,
@@ -177,3 +180,69 @@ def test_whole_run_rerun_stops_at_first_violation():
     assert forked.violations == [first]
     assert ftrace.ego_log[-1].t == first["t"] < full_trace.ego_log[-1].t
     assert ftrace.forked_at == 0
+    # Unfaulted perception publishes what its substitute would, all run long: the
+    # whole-run perception re-run is the original, decided at its first violation.
+    first = next(v for v in original.verdict.violations if v["kind"] != MISSION)
+    _no_stepping(monkeypatch)
+    plan = SubstitutionPlan({ComponentId.PERCEPTION: IdealAll()})
+    verdict, trace = run_with_substitution(scenario, ads, plan, oracles,
+                                           origin=original.trace)
+    assert verdict.violations == [first]
+    assert trace.ego_log[-1].t == first["t"] == trace.forked_at
+    assert trace.ego_log == original.ego_log[:len(trace.ego_log)]
+
+
+def test_signed_zero_counts_as_a_difference():
+    # The substitute's output and a payload equal to it but for the sign of a zero
+    # compare equal with ==, yet a later atan2 or copysign could tell them apart.
+    scenario = scenario_from_dict(straight_road_doc(objects=[static_object()]))
+    original = rtest(scenario, AdsConfig(), OracleConfig())
+    msg = next(m for m in original.trace.rows[ComponentId.PERCEPTION] if m.payload.objects)
+    ideal = ideal_perception(scenario, msg.t_pub,
+                             original.ego_log[msg.t_pub // runner.SAMPLE_MS].p)
+    assert not msg.fault_affected and repr(msg.payload) == repr(ideal)
+    assert not runner._differs(scenario, original.trace, msg)
+    (obj,) = ideal.objects
+    assert obj.v == (0.0, 0.0)
+    signed = PerceptionOut((replace(obj, v=(-0.0, 0.0)),))
+    assert signed == ideal and repr(signed) != repr(ideal)
+    assert runner._differs(scenario, original.trace, replace(msg, payload=signed))
+
+
+def test_fault_affected_localization_counts_as_a_difference():
+    # The trace cannot recompute the substitute's localization, so a message
+    # differs exactly when a fault moved it.
+    _, scenario, _, original = _original("cs5_loc_lat")
+    row = original.trace.rows[ComponentId.LOCALIZATION]
+    first = next(m for m in row if m.fault_affected)
+    assert not any(runner._differs(scenario, original.trace, m)
+                   for m in row if m.t_pub < first.t_pub)
+    assert runner._differs(scenario, original.trace, first)
+    plan = SubstitutionPlan({ComponentId.LOCALIZATION: IdealAll()})
+    fork, _ = runner._fork(scenario, plan, original.trace)
+    cps = original.trace.checkpoints
+    assert cps[fork - 1].t <= first.t_pub and (fork == len(cps) or first.t_pub < cps[fork].t)
+
+
+def test_same_fork_takes_the_earlier_verdict_without_stepping(monkeypatch):
+    # The perception fault first changes an output at some state f > 2, so a
+    # suffix plan from state 2 forks where the whole-run plan does, with
+    # perception ideal from there on: it has that re-run's future.
+    inst, scenario, ads, original = _original("cs3_perc_long")
+    oracles = OracleConfig()
+    memo = runner.ForkMemo()
+    whole = SubstitutionPlan({inst.component: IdealAll()})
+    verdict, trace = run_with_substitution(scenario, ads, whole, oracles,
+                                           origin=original.trace, memo=memo)
+    fork, key = runner._fork(scenario, whole, original.trace)
+    assert fork > 2 and trace.forked_at == original.trace.checkpoints[fork - 1].t > 0
+    assert trace.ego_log[-1].t > trace.forked_at  # this one was simulated
+    assert memo.verdicts == {key: verdict} and memo.hits == 0
+    _no_stepping(monkeypatch)
+    suffix = SubstitutionPlan({inst.component: IdealFromState(2)})
+    assert runner._fork(scenario, suffix, original.trace) == (fork, key)
+    shared, strace = run_with_substitution(scenario, ads, suffix, oracles,
+                                           origin=original.trace, memo=memo)
+    assert shared == verdict and memo.hits == 1
+    assert strace.forked_at == trace.forked_at == strace.ego_log[-1].t
+    assert strace.ego_log == original.ego_log[:len(strace.ego_log)]

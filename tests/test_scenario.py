@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -205,6 +206,30 @@ def test_round_trip_identity(tmp_path):
     assert load_scenario(path) == sc
     # And the dict form is stable under a second round trip.
     assert scenario_to_dict(scenario_from_dict(scenario_to_dict(sc))) == scenario_to_dict(sc)
+
+
+def _full_doc():
+    return straight_road_doc(objects=[static_object()],
+                             signals=[{"id": "s1", "stop_line": [80.0, 0.0], "phases": [
+                                 {"t_start_ms": 0, "t_end_ms": 5000, "color": "Red"}]}])
+
+
+@pytest.mark.parametrize("where, path", [
+    (lambda d: d, "t_maxx"),
+    (lambda d: d["map"], "map.t_maxx"),
+    (lambda d: d["map"]["lanes"][1], "map.lanes[1].t_maxx"),
+    (lambda d: d["ego"], "ego.t_maxx"),
+    (lambda d: d["objects"][0], "objects[0].t_maxx"),
+    (lambda d: d["objects"][0]["waypoints"][0], "objects[0].waypoints[0].t_maxx"),
+    (lambda d: d["signals"][0], "signals[0].t_maxx"),
+    (lambda d: d["signals"][0]["phases"][0], "signals[0].phases[0].t_maxx"),
+])
+def test_unknown_key_rejected_at_every_level(where, path):
+    doc = _full_doc()
+    scenario_from_dict(doc)
+    where(doc)["t_maxx"] = 1
+    with pytest.raises(ValidationError, match=rf"^{re.escape(path)}: unknown key"):
+        scenario_from_dict(doc)
 
 
 def test_signal_phase_gaps_rejected():
