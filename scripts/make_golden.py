@@ -51,6 +51,14 @@ def _rerun_row(plan, passed: bool) -> list:
     return ["+".join(c.value for c, _ in modes), name, where, passed]
 
 
+def report_sha256(report) -> str:
+    """sha256 of the report's `to_dict()`, keys sorted, `wall_time_s` removed."""
+    doc = report.to_dict()
+    del doc["wall_time_s"]
+    blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
 def golden_entry(inst_id: str) -> dict:
     """Attribute one built-in instance and return its golden record."""
     inst = {i.id: i for i in load_benchmark()}[inst_id]
@@ -78,12 +86,9 @@ def golden_entry(inst_id: str) -> dict:
     finally:
         attribution.rtest = real_rtest
         attribution.run_with_substitution = real_rerun
-    doc = report.to_dict()
-    del doc["wall_time_s"]
-    blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return {
         "trace_digest": digests[0],
-        "report_sha256": hashlib.sha256(blob.encode("utf-8")).hexdigest(),
+        "report_sha256": report_sha256(report),
         "reruns": reruns,
     }
 

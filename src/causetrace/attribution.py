@@ -19,14 +19,12 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 
 from .middleware import TICK_PRIORITY, ComponentId, Message, Trace
-from .oracles import (OracleConfig, PlanningCheckContext, planning_message_violates,
-                      trajectory_is_held)
+from .oracles import OracleConfig, planning_message_violates, trajectory_is_held
 from .pipeline import make_planner_context
 from .runner import (AdsConfig, ForkMemo, RunResult, collector_paused, rtest,
                      run_with_substitution)
 from .scenario import Scenario
-from .substitutes import (DynamicState, IdealFromState, IdealWithinStates,
-                          SubstitutionPlan, split_trace)
+from .substitutes import IdealFromState, IdealWithinStates, SubstitutionPlan, split_trace
 
 PROBE_ORDER = (ComponentId.PERCEPTION, ComponentId.PREDICTION,
                ComponentId.CONTROL, ComponentId.LOCALIZATION)
@@ -58,7 +56,8 @@ class NoViolatingPlanningMessage(Exception):
 
 
 class DtestSession:
-    """Runs and counts counterfactual re-runs for one attribution task.
+    """Runs and counts counterfactual re-runs for one attribution task; `calls`
+    counts those not answered by the session's cache.
 
     Each re-run is forked from `origin`, the original run's trace, where its
     substitute first publishes something the original did not, and stops once
@@ -95,26 +94,25 @@ class DtestSession:
 
 
 def attribute_component(session: DtestSession, original: RunResult
-                        ) -> tuple[ComponentId, dict[str, bool], int]:
+                        ) -> tuple[ComponentId, dict[str, bool]]:
     """Algorithm: rule out planning first, then probe components in order.
 
-    Returns (component, probe outcomes, dtest calls used at component level).
+    Returns (component, probe outcomes).
     """
     if original.verdict.passed:
         raise NoViolation("scenario run passed; nothing to attribute")
-    calls_before = session.calls
     outcomes: dict[str, bool] = {}
     combined = SubstitutionPlan.ideal_all(*SUBSTITUTABLE)
     combined_pass = session.passed(combined)
     outcomes["combined"] = combined_pass
     if not combined_pass:
         # Violation survives ideal sensing and actuation: planning is the cause.
-        return ComponentId.PLANNING, outcomes, session.calls - calls_before
+        return ComponentId.PLANNING, outcomes
     for component in PROBE_ORDER:
         ok = session.passed(SubstitutionPlan.ideal_all(component))
         outcomes[component.value] = ok
         if ok:
-            return component, outcomes, session.calls - calls_before
+            return component, outcomes
     raise Unattributable(outcomes)
 
 
@@ -138,21 +136,16 @@ def _from_state_plan(component: ComponentId, index: int) -> SubstitutionPlan:
     return SubstitutionPlan({component: IdealFromState(index)})
 
 
-def attribute_message_nonplanning(session: DtestSession, trace: Trace,
-                                  states: list[DynamicState],
-                                  component: ComponentId
-                                  ) -> tuple[Message, int]:
-    """Binary search for the last state whose suffix substitution still prevents
-    the violation; returns (focus message, dtest calls used)."""
-    calls_before = session.calls
-    n = len(states)
+def attribute_message_nonplanning(session: DtestSession, trace: Trace, n: int,
+                                  component: ComponentId) -> Message:
+    """Binary search over the trace's n states for the last state whose suffix
+    substitution still prevents the violation; returns the focus message."""
     # Index 1 is the known-good endpoint: substitution from state 1 equals the
     # whole-component substitution already verified at component level.
     if n == 1:
-        row = trace.rows[component]
-        return row[-1], session.calls - calls_before
+        return trace.rows[component][-1]
     if session.passed(_from_state_plan(component, n)):
-        return _focus_in_state(trace, component, n), session.calls - calls_before
+        return _focus_in_state(trace, component, n)
     left, right = 1, n
     while left + 1 < right:
         mid = (left + right) // 2
@@ -160,7 +153,7 @@ def attribute_message_nonplanning(session: DtestSession, trace: Trace,
             left = mid  # the decisive message is at or after mid
         else:
             right = mid
-    return _focus_in_state(trace, component, left), session.calls - calls_before
+    return _focus_in_state(trace, component, left)
 
 
 def audit_suffix_monotonicity(session: DtestSession, trace: Trace, component: ComponentId
@@ -208,14 +201,8 @@ def attribute_message_planning(trace: Trace, scenario: Scenario,
             held_ms = 0
         # ego sample at or before the message (the first sample if none is)
         i = bisect_right(trace.ego_log, msg.t_pub, key=attrgetter("t"))
-        ctx = PlanningCheckContext(
-            scenario=scenario,
-            planner_ctx=planner_ctx,
-            config=oracles,
-            ego_p=trace.ego_log[max(i - 1, 0)].p,
-            held_duration_ms=held_ms,
-        )
-        if planning_message_violates(plan, msg.t_pub, ctx):
+        if planning_message_violates(plan, msg.t_pub, scenario, planner_ctx, oracles,
+                                     trace.ego_log[max(i - 1, 0)].p, held_ms):
             return msg
     raise NoViolatingPlanningMessage("no planning output violates the rules")
 
@@ -224,9 +211,9 @@ def attribute_message_planning(trace: Trace, scenario: Scenario,
 # earlier interval delta-debugging variant
 
 
-def attribute_interval_dd(session: DtestSession, states: list[DynamicState],
+def attribute_interval_dd(session: DtestSession, n: int,
                           component: ComponentId) -> tuple[int, int]:
-    """Recursive interval partition over states; returns the minimal [a, b].
+    """Recursive interval partition over states 1 to n; returns the minimal [a, b].
 
     Tests the leading and trailing step-sized intervals and their complements,
     recursing into whichever substitution eliminates the violation and halving
@@ -248,7 +235,6 @@ def attribute_interval_dd(session: DtestSession, states: list[DynamicState],
             return attribute(start, end - step, (end - start - step) // 2)
         return attribute(start, end, step // 2)
 
-    n = len(states)
     return attribute(1, n, n // 2)
 
 
@@ -350,20 +336,19 @@ def attribute(scenario: Scenario, ads: AdsConfig, oracles: OracleConfig,
     t_start = time.perf_counter()
     original = rtest(scenario, ads, oracles)
     session = DtestSession(scenario, ads, oracles, original.trace)
-    component, outcomes, comp_calls = attribute_component(session, original)
-    states = split_trace(original.trace, ads.units)
+    component, outcomes = attribute_component(session, original)
+    comp_calls = session.calls
+    n = len(split_trace(original.trace, ads.units))
     notes: list[str] = []
     audit_result: bool | None = None
     interval: tuple[int, int] | None = None
 
     if component is ComponentId.PLANNING:
         focus = attribute_message_planning(original.trace, scenario, oracles)
-        msg_calls = 0
         notes.append("planning short-circuit: message scan used no re-runs")
         notes.extend(_tarantula_note(original.trace, focus))
     elif strategy == "interval-dd":
-        interval = attribute_interval_dd(session, states, component)
-        msg_calls = session.calls - comp_calls
+        interval = attribute_interval_dd(session, n, component)
         focus = _focus_in_state(original.trace, component, interval[1])
     else:
         if audit_monotonicity:
@@ -373,8 +358,7 @@ def attribute(scenario: Scenario, ads: AdsConfig, oracles: OracleConfig,
             if not monotone:
                 raise MonotonicityViolation(scan)
             notes.append(f"audit: suffix predicate monotone, boundary state {boundary}")
-        focus, msg_calls = attribute_message_nonplanning(session, original.trace,
-                                                         states, component)
+        focus = attribute_message_nonplanning(session, original.trace, n, component)
 
     total = original.trace.message_count()
     affected_ts = [m.t_pub for m in original.trace.rows[component] if m.fault_affected]
@@ -392,9 +376,9 @@ def attribute(scenario: Scenario, ads: AdsConfig, oracles: OracleConfig,
         focus_state_index=focus.state_index,
         message_total=total,
         reduction_rate=1.0 - 1.0 / total,
-        state_count=len(states),
+        state_count=n,
         dtest_component_level=comp_calls,
-        dtest_message_level=msg_calls,
+        dtest_message_level=session.calls - comp_calls,
         simulations_total=1 + session.calls,
         wall_time_s=time.perf_counter() - t_start,
         strategy=strategy,

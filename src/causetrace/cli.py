@@ -40,17 +40,14 @@ def _load_oracle_config(path: str | None) -> OracleConfig:
     if path is None:
         return OracleConfig()
     doc = expect(load_json(path), dict, path)
-    reject_unknown_keys(doc, ("enabled", "safe_distance_c", "dest_tolerance", "speed_tolerance"))
+    numbers = ("safe_distance_c", "dest_tolerance", "speed_tolerance")
+    reject_unknown_keys(doc, ("enabled", *numbers))
     enabled = expect(doc.get("enabled", list(ALL_KINDS)), list, "enabled")
     for i, kind in enumerate(enabled):
         if kind not in ALL_KINDS:
             raise ValidationError(f"enabled[{i}]", f"unknown oracle {kind!r}")
-    return OracleConfig(
-        enabled=tuple(enabled),
-        safe_distance_c=parse_number(doc.get("safe_distance_c", 0.3), "safe_distance_c"),
-        dest_tolerance=parse_number(doc.get("dest_tolerance", 2.0), "dest_tolerance"),
-        speed_tolerance=parse_number(doc.get("speed_tolerance", 0.5), "speed_tolerance"),
-    )
+    return OracleConfig(enabled=tuple(enabled),
+                        **{k: parse_number(doc[k], k) for k in numbers if k in doc})
 
 
 def _load_inputs(args) -> tuple[Scenario, AdsConfig, OracleConfig]:
@@ -228,10 +225,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ParseError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except OSError as exc:
+    except (ParseError, ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .geometry import (OrientedBox, min_obb_distance, obb_separation_at_least,
+from .geometry import (OrientedBox, Vec2, min_obb_distance, obb_separation_at_least,
                        point_to_obb_distance, vec_dist)
 from .middleware import Verdict
 from .payloads import PlanningOut, TrajPoint
@@ -166,22 +166,6 @@ STALL_LOOKAHEAD = 30.0
 HELD_DISPLACEMENT = 0.5
 
 
-@dataclass(frozen=True)
-class PlanningCheckContext:
-    """Everything a single planning message is judged against.
-
-    `held_duration_ms` is how long the trajectory stream has been empty/held up
-    to and including this message; the caller derives it from the message row so
-    the check itself stays a pure function.
-    """
-
-    scenario: Scenario
-    planner_ctx: PlannerContext
-    config: OracleConfig
-    ego_p: tuple[float, float]  # believed ego position when the message was made
-    held_duration_ms: int = 0
-
-
 def trajectory_is_held(plan: PlanningOut) -> bool:
     traj = plan.trajectory
     if len(traj) < 2:
@@ -190,11 +174,11 @@ def trajectory_is_held(plan: PlanningOut) -> bool:
     return disp < HELD_DISPLACEMENT and traj[-1].speed < 0.2
 
 
-def _corridor_blocked_ahead(ctx: PlanningCheckContext, t: SimTime) -> bool:
-    planner = ctx.planner_ctx
-    s0, _, _ = project_on_polyline(planner.route, ctx.ego_p)
-    band = planner.ego_half[1] + ctx.config.safe_distance_c + 0.2
-    for obj in ctx.scenario.objects:
+def _corridor_blocked_ahead(scenario: Scenario, planner: PlannerContext, c: float,
+                            ego_p: Vec2, t: SimTime) -> bool:
+    s0, _, _ = project_on_polyline(planner.route, ego_p)
+    band = planner.ego_half[1] + c + 0.2
+    for obj in scenario.objects:
         box = bbox_at(obj, t)
         s, lat, _ = project_on_polyline(planner.route, box.center)
         reach = math.hypot(*box.half_extents)
@@ -204,7 +188,7 @@ def _corridor_blocked_ahead(ctx: PlanningCheckContext, t: SimTime) -> bool:
                 q, _ = point_on_polyline(planner.route, s0 + STALL_LOOKAHEAD * k / steps)
                 if point_to_obb_distance(q, box) <= band:
                     return True
-    for sig in ctx.scenario.signals:
+    for sig in scenario.signals:
         s_line, lat_line, _ = project_on_polyline(planner.route, sig.stop_line)
         if abs(lat_line) <= 3.0 and s0 <= s_line <= s0 + STALL_LOOKAHEAD + 10.0 \
                 and sig.color_at(t) == "Red":
@@ -212,30 +196,34 @@ def _corridor_blocked_ahead(ctx: PlanningCheckContext, t: SimTime) -> bool:
     return False
 
 
-def planning_message_violates(plan: PlanningOut, t: SimTime,
-                              ctx: PlanningCheckContext) -> bool:
+def planning_message_violates(plan: PlanningOut, t: SimTime, scenario: Scenario,
+                              planner_ctx: PlannerContext, oracles: OracleConfig,
+                              ego_p: Vec2, held_ms: int) -> bool:
     """True iff executing this trajectory verbatim would violate the rules.
 
     (a) the planned poses come within c of a ground-truth object box at matched
     times, (b) a trajectory point exceeds the lane limit, or (c) the trajectory
     is empty/held while the mission is incomplete and nothing ahead justifies
-    stopping (after the stall persistence window).
+    stopping (after the stall persistence window). `ego_p` is the believed ego
+    position when the message was made; `held_ms` is how long the trajectory
+    stream has been empty/held up to and including this message, which the
+    caller derives from the message row so the check itself stays a pure function.
     """
-    half, ego_r = ctx.scenario.ego_half, ctx.scenario.ego_radius
-    c = ctx.config.safe_distance_c
+    half, ego_r = scenario.ego_half, scenario.ego_radius
+    c = oracles.safe_distance_c
     # Point times rise within a message, so fresh trackers can follow them.
-    objects = Broadphase(ctx.scenario.objects, ego_r + c)
+    objects = Broadphase(scenario.objects, ego_r + c)
     for pt in plan.trajectory:
         if safe_distance_at(pt, pt.heading, half, ego_r, objects.near(pt.p),
                             c) is not None:
             return True
         if pt.speed > 0.5:
-            hit = lane_at(ctx.scenario.map, pt.p)
-            if hit is not None and pt.speed > hit[0].speed_limit + ctx.config.speed_tolerance:
+            hit = lane_at(scenario.map, pt.p)
+            if hit is not None and pt.speed > hit[0].speed_limit + oracles.speed_tolerance:
                 return True
 
-    if trajectory_is_held(plan) and ctx.held_duration_ms >= STALL_PERSISTENCE_MS:
-        if vec_dist(ctx.ego_p, ctx.scenario.a_dest) > ctx.config.dest_tolerance:
-            if not _corridor_blocked_ahead(ctx, t):
+    if trajectory_is_held(plan) and held_ms >= STALL_PERSISTENCE_MS:
+        if vec_dist(ego_p, scenario.a_dest) > oracles.dest_tolerance:
+            if not _corridor_blocked_ahead(scenario, planner_ctx, c, ego_p, t):
                 return True
     return False

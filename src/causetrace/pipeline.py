@@ -335,7 +335,7 @@ def planning_tick(pred: PredictionOut, loc: LocalizationOut, ctx: PlannerContext
             decision = "Nudge"
         elif stop_s is not None or ctx.dest_s - s0 < 40.0:
             tags.append("dest_stop" if stop_s is None else "hold_stop")
-            decision = "Stop" if ctx.dest_s - s0 < 40.0 or stop_s is not None else decision
+            decision = "Stop"
         else:
             tags.append("cruise")
 

@@ -40,7 +40,7 @@ from .scenario import Scenario, SimTime, Waypoint
 from .substitutes import (OnlineStateTracker, QuantizationUnits, StateKey,
                           SubstitutionPlan, active_states, derived_control,
                           ideal_localization, ideal_perception, ideal_prediction,
-                          sim_control_apply, substitution_active)
+                          sim_control_apply)
 from .world import Broadphase, EgoState, ObjectTracker, step_ego
 
 SAMPLE_MS = 10  # ego log and state tracking at 100 Hz
@@ -119,6 +119,7 @@ def run_scheduler(scenario: Scenario, ads: AdsConfig,
         trace.forked_at = cp.t
         state_tracker.index, state_tracker.key = k - 1, cp.key
     faults = {c: [f for f in ads.faults if f.target is c] for c in ComponentId}
+    windows = {c: active_states(m) for c, m in plan.modes.items()}
     ideal: set[ComponentId] = set()  # substitutes active at the current state index
 
     def fire(component: ComponentId, t: SimTime) -> tuple[Any, bool, dict[str, int]]:
@@ -155,7 +156,7 @@ def run_scheduler(scenario: Scenario, ads: AdsConfig,
         if index > len(trace.checkpoints):
             trace.checkpoints.append(Checkpoint(t, ego, key))
         trace.ego_log.append(wp)
-        ideal = {c for c, mode in plan.modes.items() if substitution_active(mode, index)}
+        ideal = {c for c, (lo, hi) in windows.items() if lo <= index <= hi}
         if ((monitor is not None and monitor.violated(wp))
                 or _contact(ego, ego_half, ego_r, objects.near(ego.p), t, trace)):
             return trace

@@ -165,11 +165,6 @@ def active_states(mode: Mode) -> tuple[int, float]:
     return max(mode.a, 1), mode.b
 
 
-def substitution_active(mode: Mode, state_index: int) -> bool:
-    lo, hi = active_states(mode)
-    return lo <= state_index <= hi
-
-
 # ---------------------------------------------------------------------------
 # idealized outputs
 

@@ -258,18 +258,17 @@ def test_criterion_7_search_correctness():
         session = DtestSession(bench_mod.scenario_for_instance(inst),
                                AdsConfig(faults=[inst.fault]), OracleConfig(),
                                original.trace)
-        focus, _ = attribute_message_nonplanning(session, original.trace, states,
-                                                 inst.component)
+        focus = attribute_message_nonplanning(session, original.trace, len(states),
+                                              inst.component)
         agree = focus.state_index == boundary
         all_ok = all_ok and agree
         details.append(f"{inst_id}: binary={focus.state_index} linear={boundary}"
                        f" {'==' if agree else '!='}")
 
     # Interval delta debugging reproduces the documented 4-state walkthrough.
-    from test_attribution import StubSession, synthetic_trace
-    trace, states4 = synthetic_trace(4)
+    from test_attribution import StubSession
     stub = StubSession(3, 4)
-    got = attribute_interval_dd(stub, states4, ComponentId.PERCEPTION)
+    got = attribute_interval_dd(stub, 4, ComponentId.PERCEPTION)
     walkthrough_ok = got == (3, 3) and stub.tested == [(1, 2), (3, 4), (3, 3)]
     all_ok = all_ok and walkthrough_ok
 
@@ -334,8 +333,8 @@ def test_full_monotonicity_audit_all_instances():
         session = DtestSession(bench_mod.scenario_for_instance(inst),
                                AdsConfig(faults=[inst.fault]), OracleConfig(),
                                original.trace)
-        focus, _ = attribute_message_nonplanning(session, original.trace, states,
-                                                 inst.component)
+        focus = attribute_message_nonplanning(session, original.trace, len(states),
+                                              inst.component)
         if focus.state_index != boundary:
             failures.append(f"{inst.id}: binary {focus.state_index} != linear "
                             f"{boundary}")

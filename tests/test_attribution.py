@@ -66,28 +66,25 @@ def synthetic_trace(n_states: int, component=ComponentId.PERCEPTION, per_state=1
 @pytest.mark.parametrize("boundary", [1, 2, 17, 59, 64])
 def test_binary_search_matches_stub_boundary(boundary):
     n = 64
-    trace, states = synthetic_trace(n)
+    trace, _ = synthetic_trace(n)
     session = StubSession(boundary, n)
-    focus, calls = attribute_message_nonplanning(session, trace, states,
-                                                 ComponentId.PERCEPTION)
+    focus = attribute_message_nonplanning(session, trace, n, ComponentId.PERCEPTION)
     assert focus.state_index == boundary
-    assert calls <= math.ceil(math.log2(n)) + 2
+    assert session.calls <= math.ceil(math.log2(n)) + 2
 
 
 def test_binary_search_single_state_no_extra_dtests():
-    trace, states = synthetic_trace(1, per_state=3)
+    trace, _ = synthetic_trace(1, per_state=3)
     session = StubSession(1, 1)
-    focus, calls = attribute_message_nonplanning(session, trace, states,
-                                                 ComponentId.PERCEPTION)
-    assert calls == 0
+    focus = attribute_message_nonplanning(session, trace, 1, ComponentId.PERCEPTION)
+    assert session.calls == 0
     assert focus.seq == 3  # the sole state: its last message
 
 
 def test_binary_search_takes_last_message_in_boundary_state():
-    trace, states = synthetic_trace(8, per_state=4)
+    trace, _ = synthetic_trace(8, per_state=4)
     session = StubSession(5, 8)
-    focus, _ = attribute_message_nonplanning(session, trace, states,
-                                             ComponentId.PERCEPTION)
+    focus = attribute_message_nonplanning(session, trace, 8, ComponentId.PERCEPTION)
     assert focus.state_index == 5
     in_state = [m for m in trace.rows[ComponentId.PERCEPTION] if m.state_index == 5]
     assert focus.seq == in_state[-1].seq
@@ -95,21 +92,19 @@ def test_binary_search_takes_last_message_in_boundary_state():
 
 @pytest.mark.parametrize("n,boundary", [(2, 1), (3, 2), (100, 37), (500, 499), (500, 500)])
 def test_binary_search_budget(n, boundary):
-    trace, states = synthetic_trace(n)
+    trace, _ = synthetic_trace(n)
     session = StubSession(boundary, n)
-    focus, calls = attribute_message_nonplanning(session, trace, states,
-                                                 ComponentId.PERCEPTION)
+    focus = attribute_message_nonplanning(session, trace, n, ComponentId.PERCEPTION)
     assert focus.state_index == boundary
-    assert calls <= math.ceil(math.log2(n)) + 2
+    assert session.calls <= math.ceil(math.log2(n)) + 2
 
 
 def test_binary_search_equals_linear_scan_on_stub():
     n = 120
     for boundary in (1, 37, 60, 119, 120):
-        trace, states = synthetic_trace(n)
+        trace, _ = synthetic_trace(n)
         session = StubSession(boundary, n)
-        focus, _ = attribute_message_nonplanning(session, trace, states,
-                                                 ComponentId.PERCEPTION)
+        focus = attribute_message_nonplanning(session, trace, n, ComponentId.PERCEPTION)
         lin = StubSession(boundary, n)
         monotone, lin_boundary, _ = audit_suffix_monotonicity(lin, trace,
                                                               ComponentId.PERCEPTION)
@@ -159,12 +154,11 @@ def sparse_trace(n_states, message_states, component=ComponentId.PERCEPTION):
 def test_audit_boundary_is_last_passing_message_state(decisive_state):
     # States 2, 3, 5, 6, 8-10 and 12 hold no message, so each predicate value
     # holds on (m, m'] between consecutive message states m < m'.
-    trace, states = sparse_trace(12, {1, 4, 7, 11})
+    trace, _ = sparse_trace(12, {1, 4, 7, 11})
     decisive = next(m.seq for m in trace.rows[ComponentId.PERCEPTION]
                     if m.state_index == decisive_state)
     session = MessageSetSession(trace, ComponentId.PERCEPTION, decisive)
-    focus, _ = attribute_message_nonplanning(session, trace, states,
-                                             ComponentId.PERCEPTION)
+    focus = attribute_message_nonplanning(session, trace, 12, ComponentId.PERCEPTION)
     monotone, boundary, _ = audit_suffix_monotonicity(session, trace,
                                                       ComponentId.PERCEPTION)
     assert focus.seq == decisive
@@ -175,27 +169,23 @@ def test_audit_boundary_is_last_passing_message_state(decisive_state):
 
 
 def test_interval_dd_four_state_walkthrough():
-    trace, states = synthetic_trace(4)
     session = StubSession(3, 4)
-    got = attribute_interval_dd(session, states, ComponentId.PERCEPTION)
+    got = attribute_interval_dd(session, 4, ComponentId.PERCEPTION)
     assert got == (3, 3)
     # The documented test sequence: leading pair, trailing pair, then state 3.
     assert session.tested == [(1, 2), (3, 4), (3, 3)]
 
 
 def test_interval_dd_single_state_immediate():
-    trace, states = synthetic_trace(1)
     session = StubSession(1, 1)
-    assert attribute_interval_dd(session, states, ComponentId.PERCEPTION) == (1, 1)
+    assert attribute_interval_dd(session, 1, ComponentId.PERCEPTION) == (1, 1)
     assert session.calls == 0
 
 
 def test_interval_dd_agrees_with_binary_search_on_stub():
     n = 32
     for boundary in (5, 16, 27):
-        trace, states = synthetic_trace(n)
-        a, b = attribute_interval_dd(StubSession(boundary, n), states,
-                                     ComponentId.PERCEPTION)
+        a, b = attribute_interval_dd(StubSession(boundary, n), n, ComponentId.PERCEPTION)
         assert a <= boundary <= b
 
 
@@ -357,3 +347,21 @@ def test_attribute_interval_dd_strategy_on_real_instance():
     # the two strategies agree in that the interval covers the binary boundary.
     assert a <= binary.focus_state_index <= b
     assert dd.focus_fault_affected
+    for rep in (binary, dd):
+        assert rep.simulations_total == (1 + rep.dtest_component_level
+                                         + rep.dtest_message_level)
+
+
+def test_audit_reruns_count_at_message_level():
+    inst = INSTS["cs4_perc_miss"]
+    sc = scenario_for_instance(inst)
+    plain = attribute(sc, AdsConfig(faults=[inst.fault]), OracleConfig())
+    audited = attribute(sc, AdsConfig(faults=[inst.fault]), OracleConfig(),
+                        audit_monotonicity=True)
+    assert audited.monotonicity_audit
+    assert (audited.focus_seq, audited.focus_state_index) == (plain.focus_seq,
+                                                              plain.focus_state_index)
+    assert audited.dtest_component_level == plain.dtest_component_level
+    assert audited.dtest_message_level > plain.dtest_message_level
+    assert audited.simulations_total == (1 + audited.dtest_component_level
+                                         + audited.dtest_message_level)

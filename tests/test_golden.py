@@ -19,6 +19,12 @@ GOLDEN = json.loads((ROOT / "tests" / "golden.json").read_text(encoding="utf-8")
 # The benchmark's reference; its run:<id> digests are taken after split_trace.
 PERFBENCH_REFERENCE = ROOT / "perfbench" / "reference.json"
 FAST = ("cs1_plan_none", "cs1_pred_none", "cs5_loc_lat", "cs1_perc_vel", "cs5_ctrl_lat")
+# report_sha256 of `attribute(..., strategy="interval-dd")`, which golden.json
+# (default strategy only) does not cover.
+INTERVAL_DD_REPORT_SHA256 = {
+    "cs1_pred_none": "ec0f491e2cce77f29ad90871dca6771441281402e8ff8ff8f66f8d484b3045ee",
+    "cs5_loc_lat": "199b02d20a503fe96abd7e90c10eaf9373c2e04b4c2d2a1d6ecc9066e9502dc5",
+}
 
 # sha256 of every shipped benchmark file, the only copy of the benchmark. A
 # deliberate change to one of them means new digests here and a regenerated
@@ -70,6 +76,18 @@ def test_golden_covers_every_instance():
 @pytest.mark.parametrize("inst_id", FAST)
 def test_golden_fast(golden_entry, inst_id):
     assert golden_entry(inst_id) == GOLDEN[inst_id]
+
+
+@pytest.mark.parametrize("inst_id", sorted(INTERVAL_DD_REPORT_SHA256))
+def test_interval_dd_report_fast(inst_id):
+    from causetrace.attribution import attribute
+    from causetrace.benchmark import load_benchmark, load_builtin_scenario
+    from causetrace.oracles import OracleConfig
+    from causetrace.runner import AdsConfig
+    inst = next(i for i in load_benchmark() if i.id == inst_id)
+    report = attribute(load_builtin_scenario(inst.scenario), AdsConfig(faults=[inst.fault]),
+                       OracleConfig(), strategy="interval-dd")
+    assert _make_golden().report_sha256(report) == INTERVAL_DD_REPORT_SHA256[inst_id]
 
 
 @pytest.mark.parametrize("inst_id", FAST)

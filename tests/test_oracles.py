@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from causetrace.benchmark import load_benchmark, load_builtin_scenario
 from causetrace.oracles import (MISSION, SAFE_DISTANCE, SPEEDING, OracleConfig,
-                                PlanningCheckContext, SampleMonitor, check_mission,
+                                SampleMonitor, check_mission,
                                 evaluate, planning_message_violates)
 from causetrace.payloads import PlanningOut, TrajPoint
 from causetrace.pipeline import make_planner_context
@@ -224,10 +224,9 @@ def test_safe_distance_monotone_in_c(c1, c2):
 # --- per-message planning checks ---------------------------------------------
 
 
-def check_ctx(sc, ego_p=(5.0, 0.0), held_ms=0):
-    return PlanningCheckContext(
-        scenario=sc, planner_ctx=make_planner_context(sc), config=OracleConfig(),
-        ego_p=ego_p, held_duration_ms=held_ms)
+def check_args(sc, ego_p=(5.0, 0.0), held_ms=0):
+    """The arguments of `planning_message_violates` after the plan and its time."""
+    return sc, make_planner_context(sc), OracleConfig(), ego_p, held_ms
 
 
 def cruise_traj(x0=5.0, speed=10.0, n=31):
@@ -238,34 +237,34 @@ def cruise_traj(x0=5.0, speed=10.0, n=31):
 def test_clean_cruise_message_ok():
     sc = scenario_from_dict(straight_road_doc())
     plan = PlanningOut(cruise_traj(), "Cruise", ("cruise",))
-    assert not planning_message_violates(plan, 0, check_ctx(sc))
+    assert not planning_message_violates(plan, 0, *check_args(sc))
 
 
 def test_trajectory_through_obstacle_flagged():
     sc = scenario_from_dict(straight_road_doc(objects=[static_object(p=(20.0, 0.0))]))
     plan = PlanningOut(cruise_traj(), "Cruise", ("cruise",))
-    assert planning_message_violates(plan, 0, check_ctx(sc))
+    assert planning_message_violates(plan, 0, *check_args(sc))
 
 
 def test_overspeed_trajectory_flagged():
     sc = scenario_from_dict(straight_road_doc())
     plan = PlanningOut(cruise_traj(speed=13.0), "Cruise", ("cruise",))
-    assert planning_message_violates(plan, 0, check_ctx(sc))
+    assert planning_message_violates(plan, 0, *check_args(sc))
 
 
 def test_stall_needs_persistence_and_clear_road():
     sc = scenario_from_dict(straight_road_doc())
     held = PlanningOut((TrajPoint(0, (5.0, 0.0), 0.0, 0.0),
                         TrajPoint(100, (5.0, 0.0), 0.0, 0.0)), "Stop", ())
-    assert not planning_message_violates(held, 0, check_ctx(sc, held_ms=0))
-    assert planning_message_violates(held, 4000, check_ctx(sc, held_ms=4000))
+    assert not planning_message_violates(held, 0, *check_args(sc, held_ms=0))
+    assert planning_message_violates(held, 4000, *check_args(sc, held_ms=4000))
 
 
 def test_stall_justified_by_blocking_object():
     sc = scenario_from_dict(straight_road_doc(objects=[static_object(p=(20.0, 0.0))]))
     held = PlanningOut((TrajPoint(0, (5.0, 0.0), 0.0, 0.0),
                         TrajPoint(100, (5.0, 0.0), 0.0, 0.0)), "Stop", ())
-    assert not planning_message_violates(held, 4000, check_ctx(sc, held_ms=4000))
+    assert not planning_message_violates(held, 4000, *check_args(sc, held_ms=4000))
 
 
 def test_stall_not_flagged_at_destination():
@@ -273,14 +272,14 @@ def test_stall_not_flagged_at_destination():
     held = PlanningOut((TrajPoint(0, (119.5, 0.0), 0.0, 0.0),
                         TrajPoint(100, (119.5, 0.0), 0.0, 0.0)), "Stop", ())
     assert not planning_message_violates(held, 9000,
-                                         check_ctx(sc, ego_p=(119.5, 0.0), held_ms=9000))
+                                         *check_args(sc, ego_p=(119.5, 0.0), held_ms=9000))
 
 
 def test_message_check_is_pure():
     sc = scenario_from_dict(straight_road_doc(objects=[static_object(p=(20.0, 0.0))]))
     plan = PlanningOut(cruise_traj(), "Cruise", ("cruise",))
-    ctx = check_ctx(sc)
-    results = {planning_message_violates(plan, 0, ctx) for _ in range(5)}
+    args = check_args(sc)
+    results = {planning_message_violates(plan, 0, *args) for _ in range(5)}
     assert results == {True}
 
 
@@ -301,5 +300,5 @@ def test_planned_pose_flagged_iff_ego_sample_is(x, y, heading, t):
     sc = passing_scenario(heading)
     pose = PlanningOut((TrajPoint(t, (x, y), 0.0, heading),), "Cruise", ())
     sample = [Waypoint((x, y), (0.0, 0.0), (0.0, 0.0), t)]
-    flagged = planning_message_violates(pose, t, check_ctx(sc))
+    flagged = planning_message_violates(pose, t, *check_args(sc))
     assert flagged == (close_hit(sample, sc, 0.3) is not None)
