@@ -333,6 +333,10 @@ def attribute(scenario: Scenario, ads: AdsConfig, oracles: OracleConfig,
               strategy: str = "binary", audit_monotonicity: bool = False
               ) -> AttributionReport:
     """Full pipeline: run, attribute the component, then the focus message."""
+    if strategy not in ("binary", "interval-dd"):
+        raise ValueError(f"unknown strategy {strategy!r}")
+    if audit_monotonicity and strategy != "binary":
+        raise ValueError("the monotonicity audit needs strategy 'binary'")
     t_start = time.perf_counter()
     original = rtest(scenario, ads, oracles)
     session = DtestSession(scenario, ads, oracles, original.trace)

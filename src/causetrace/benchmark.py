@@ -24,7 +24,7 @@ from .faults import FaultSpec, fault_from_dict
 from .middleware import ComponentId
 from .oracles import OracleConfig
 from .runner import AdsConfig
-from .scenario import Scenario, expect, load_json, load_scenario
+from .scenario import Scenario, expect, load_json, load_scenario, record
 
 # Every scenario file name, and the archetype it realizes (cs3b/cs4b are
 # geometry variants).
@@ -71,16 +71,16 @@ def load_benchmark(path: Path | None = None) -> list[BenchInstance]:
     """Instances of a benchmark file; malformed ones raise ParseError /
     ValidationError with a path such as `instances[0].scenario`."""
     path = path or (data_dir() / "benchmark.json")
-    doc = expect(load_json(path), dict, "top level")
+    doc = record(load_json(path), "", ("instances",))
     out = []
-    for i, raw in enumerate(expect(doc.get("instances"), list, "instances")):
+    for i, raw in enumerate(expect(doc["instances"], list, "instances")):
         where = f"instances[{i}]"
-        expect(raw, dict, where)
+        record(raw, where, ("id", "scenario", "fault", "expected_violation"))
         out.append(BenchInstance(
-            id=expect(raw.get("id"), str, f"{where}.id"),
-            scenario=Path(expect(raw.get("scenario"), str, f"{where}.scenario")).stem,
-            fault=fault_from_dict(raw.get("fault"), f"{where}.fault"),
-            expected_violation=expect(raw.get("expected_violation"), str,
+            id=expect(raw["id"], str, f"{where}.id"),
+            scenario=Path(expect(raw["scenario"], str, f"{where}.scenario")).stem,
+            fault=fault_from_dict(raw["fault"], f"{where}.fault"),
+            expected_violation=expect(raw["expected_violation"], str,
                                       f"{where}.expected_violation"),
         ))
     return out

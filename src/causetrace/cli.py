@@ -27,7 +27,7 @@ from .middleware import load_trace_records, save_trace, trace_digest
 from .oracles import ALL_KINDS, OracleConfig, carried_heading
 from .runner import AdsConfig, rtest
 from .scenario import (ParseError, Scenario, ValidationError, Waypoint, bbox_at, expect,
-                       load_json, load_scenario, parse_number, reject_unknown_keys)
+                       load_json, load_scenario, parse_number, record)
 
 EXIT_PASS = 0
 EXIT_VIOLATION = 1
@@ -39,9 +39,8 @@ EXIT_UNATTRIBUTABLE = 4
 def _load_oracle_config(path: str | None) -> OracleConfig:
     if path is None:
         return OracleConfig()
-    doc = expect(load_json(path), dict, path)
     numbers = ("safe_distance_c", "dest_tolerance", "speed_tolerance")
-    reject_unknown_keys(doc, ("enabled", *numbers))
+    doc = record(load_json(path), "", optional=("enabled", *numbers))
     enabled = expect(doc.get("enabled", list(ALL_KINDS)), list, "enabled")
     for i, kind in enumerate(enabled):
         if kind not in ALL_KINDS:
@@ -223,6 +222,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    if getattr(args, "audit_monotonicity", False) and args.strategy != "binary":
+        print("error: --audit-monotonicity needs --strategy binary", file=sys.stderr)
+        return EXIT_ERROR
     try:
         return args.fn(args)
     except (ParseError, ValidationError, OSError) as exc:

@@ -16,8 +16,8 @@ from .geometry import OrientedBox, Vec2
 from .middleware import ComponentId
 from .payloads import (ControlOut, LocalizationOut, PerceivedObject, PerceptionOut,
                        PlanningOut, PredictedTrajectory, PredictionOut, TrajPoint)
-from .scenario import (ParseError, SimTime, ValidationError, expect, load_json,
-                       parse_number, parse_vec, reject_unknown_keys)
+from .scenario import (SimTime, ValidationError, expect, load_json, parse_number, parse_vec,
+                       record)
 
 FAULT_KINDS: dict[str, ComponentId] = {
     "miss_detection": ComponentId.PERCEPTION,
@@ -95,11 +95,7 @@ class FaultSpec:
 
 def fault_from_dict(doc: dict, path: str = "fault") -> FaultSpec:
     """Parse one fault; malformed input raises ParseError / ValidationError."""
-    expect(doc, dict, path)
-    reject_unknown_keys(doc, ("target", "kind", "trigger", "magnitude"), path)
-    for key in ("target", "kind"):
-        if key not in doc:
-            raise ParseError(f"{path}: missing key {key!r}")
+    record(doc, path, ("target", "kind"), ("trigger", "magnitude"))
     kind = doc["kind"]
     if not isinstance(kind, str) or kind not in FAULT_KINDS:
         raise ValidationError(f"{path}.kind", f"unknown fault kind {kind!r}")
@@ -107,8 +103,8 @@ def fault_from_dict(doc: dict, path: str = "fault") -> FaultSpec:
         raise ValidationError(f"{path}.target", f"fault kind {kind!r} targets "
                               f"{FAULT_KINDS[kind].value}, not {doc['target']!r}")
     trigger = _trigger_from_dict(doc.get("trigger", {}), f"{path}.trigger")
-    magnitude = dict(expect(doc.get("magnitude", {}), dict, f"{path}.magnitude"))
-    reject_unknown_keys(magnitude, (*MAGNITUDE_NUMBERS, "mode"), f"{path}.magnitude")
+    magnitude = dict(record(doc.get("magnitude", {}), f"{path}.magnitude",
+                            optional=(*MAGNITUDE_NUMBERS, "mode")))
     for key in MAGNITUDE_NUMBERS:
         if key in magnitude:
             parse_number(magnitude[key], f"{path}.magnitude.{key}")
@@ -119,8 +115,7 @@ def fault_from_dict(doc: dict, path: str = "fault") -> FaultSpec:
 
 
 def _trigger_from_dict(doc, path: str) -> Trigger:
-    expect(doc, dict, path)
-    reject_unknown_keys(doc, ("t0_ms", "t1_ms", "object_id", "region"), path)
+    record(doc, path, optional=("t0_ms", "t1_ms", "object_id", "region"))
     t0 = parse_number(doc.get("t0_ms", 0), f"{path}.t0_ms", int)
     t1 = parse_number(doc.get("t1_ms", 1 << 62), f"{path}.t1_ms", int)
     if t1 <= t0:
@@ -131,11 +126,7 @@ def _trigger_from_dict(doc, path: str) -> Trigger:
     region = None
     if "region" in doc:
         where = f"{path}.region"
-        raw = expect(doc["region"], dict, where)
-        reject_unknown_keys(raw, ("center", "radius"), where)
-        for key in ("center", "radius"):
-            if key not in raw:
-                raise ParseError(f"{where}: missing key {key!r}")
+        raw = record(doc["region"], where, ("center", "radius"))
         radius = parse_number(raw["radius"], f"{where}.radius")
         if radius < 0:
             raise ValidationError(f"{where}.radius", "must be >= 0")
@@ -148,8 +139,7 @@ def load_fault_file(path: str | Path) -> list[FaultSpec]:
     if isinstance(doc, dict):
         if "faults" not in doc:
             return [fault_from_dict(doc)]
-        reject_unknown_keys(doc, ("faults",))
-        doc = doc["faults"]
+        doc = record(doc, "", ("faults",))["faults"]
     faults = expect(doc, list, "faults")
     return [fault_from_dict(d, f"faults[{i}]") for i, d in enumerate(faults)]
 

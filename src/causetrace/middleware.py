@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Any
 
 from .scenario import (ParseError, SimTime, Waypoint, expect, load_json, parse_number,
-                       parse_vec)
+                       parse_vec, record)
 
 
 class ComponentId(str, Enum):
@@ -166,12 +166,10 @@ def trace_record(raw: Any, path: str) -> dict:
         raise ParseError(f"{path}.kind: expected a string")
     if raw["kind"] != "ego":
         return raw
-    try:
-        return {"kind": "ego", "t": parse_number(raw["t"], f"{path}.t", int),
-                "p": parse_vec(raw["p"], f"{path}.p"), "v": parse_vec(raw["v"], f"{path}.v"),
-                "a": parse_vec(raw["a"], f"{path}.a")}
-    except KeyError as exc:
-        raise ParseError(f"{path}: missing key {exc}") from None
+    record(raw, path, ("kind", "t", "p", "v", "a"))
+    return {"kind": "ego", "t": parse_number(raw["t"], f"{path}.t", int),
+            "p": parse_vec(raw["p"], f"{path}.p"), "v": parse_vec(raw["v"], f"{path}.v"),
+            "a": parse_vec(raw["a"], f"{path}.a")}
 
 
 def load_trace_records(path: str | Path) -> list[dict]:

@@ -266,12 +266,18 @@ def expect(raw, kind: type, path: str):
     return raw
 
 
-def reject_unknown_keys(doc: dict, known, path: str = "") -> None:
-    """ValidationError for the first key of `doc` not in `known`: a misspelt key
-    would otherwise be ignored and change what runs."""
-    for key in doc:
-        if key not in known:
+def record(raw, path: str, required=(), optional=()) -> dict:
+    """`raw` if it is a JSON object with every `required` key and no key outside
+    `required` and `optional`: a misspelt key would otherwise be ignored and
+    change what runs. A `path` of "" is the top level of a file."""
+    expect(raw, dict, path or "top level")
+    for key in raw:
+        if key not in required and key not in optional:
             raise ValidationError(f"{path}.{key}" if path else key, "unknown key")
+    for key in required:
+        if key not in raw:
+            raise ParseError(f"{path or 'top level'}: missing key {key!r}")
+    return raw
 
 
 def parse_vec(raw, path: str) -> Vec2:
@@ -288,14 +294,11 @@ def _size(raw, path: str) -> tuple[float, float, float]:
 
 
 def _parse_waypoint(raw: dict, path: str) -> Waypoint:
-    reject_unknown_keys(expect(raw, dict, path), ("t_ms", "p", "v", "a"), path)
-    try:
-        t = parse_number(raw["t_ms"], f"{path}.t_ms", int)
-        p = parse_vec(raw["p"], f"{path}.p")
-        v = parse_vec(raw["v"], f"{path}.v")
-        a = parse_vec(raw["a"], f"{path}.a")
-    except KeyError as exc:
-        raise ParseError(f"{path}: missing key {exc}") from exc
+    record(raw, path, ("t_ms", "p", "v", "a"))
+    t = parse_number(raw["t_ms"], f"{path}.t_ms", int)
+    p = parse_vec(raw["p"], f"{path}.p")
+    v = parse_vec(raw["v"], f"{path}.v")
+    a = parse_vec(raw["a"], f"{path}.a")
     if t < 0:
         raise ValidationError(f"{path}.t_ms", "must be >= 0")
     return Waypoint(p, v, a, t)
@@ -303,15 +306,11 @@ def _parse_waypoint(raw: dict, path: str) -> Waypoint:
 
 def _parse_object(raw: dict, idx: int) -> TrafficObject:
     path = f"objects[{idx}]"
-    reject_unknown_keys(expect(raw, dict, path),
-                        ("id", "kind", "size", "waypoints", "heading_override"), path)
-    try:
-        obj_id = str(raw["id"])
-        kind = raw["kind"]
-        size = _size(raw["size"], f"{path}.size")
-        wps_raw = expect(raw["waypoints"], list, f"{path}.waypoints")
-    except KeyError as exc:
-        raise ParseError(f"{path}: missing key {exc}") from exc
+    record(raw, path, ("id", "kind", "size", "waypoints"), ("heading_override",))
+    obj_id = expect(raw["id"], str, f"{path}.id")
+    kind = raw["kind"]
+    size = _size(raw["size"], f"{path}.size")
+    wps_raw = expect(raw["waypoints"], list, f"{path}.waypoints")
     if kind not in KINDS:
         raise ValidationError(f"{path}.kind", f"unknown kind {kind!r}")
     if not wps_raw:
@@ -340,16 +339,12 @@ def _parse_object(raw: dict, idx: int) -> TrafficObject:
 
 def _parse_lane(raw: dict, idx: int) -> Lane:
     path = f"map.lanes[{idx}]"
-    reject_unknown_keys(expect(raw, dict, path), ("id", "centerline", "width", "speed_limit"),
-                        path)
-    try:
-        lane_id = str(raw["id"])
-        pts = tuple(parse_vec(p, f"{path}.centerline[{i}]")
-                    for i, p in enumerate(expect(raw["centerline"], list, f"{path}.centerline")))
-        width = parse_number(raw["width"], f"{path}.width")
-        speed_limit = parse_number(raw["speed_limit"], f"{path}.speed_limit")
-    except KeyError as exc:
-        raise ParseError(f"{path}: missing key {exc}") from exc
+    record(raw, path, ("id", "centerline", "width", "speed_limit"))
+    lane_id = expect(raw["id"], str, f"{path}.id")
+    pts = tuple(parse_vec(p, f"{path}.centerline[{i}]")
+                for i, p in enumerate(expect(raw["centerline"], list, f"{path}.centerline")))
+    width = parse_number(raw["width"], f"{path}.width")
+    speed_limit = parse_number(raw["speed_limit"], f"{path}.speed_limit")
     if len(set(pts)) < 2:
         raise ValidationError(f"{path}.centerline", "needs at least 2 distinct points")
     if width <= 0:
@@ -361,26 +356,18 @@ def _parse_lane(raw: dict, idx: int) -> Lane:
 
 def _parse_signal(raw: dict, idx: int, t_max: SimTime) -> TrafficSignal:
     path = f"signals[{idx}]"
-    reject_unknown_keys(expect(raw, dict, path), ("id", "stop_line", "phases"), path)
-    try:
-        sig_id = str(raw["id"])
-        stop_line = parse_vec(raw["stop_line"], f"{path}.stop_line")
-        phases_raw = expect(raw["phases"], list, f"{path}.phases")
-    except KeyError as exc:
-        raise ParseError(f"{path}: missing key {exc}") from exc
+    record(raw, path, ("id", "stop_line", "phases"))
+    sig_id = expect(raw["id"], str, f"{path}.id")
+    stop_line = parse_vec(raw["stop_line"], f"{path}.stop_line")
+    phases_raw = expect(raw["phases"], list, f"{path}.phases")
     phases = []
     for i, ph in enumerate(phases_raw):
         ph_path = f"{path}.phases[{i}]"
-        reject_unknown_keys(expect(ph, dict, ph_path), ("color", "t_start_ms", "t_end_ms"),
-                            ph_path)
-        color = ph.get("color")
+        color = record(ph, ph_path, ("color", "t_start_ms", "t_end_ms"))["color"]
         if color not in SIGNAL_COLORS:
             raise ValidationError(f"{ph_path}.color", f"unknown color {color!r}")
-        try:
-            t_start = parse_number(ph["t_start_ms"], f"{ph_path}.t_start_ms", int)
-            t_end = parse_number(ph["t_end_ms"], f"{ph_path}.t_end_ms", int)
-        except KeyError as exc:
-            raise ParseError(f"{ph_path}: missing key {exc}") from exc
+        t_start = parse_number(ph["t_start_ms"], f"{ph_path}.t_start_ms", int)
+        t_end = parse_number(ph["t_end_ms"], f"{ph_path}.t_end_ms", int)
         phases.append(SignalPhase(t_start, t_end, color))
     phases.sort(key=lambda p: p.t_start)
     cursor = 0
@@ -408,20 +395,14 @@ def _reachable_lanes(lane_map: LaneMap, start: str) -> set[str]:
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
-    reject_unknown_keys(expect(doc, dict, "top level"),
-                        ("map", "ego", "objects", "signals", "t_max_ms", "seed"))
-    try:
-        map_raw = expect(doc["map"], dict, "map")
-        reject_unknown_keys(map_raw, ("lanes", "successors"), "map")
-        ego = expect(doc["ego"], dict, "ego")
-        reject_unknown_keys(ego, ("init_pose", "dest", "size"), "ego")
-        t_max = parse_number(doc["t_max_ms"], "t_max_ms", int)
-        seed = parse_number(doc["seed"], "seed", int)
-    except KeyError as exc:
-        raise ParseError(f"top level: missing key {exc}") from exc
+    record(doc, "", ("map", "ego", "t_max_ms", "seed"), ("objects", "signals"))
+    map_raw = record(doc["map"], "map", ("lanes",), ("successors",))
+    ego = record(doc["ego"], "ego", ("init_pose", "dest", "size"))
+    t_max = parse_number(doc["t_max_ms"], "t_max_ms", int)
+    seed = parse_number(doc["seed"], "seed", int)
 
     lanes = tuple(_parse_lane(ln, i)
-                  for i, ln in enumerate(expect(map_raw.get("lanes", []), list, "map.lanes")))
+                  for i, ln in enumerate(expect(map_raw["lanes"], list, "map.lanes")))
     lane_ids = {ln.id for ln in lanes}
     successors = {}
     for lane_id, succ in expect(map_raw.get("successors", {}), dict, "map.successors").items():
@@ -430,19 +411,16 @@ def scenario_from_dict(doc: dict) -> Scenario:
         for s in expect(succ, list, f"map.successors.{lane_id}"):
             if not isinstance(s, str) or s not in lane_ids:
                 raise ValidationError(f"map.successors.{lane_id}", f"unknown successor {s!r}")
-        successors[str(lane_id)] = tuple(str(s) for s in succ)
+        successors[lane_id] = tuple(succ)
     lane_map = LaneMap(lanes, successors)
 
-    try:
-        init_pose_raw = expect(ego["init_pose"], list, "ego.init_pose")
-        if len(init_pose_raw) != 3:
-            raise ParseError("ego.init_pose: expected [x, y, heading]")
-        a_init = (parse_vec(init_pose_raw[:2], "ego.init_pose"),
-                  parse_number(init_pose_raw[2], "ego.init_pose[2]"))
-        a_dest = parse_vec(ego["dest"], "ego.dest")
-        ego_size = _size(ego["size"], "ego.size")
-    except KeyError as exc:
-        raise ParseError(f"ego: missing key {exc}") from exc
+    init_pose_raw = expect(ego["init_pose"], list, "ego.init_pose")
+    if len(init_pose_raw) != 3:
+        raise ParseError("ego.init_pose: expected [x, y, heading]")
+    a_init = (parse_vec(init_pose_raw[:2], "ego.init_pose"),
+              parse_number(init_pose_raw[2], "ego.init_pose[2]"))
+    a_dest = parse_vec(ego["dest"], "ego.dest")
+    ego_size = _size(ego["size"], "ego.size")
 
     if t_max <= 0:
         raise ValidationError("t_max_ms", "must be > 0")

@@ -352,6 +352,22 @@ def test_attribute_interval_dd_strategy_on_real_instance():
                                          + rep.dtest_message_level)
 
 
+@pytest.mark.parametrize("options, message", [
+    ({"strategy": "interval-dd", "audit_monotonicity": True}, "needs strategy 'binary'"),
+    ({"strategy": "bogus"}, "unknown strategy 'bogus'"),
+])
+def test_attribute_rejects_options_it_would_ignore(monkeypatch, options, message):
+    from causetrace import attribution
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("ran before rejecting the options")
+    monkeypatch.setattr(attribution, "rtest", no_run)
+    inst = INSTS["cs1_pred_none"]
+    with pytest.raises(ValueError, match=message):
+        attribute(load_builtin_scenario(inst.scenario), AdsConfig(faults=[inst.fault]),
+                  OracleConfig(), **options)
+
+
 def test_audit_reruns_count_at_message_level():
     inst = INSTS["cs4_perc_miss"]
     sc = scenario_for_instance(inst)

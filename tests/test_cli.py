@@ -141,6 +141,11 @@ MALFORMED = {
             "id": "o", "kind": "Vehicle", "size": [4.0, 1.8, 1.5], "heading_overide": 0.5,
             "waypoints": [{"t_ms": 0, "p": [50, 0], "v": [0, 0], "a": [0, 0]}]}]),
         None, None, "objects[0].heading_overide: unknown key"),
+    "scenario_object_id_not_string": (
+        lambda d: _set(d, "objects", [{
+            "id": None, "kind": "Vehicle", "size": [4.0, 1.8, 1.5],
+            "waypoints": [{"t_ms": 0, "p": [50, 0], "v": [0, 0], "a": [0, 0]}]}]),
+        None, None, "objects[0].id: expected a string"),
     "fault_file_unknown_key": (None, {"faults": [], "fault": {
         "target": "perception", "kind": "miss_detection"}}, None, "fault: unknown key"),
     "oracle_negative_c": (None, None, {"safe_distance_c": -1}, "safe_distance_c"),
@@ -294,18 +299,38 @@ def test_replay_malformed_record_exit_two(tmp_path, capsys, line, field_path):
 
 
 @pytest.mark.parametrize("edit, field_path", [
-    (lambda inst: inst.pop("scenario"), "instances[0].scenario"),
-    (lambda inst: inst.update(fault=[]), "instances[0].fault"),
-    (lambda inst: inst["fault"].update(kind="gremlin"), "instances[0].fault.kind"),
+    (lambda doc: doc["instances"][0].pop("scenario"), "instances[0]: missing key 'scenario'"),
+    (lambda doc: doc["instances"][0].update(fault=[]), "instances[0].fault"),
+    (lambda doc: doc["instances"][0]["fault"].update(kind="gremlin"),
+     "instances[0].fault.kind"),
+    (lambda doc: doc["instances"][0].update(note="x"), "instances[0].note: unknown key"),
+    (lambda doc: doc.update(instance=[]), "instance: unknown key"),
 ])
 def test_bench_malformed_instance_exit_two(tmp_path, capsys, edit, field_path):
-    inst = INSTS["cs1_plan_none"].to_dict()
-    edit(inst)
+    doc = {"instances": [INSTS["cs1_plan_none"].to_dict()]}
+    edit(doc)
     bpath = tmp_path / "bench.json"
-    bpath.write_text(json.dumps({"instances": [inst]}), encoding="utf-8")
+    bpath.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["bench", "--benchmark", str(bpath), "--out-dir", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert f"error: {field_path}" in err
+
+
+@pytest.mark.parametrize("command", ["attribute", "bench"])
+def test_audit_with_interval_dd_rejected_up_front(tmp_path, capsys, monkeypatch, command):
+    from causetrace import benchmark, cli
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("ran before rejecting the options")
+    monkeypatch.setattr(cli, "attribute", no_run)
+    monkeypatch.setattr(benchmark, "run_instance", no_run)
+    argv = [command, "--strategy", "interval-dd", "--audit-monotonicity",
+            "--out-dir", str(tmp_path)]
+    if command == "attribute":
+        argv[1:1] = [str(scenario_path("cs1")), "--fault", write_fault(tmp_path, "cs1_pred_none")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == "error: --audit-monotonicity needs --strategy binary\n"
 
 
 BAD_BYTES = {

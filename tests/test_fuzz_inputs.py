@@ -2,6 +2,9 @@
 ValidationError, the errors the CLI turns into exit code 2."""
 
 import copy
+import json
+import tempfile
+from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -59,6 +62,7 @@ VALID_SCENARIO["map"]["successors"] = {"lane0": ["lane1"]}
 VALID_FAULTS = [inst.fault.to_dict() for inst in load_benchmark()]
 VALID_FAULTS.append({"target": "perception", "kind": "miss_detection", "trigger": {
     "t0_ms": 0, "t1_ms": 100, "object_id": "ped", "region": {"center": [1, 2], "radius": 3}}})
+VALID_BENCHMARK = {"instances": [inst.to_dict() for inst in load_benchmark()]}
 VALID_EGO_RECORD = {"kind": "ego", "t": 10, "p": [1.0, 2.0], "v": [0.5, 0.0],
                     "a": [0.0, 0.0]}
 
@@ -80,6 +84,15 @@ def test_scenario_from_dict_fuzz(doc):
 @given(doc=json_values | st.sampled_from(VALID_FAULTS).flatmap(mutated))
 def test_fault_from_dict_fuzz(doc):
     _accepts_or_rejects(fault_from_dict, doc)
+
+
+@FUZZ
+@given(doc=json_values | mutated(VALID_BENCHMARK))
+def test_load_benchmark_fuzz(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "benchmark.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        _accepts_or_rejects(load_benchmark, path)
 
 
 @FUZZ

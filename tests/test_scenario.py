@@ -232,6 +232,23 @@ def test_unknown_key_rejected_at_every_level(where, path):
         scenario_from_dict(doc)
 
 
+@pytest.mark.parametrize("where, key, path", [
+    (lambda d: d, "map", "top level"),
+    (lambda d: d["map"], "lanes", "map"),
+    (lambda d: d["map"]["lanes"][1], "width", "map.lanes[1]"),
+    (lambda d: d["ego"], "dest", "ego"),
+    (lambda d: d["objects"][0], "kind", "objects[0]"),
+    (lambda d: d["objects"][0]["waypoints"][0], "p", "objects[0].waypoints[0]"),
+    (lambda d: d["signals"][0], "phases", "signals[0]"),
+    (lambda d: d["signals"][0]["phases"][0], "color", "signals[0].phases[0]"),
+])
+def test_missing_key_reported_at_every_level(where, key, path):
+    doc = _full_doc()
+    del where(doc)[key]
+    with pytest.raises(ParseError, match=rf"^{re.escape(path)}: missing key '{key}'$"):
+        scenario_from_dict(doc)
+
+
 def test_signal_phase_gaps_rejected():
     doc = straight_road_doc(signals=[{"id": "s1", "stop_line": [80.0, 0.0],
                                       "phases": [
