@@ -29,6 +29,7 @@ from .substitutes import IdealFromState, IdealWithinStates, SubstitutionPlan, sp
 PROBE_ORDER = (ComponentId.PERCEPTION, ComponentId.PREDICTION,
                ComponentId.CONTROL, ComponentId.LOCALIZATION)
 SUBSTITUTABLE = PROBE_ORDER  # everything but planning
+STRATEGIES = ("binary", "interval-dd")
 
 
 class NoViolation(Exception):
@@ -61,9 +62,12 @@ class DtestSession:
 
     Each re-run is forked from `origin`, the original run's trace, where its
     substitute first publishes something the original did not, and stops once
-    its verdict is decided; re-runs that fork at the same state with the same
-    substitutes share one verdict through the session's `memo` (see
-    `run_with_substitution`).
+    its verdict is decided. The session's `memo` holds the verdict of every
+    simulated re-run: a re-run that forks at the same state as an earlier one,
+    with the same substitutes active from there on, takes its verdict without
+    stepping (`memo.hits`), and one that reaches a frame state an earlier one
+    passed stops there and takes its verdict (`memo.merges`; see
+    `run_with_substitution` and `run_scheduler`).
     """
 
     def __init__(self, scenario: Scenario, ads: AdsConfig, oracles: OracleConfig,
@@ -75,7 +79,9 @@ class DtestSession:
         self.calls = 0
         self.stepped_ms = 0  # simulated ms the re-runs stepped; copied prefixes excluded
         self.prefix_decided = 0  # re-runs decided from the original run without a step
-        self.memo = ForkMemo()  # .hits: re-runs decided by an earlier re-run's verdict
+        # .hits / .merges: re-runs decided by an earlier re-run's verdict, at the
+        # fork / at a frame state
+        self.memo = ForkMemo()
         self._cache: dict[tuple, bool] = {}
 
     def passed(self, plan: SubstitutionPlan) -> bool:
@@ -83,12 +89,12 @@ class DtestSession:
         if key in self._cache:
             return self._cache[key]
         self.calls += 1
-        hits = self.memo.hits
+        decided = self.memo.hits + self.memo.merges
         verdict, trace = run_with_substitution(self.scenario, self.ads, plan, self.oracles,
                                                origin=self.origin, memo=self.memo)
         stepped = trace.ego_log[-1].t - trace.forked_at
         self.stepped_ms += stepped
-        self.prefix_decided += stepped == 0 and self.memo.hits == hits
+        self.prefix_decided += stepped == 0 and self.memo.hits + self.memo.merges == decided
         self._cache[key] = verdict.passed
         return verdict.passed
 
@@ -290,11 +296,12 @@ class AttributionReport:
     focus_affected_gap_ms: int | None = None  # 0 when the focus itself is affected
     notes: list[str] = field(default_factory=list)
     verdict_matrix: list[dict] = field(default_factory=list)
-    # Re-run cost (DtestSession.stepped_ms / .prefix_decided / .memo.hits), left
-    # out of to_dict.
+    # Re-run cost (DtestSession.stepped_ms / .prefix_decided / .memo.hits /
+    # .memo.merges), left out of to_dict.
     rerun_stepped_ms: int = 0
     rerun_prefix_decided: int = 0
     rerun_memo_decided: int = 0
+    rerun_merged: int = 0
 
     def to_dict(self) -> dict:
         out = {k: v for k, v in self.__dict__.items() if not k.startswith("rerun_")}
@@ -328,15 +335,20 @@ def verdict_matrix_csv(rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def check_options(strategy: str, audit_monotonicity: bool) -> None:
+    """ValueError unless `attribute` can honour both options."""
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}")
+    if audit_monotonicity and strategy != "binary":
+        raise ValueError("the monotonicity audit needs strategy 'binary'")
+
+
 @collector_paused
 def attribute(scenario: Scenario, ads: AdsConfig, oracles: OracleConfig,
               strategy: str = "binary", audit_monotonicity: bool = False
               ) -> AttributionReport:
     """Full pipeline: run, attribute the component, then the focus message."""
-    if strategy not in ("binary", "interval-dd"):
-        raise ValueError(f"unknown strategy {strategy!r}")
-    if audit_monotonicity and strategy != "binary":
-        raise ValueError("the monotonicity audit needs strategy 'binary'")
+    check_options(strategy, audit_monotonicity)
     t_start = time.perf_counter()
     original = rtest(scenario, ads, oracles)
     session = DtestSession(scenario, ads, oracles, original.trace)
@@ -351,6 +363,8 @@ def attribute(scenario: Scenario, ads: AdsConfig, oracles: OracleConfig,
         focus = attribute_message_planning(original.trace, scenario, oracles)
         notes.append("planning short-circuit: message scan used no re-runs")
         notes.extend(_tarantula_note(original.trace, focus))
+        if audit_monotonicity:
+            notes.append("audit: not run, planning is attributed by the message scan")
     elif strategy == "interval-dd":
         interval = attribute_interval_dd(session, n, component)
         focus = _focus_in_state(original.trace, component, interval[1])
@@ -396,6 +410,7 @@ def attribute(scenario: Scenario, ads: AdsConfig, oracles: OracleConfig,
         rerun_stepped_ms=session.stepped_ms,
         rerun_prefix_decided=session.prefix_decided,
         rerun_memo_decided=session.memo.hits,
+        rerun_merged=session.memo.merges,
     )
     return report
 

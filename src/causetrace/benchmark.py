@@ -19,7 +19,7 @@ from functools import partial
 from importlib import resources
 from pathlib import Path
 
-from .attribution import attribute
+from .attribution import attribute, check_options
 from .faults import FaultSpec, fault_from_dict
 from .middleware import ComponentId
 from .oracles import OracleConfig
@@ -142,7 +142,9 @@ def run_instance(inst: BenchInstance, strategy: str = "binary",
 def run_benchmark(instances: list[BenchInstance], parallel: int = 1,
                   strategy: str = "binary", audit_monotonicity: bool = False,
                   scenario_dir: Path | None = None) -> dict:
-    """Attribute every instance and aggregate the per-component result table."""
+    """Attribute every instance and aggregate the per-component result table.
+    Options `attribute` would reject raise ValueError before any instance runs."""
+    check_options(strategy, audit_monotonicity)
     run = partial(run_instance, strategy=strategy, audit_monotonicity=audit_monotonicity,
                   scenario_dir=scenario_dir)
     workers = min(parallel, len(instances))  # the pool forks them all at once

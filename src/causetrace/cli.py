@@ -17,8 +17,8 @@ import math
 import sys
 from pathlib import Path
 
-from .attribution import (MonotonicityViolation, NoViolatingPlanningMessage,
-                          NoViolation, Unattributable, attribute,
+from .attribution import (STRATEGIES, MonotonicityViolation, NoViolatingPlanningMessage,
+                          NoViolation, Unattributable, attribute, check_options,
                           verdict_matrix_csv)
 from .benchmark import load_benchmark, run_benchmark, summary_table_csv
 from .faults import load_fault_file
@@ -116,7 +116,8 @@ def cmd_attribute(args) -> int:
           f"({report.simulations_total} simulations total)")
     print(f"re-run cost: {report.rerun_stepped_ms} simulated ms stepped, "
           f"{report.rerun_prefix_decided} re-runs decided from the original run's prefix, "
-          f"{report.rerun_memo_decided} by an earlier re-run's verdict")
+          f"{report.rerun_memo_decided} by an earlier re-run's verdict, "
+          f"{report.rerun_merged} merged into an earlier re-run at a frame")
     print(f"wall time: {report.wall_time_s:.2f} s")
     return EXIT_PASS
 
@@ -197,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("scenario")
     sp.add_argument("--fault", default=None)
     sp.add_argument("--oracle-config", default=None)
-    sp.add_argument("--strategy", choices=["binary", "interval-dd"], default="binary")
+    sp.add_argument("--strategy", choices=STRATEGIES, default="binary")
     sp.add_argument("--audit-monotonicity", action="store_true")
     common(sp)
     sp.set_defaults(fn=cmd_attribute)
@@ -207,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--scenario-dir", default=None)
     sp.add_argument("--parallel", type=_worker_count, default=1,
                     help="worker processes (at most one per instance)")
-    sp.add_argument("--strategy", choices=["binary", "interval-dd"], default="binary")
+    sp.add_argument("--strategy", choices=STRATEGIES, default="binary")
     sp.add_argument("--audit-monotonicity", action="store_true")
     common(sp)
     sp.set_defaults(fn=cmd_bench)
@@ -222,9 +223,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "audit_monotonicity", False) and args.strategy != "binary":
-        print("error: --audit-monotonicity needs --strategy binary", file=sys.stderr)
-        return EXIT_ERROR
+    if hasattr(args, "strategy"):
+        try:
+            check_options(args.strategy, args.audit_monotonicity)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_ERROR
     try:
         return args.fn(args)
     except (ParseError, ValidationError, OSError) as exc:

@@ -17,12 +17,23 @@ checkpoint of that message's state and stops at its first safe-distance or
 speeding violation, since that decides its verdict. Re-runs that fork at the
 same state with the same substitutes active from there on share one future, so
 a later one takes the verdict of the first (`ForkMemo`).
+
+Every FRAME_MS all five components fire, each reading only what was published
+at that sample, and the ego then moves by what they published. So once every
+substitute window of a re-run is constant (active for good, or over), its future
+from a frame sample is fixed by the frame state: the time, the ego state, the
+heading the oracle carries and the set of active substitutes. Payloads
+published before the frame need no comparison, because the frame overwrites
+them all. A re-run that reaches the frame state an earlier re-run of the same
+`ForkMemo` passed merges into it there: it stops and takes that run's verdict.
 """
 
 from __future__ import annotations
 
 import functools
 import gc
+import math
+import struct
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import islice
@@ -44,6 +55,7 @@ from .substitutes import (OnlineStateTracker, QuantizationUnits, StateKey,
 from .world import Broadphase, EgoState, ObjectTracker, step_ego
 
 SAMPLE_MS = 10  # ego log and state tracking at 100 Hz
+FRAME_MS = 100  # every component fires at a multiple of FRAME_MS
 
 DEFAULT_PERIODS = {
     ComponentId.LOCALIZATION: 10,   # 100 Hz
@@ -52,8 +64,10 @@ DEFAULT_PERIODS = {
     ComponentId.PLANNING: 100,      # 10 Hz
     ComponentId.CONTROL: 10,        # 100 Hz
 }
-# Components fire only at the start of a SAMPLE_MS block.
-assert all(period % SAMPLE_MS == 0 for period in DEFAULT_PERIODS.values())
+# Components fire only at the start of a SAMPLE_MS block, and all of them at a
+# frame sample.
+assert all(period % SAMPLE_MS == 0 and FRAME_MS % period == 0
+           for period in DEFAULT_PERIODS.values())
 
 
 class SimPanic(Exception):
@@ -94,13 +108,29 @@ def _prefix(trace: Trace, t: SimTime, through: bool = False
     return rows, trace.ego_log[:t // SAMPLE_MS + through]
 
 
+def frame_state(t: SimTime, ideal: set[ComponentId], ego: EgoState, heading: float
+                ) -> tuple:
+    """What fixes a run's future from frame sample t on, once no substitute turns
+    on or off any more: t, the active substitutes, the ego state and the heading
+    the oracle carries into t. The floats are packed bit for bit, so a signed zero
+    makes another frame state."""
+    return t, frozenset(ideal), struct.pack("<6d", *ego.p, ego.heading, ego.speed,
+                                            ego.accel, heading)
+
+
 def run_scheduler(scenario: Scenario, ads: AdsConfig,
                   plan: SubstitutionPlan | None = None,
                   fork: tuple[Trace, int] | None = None,
-                  monitor: SampleMonitor | None = None) -> Trace:
+                  monitor: SampleMonitor | None = None,
+                  memo: ForkMemo | None = None) -> Trace:
     """One run. `fork` = (origin, k) resumes the run `origin` from its checkpoint
     at state k; `monitor` judges each sample and stops the run at the first
-    violating one."""
+    violating one. With `memo` (and `monitor`), at each frame sample from the
+    state on which every substitute window is constant, the run merges into the
+    earlier re-run of `memo.frames` with the same frame state: it stops there,
+    after logging the sample, with that run's verdict as `trace.verdict`. Else
+    the frame state goes to `memo.pending`, for the caller to record with the
+    run's verdict."""
     plan = plan or SubstitutionPlan()
     bus = Bus()
     trace = bus.trace
@@ -121,6 +151,11 @@ def run_scheduler(scenario: Scenario, ads: AdsConfig,
     faults = {c: [f for f in ads.faults if f.target is c] for c in ComponentId}
     windows = {c: active_states(m) for c, m in plan.modes.items()}
     ideal: set[ComponentId] = set()  # substitutes active at the current state index
+    # The state index from which no substitute turns on or off any more.
+    steady = max((lo if hi == math.inf else hi + 1 for lo, hi in windows.values()),
+                 default=1)
+    if memo is not None:
+        memo.pending = []
 
     def fire(component: ComponentId, t: SimTime) -> tuple[Any, bool, dict[str, int]]:
         """Payload, fault flag and consumed input seqs of one firing. Every
@@ -157,6 +192,14 @@ def run_scheduler(scenario: Scenario, ads: AdsConfig,
             trace.checkpoints.append(Checkpoint(t, ego, key))
         trace.ego_log.append(wp)
         ideal = {c for c, (lo, hi) in windows.items() if lo <= index <= hi}
+        if memo is not None and t % FRAME_MS == 0 and index >= steady:
+            frame = frame_state(t, ideal, ego, monitor.heading)
+            merged = memo.frames.get(frame)
+            if merged is not None:
+                memo.merges += 1
+                trace.verdict = merged
+                return trace
+            memo.pending.append(frame)
         if ((monitor is not None and monitor.violated(wp))
                 or _contact(ego, ego_half, ego_r, objects.near(ego.p), t, trace)):
             return trace
@@ -250,12 +293,17 @@ def rtest(scenario: Scenario, ads: AdsConfig, oracles: OracleConfig) -> RunResul
 
 
 class ForkMemo:
-    """The verdicts of the simulated re-runs of one original run, by fork key (see
-    `run_with_substitution`), and the number of re-runs that took one of them."""
+    """The verdicts of the simulated re-runs of one original run: by fork key (see
+    `run_with_substitution`) and by each frame state they passed (see
+    `run_scheduler`). `hits` counts the re-runs that took a verdict by fork key,
+    `merges` those that merged into an earlier re-run at a frame state."""
 
     def __init__(self) -> None:
         self.verdicts: dict[tuple, Verdict] = {}
+        self.frames: dict[tuple, Verdict] = {}
+        self.pending: list[tuple] = []  # frame states of the re-run being simulated
         self.hits = 0
+        self.merges = 0
 
 
 def _differs(scenario: Scenario, origin: Trace, m: Message) -> bool:
@@ -337,7 +385,9 @@ def run_with_substitution(scenario: Scenario, ads: AdsConfig, plan: Substitution
     future and takes its verdict; its trace is the original's through the fork
     sample. Else it resumes from the original's checkpoint at the fork and stops
     at its first safe-distance or speeding violation; the verdict then holds that
-    violation, or else the mission violation, if any.
+    violation, or else the mission violation, if any. With `memo` it may also stop
+    at a frame sample where it merges into an earlier re-run (`run_scheduler`),
+    and takes that run's verdict.
     """
     if origin is None:
         trace = run_scheduler(scenario, ads, plan)
@@ -368,10 +418,11 @@ def run_with_substitution(scenario: Scenario, ads: AdsConfig, plan: Substitution
     for w in origin.ego_log[:cp.t // SAMPLE_MS]:
         heading = carried_heading(w, heading)
     monitor = SampleMonitor(scenario, oracles, heading)
-    trace = run_scheduler(scenario, ads, plan, fork=(origin, k), monitor=monitor)
-    violation = monitor.violation or mission_violation(trace.ego_log, scenario, oracles)
-    verdict = Verdict(violation is None, [violation] if violation else [])
-    trace.verdict = verdict
+    trace = run_scheduler(scenario, ads, plan, fork=(origin, k), monitor=monitor, memo=memo)
+    if trace.verdict is None:
+        violation = monitor.violation or mission_violation(trace.ego_log, scenario, oracles)
+        trace.verdict = Verdict(violation is None, [violation] if violation else [])
     if memo is not None:
-        memo.verdicts[key] = verdict
-    return verdict, trace
+        memo.verdicts[key] = trace.verdict
+        memo.frames.update(dict.fromkeys(memo.pending, trace.verdict))
+    return trace.verdict, trace

@@ -79,6 +79,11 @@ class LaneMap:
                 return lane
         raise KeyError(lane_id)
 
+    @cached_property
+    def lanes_by_id(self) -> tuple[Lane, ...]:
+        """The lanes sorted by id, the order in which `lane_at` breaks ties."""
+        return tuple(sorted(self.lanes, key=attrgetter("id")))
+
 
 @dataclass(frozen=True)
 class SignalPhase:
@@ -231,7 +236,7 @@ def lane_at(lane_map: LaneMap, p: Vec2) -> tuple[Lane, float, float] | None:
     """Nearest lane containing p within its width; ties go to the smaller lane id."""
     best: tuple[Lane, float, float] | None = None
     best_abs = math.inf
-    for lane in sorted(lane_map.lanes, key=lambda ln: ln.id):
+    for lane in lane_map.lanes_by_id:
         s, lateral, _ = project_on_polyline(lane.centerline, p)
         if abs(lateral) <= lane.width / 2.0 + 1e-9:
             if abs(lateral) < best_abs - 1e-12:

@@ -368,6 +368,36 @@ def test_attribute_rejects_options_it_would_ignore(monkeypatch, options, message
                   OracleConfig(), **options)
 
 
+@pytest.mark.parametrize("options", [
+    {"strategy": "interval-dd", "audit_monotonicity": True},
+    {"strategy": "bogus"},
+])
+def test_run_benchmark_rejects_options_before_any_instance(monkeypatch, options):
+    from causetrace import benchmark
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("ran an instance before rejecting the options")
+    monkeypatch.setattr(benchmark, "run_instance", no_run)
+    with pytest.raises(ValueError):
+        benchmark.run_benchmark([INSTS["cs1_pred_none"], INSTS["cs5_loc_lat"]], **options)
+
+
+def test_audit_on_planning_notes_that_it_did_not_run():
+    # Planning is attributed by the message scan, which has no suffix predicate
+    # to audit; the report says so, and nothing else changes.
+    inst = INSTS["cs1_plan_none"]
+    sc = load_builtin_scenario(inst.scenario)
+    ads = AdsConfig(faults=[inst.fault])
+    plain = attribute(sc, ads, OracleConfig())
+    audited = attribute(sc, ads, OracleConfig(), audit_monotonicity=True)
+    assert audited.component_vi == "planning" and audited.monotonicity_audit is None
+    assert audited.notes == plain.notes + [
+        "audit: not run, planning is attributed by the message scan"]
+    skip = {"notes", "wall_time_s"}
+    assert ({k: v for k, v in audited.to_dict().items() if k not in skip}
+            == {k: v for k, v in plain.to_dict().items() if k not in skip})
+
+
 def test_audit_reruns_count_at_message_level():
     inst = INSTS["cs4_perc_miss"]
     sc = scenario_for_instance(inst)

@@ -200,15 +200,16 @@ def test_attribute_prints_rerun_cost_outside_report(tmp_path, capsys, monkeypatc
     assert code == 0
     (r,) = reports
     reruns = r.simulations_total - 1
-    # Some re-runs are decided from the original's prefix and some by the verdict
-    # of an earlier re-run that forked at the same state; the rest step, each less
-    # than the whole run.
-    assert r.rerun_prefix_decided > 0 and r.rerun_memo_decided > 0
-    assert r.rerun_prefix_decided + r.rerun_memo_decided < reruns
+    # Some re-runs are decided from the original's prefix, some by the verdict of
+    # an earlier re-run that forked at the same state and one by merging into an
+    # earlier re-run at a frame; the rest step, each less than the whole run.
+    assert r.rerun_prefix_decided > 0 and r.rerun_memo_decided > 0 and r.rerun_merged > 0
+    assert r.rerun_prefix_decided + r.rerun_memo_decided + r.rerun_merged < reruns
     assert 0 < r.rerun_stepped_ms < reruns * 25000
     line = (f"re-run cost: {r.rerun_stepped_ms} simulated ms stepped, "
             f"{r.rerun_prefix_decided} re-runs decided from the original run's prefix, "
-            f"{r.rerun_memo_decided} by an earlier re-run's verdict")
+            f"{r.rerun_memo_decided} by an earlier re-run's verdict, "
+            f"{r.rerun_merged} merged into an earlier re-run at a frame")
     assert line in capsys.readouterr().out.splitlines()
     report = json.loads((tmp_path / "report.json").read_text())
     assert not {k for k in report if k.startswith("rerun_")}
@@ -330,7 +331,7 @@ def test_audit_with_interval_dd_rejected_up_front(tmp_path, capsys, monkeypatch,
         argv[1:1] = [str(scenario_path("cs1")), "--fault", write_fault(tmp_path, "cs1_pred_none")]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err == "error: --audit-monotonicity needs --strategy binary\n"
+    assert err == "error: the monotonicity audit needs strategy 'binary'\n"
 
 
 BAD_BYTES = {

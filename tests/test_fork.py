@@ -2,9 +2,10 @@
 
 A re-run given the original trace resumes from the original run's checkpoint
 at the state where its substitute first becomes active, and stops at its first
-safe-distance or speeding violation. Each one must reach the verdict of the
-same plan simulated from t=0 to the end, and its ego log must be the start of
-that run's log, sample for sample.
+safe-distance or speeding violation, or where it merges into an earlier re-run
+at a frame sample. Each one must reach the verdict of the same plan simulated
+from t=0 to the end, and its ego log must be the start of that run's log,
+sample for sample.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from pathlib import Path
 
 import pytest
 
-from causetrace import runner
+from causetrace import attribution, runner
+from causetrace.attribution import DtestSession
 from causetrace.benchmark import load_benchmark, load_builtin_scenario
 from causetrace.middleware import ComponentId
 from causetrace.oracles import MISSION, OracleConfig
@@ -24,6 +26,7 @@ from causetrace.runner import AdsConfig, rtest, run_with_substitution
 from causetrace.scenario import scenario_from_dict
 from causetrace.substitutes import (IdealAll, IdealFromState, IdealWithinStates,
                                     SubstitutionPlan, ideal_perception, split_trace)
+from causetrace.world import EgoState
 from conftest import static_object, straight_road_doc
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -39,14 +42,16 @@ def _original(inst_id: str):
     return inst, scenario, ads, rtest(scenario, ads, OracleConfig())
 
 
-def golden_plans(inst_id: str) -> list[SubstitutionPlan]:
-    """The re-run plans recorded in tests/golden.json for one instance."""
-    plans = []
-    for components, mode, where, _ in GOLDEN[inst_id]["reruns"]:
+def golden_reruns(inst_id: str) -> list[tuple[SubstitutionPlan, bool]]:
+    """The re-runs recorded in tests/golden.json for one instance, in order: each
+    plan and whether it passed."""
+    reruns = []
+    for components, mode, where, passed in GOLDEN[inst_id]["reruns"]:
         m = (IdealAll() if mode == "ideal_all" else IdealFromState(where)
              if mode == "ideal_from_state" else IdealWithinStates(*where))
-        plans.append(SubstitutionPlan({ComponentId(c): m for c in components.split("+")}))
-    return plans
+        reruns.append((SubstitutionPlan({ComponentId(c): m for c in components.split("+")}),
+                       passed))
+    return reruns
 
 
 def audit_states(trace, component: ComponentId) -> list[int]:
@@ -64,7 +69,7 @@ def assert_fork_matches_full_run(inst_id: str, stride: int = 1,
     split_trace(original.trace, ads.units)
     plans = [SubstitutionPlan({inst.component: IdealFromState(k)})
              for k in audit_states(original.trace, inst.component)[::stride]]
-    plans += golden_plans(inst_id) + list(extra)
+    plans += [plan for plan, _ in golden_reruns(inst_id)] + list(extra)
     seen: list[SubstitutionPlan] = []
     for plan in plans:
         if plan in seen:
@@ -246,3 +251,107 @@ def test_same_fork_takes_the_earlier_verdict_without_stepping(monkeypatch):
     assert shared == verdict and memo.hits == 1
     assert strace.forked_at == trace.forked_at == strace.ego_log[-1].t
     assert strace.ego_log == original.ego_log[:len(strace.ego_log)]
+
+
+def assert_merges_match_full_runs(inst_id: str, strategy: str = "binary") -> int:
+    """Run one attribution's message-level re-runs through one DtestSession, as
+    `attribute` does: the golden plan sequence, each with its recorded pass/fail,
+    or the interval-dd search. Check every re-run that merged into an earlier
+    one at a frame against the same plan simulated from t=0. Returns the number
+    of merged re-runs."""
+    inst, scenario, ads, original = _original(inst_id)
+    oracles = OracleConfig()
+    session = DtestSession(scenario, ads, oracles, original.trace)
+    merged = []
+    real = attribution.run_with_substitution
+
+    def recording(*args, **kwargs):
+        merges = session.memo.merges
+        verdict, trace = real(*args, **kwargs)
+        if session.memo.merges > merges:
+            merged.append((args[2], verdict, trace))
+        return verdict, trace
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(attribution, "run_with_substitution", recording)
+        if strategy == "binary":
+            for plan, passed in golden_reruns(inst_id):
+                assert session.passed(plan) is passed, plan
+        else:
+            n = len(split_trace(original.trace, ads.units))
+            attribution.attribute_interval_dd(session, n, inst.component)
+    assert len(merged) == session.memo.merges
+    for plan, verdict, trace in merged:
+        full, full_trace = run_with_substitution(scenario, ads, plan, oracles)
+        assert verdict.passed == full.passed, plan
+        # A re-run that stops at its first violating sample reports the first
+        # safe-distance or speeding violation, else the mission violation.
+        decisive = [v for v in full.violations if v["kind"] != MISSION] or full.violations
+        assert verdict.violations == decisive[:1], plan
+        n = len(trace.ego_log)
+        assert trace.ego_log[-1].t % runner.FRAME_MS == 0, plan
+        assert trace.ego_log == full_trace.ego_log[:n], plan
+    return len(merged)
+
+
+@pytest.mark.parametrize("inst_id, strategy", [("cs1_perc_lat", "binary"),
+                                               ("cs4b_ctrl_long", "binary"),
+                                               ("cs3_perc_miss", "interval-dd")])
+def test_merge_matches_full_run(inst_id, strategy):
+    # interval-dd windows end, after which the re-runs merge as well.
+    assert assert_merges_match_full_runs(inst_id, strategy) > 0
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("strategy", ["binary", "interval-dd"])
+@pytest.mark.parametrize("inst_id", NON_PLANNING)
+def test_merge_matches_full_run_all(inst_id, strategy):
+    assert_merges_match_full_runs(inst_id, strategy)
+
+
+def test_signed_zero_makes_another_frame_state():
+    ego = EgoState(p=(5.0, 0.0), heading=0.0, speed=3.0, accel=0.0, t=100)
+    key = runner.frame_state(100, {ComponentId.PERCEPTION}, ego, 0.0)
+    assert key == runner.frame_state(100, {ComponentId.PERCEPTION}, replace(ego), 0.0)
+    assert -0.0 == 0.0  # so a key of the floats themselves would not tell them apart
+    for other in (runner.frame_state(100, {ComponentId.PERCEPTION}, ego, -0.0),
+                  runner.frame_state(100, {ComponentId.PERCEPTION},
+                                     replace(ego, heading=-0.0), 0.0),
+                  runner.frame_state(100, {ComponentId.PERCEPTION},
+                                     replace(ego, p=(5.0, -0.0)), 0.0)):
+        assert other != key
+
+
+class LookupCounter(dict):
+    """A `ForkMemo.frames` that counts the lookups made in it."""
+
+    lookups = 0
+
+    def get(self, *args):
+        self.lookups += 1
+        return super().get(*args)
+
+    def __contains__(self, key):
+        self.lookups += 1
+        return super().__contains__(key)
+
+    def __getitem__(self, key):
+        self.lookups += 1
+        return super().__getitem__(key)
+
+
+def test_active_window_never_looks_up_frames():
+    # A window that is still active may yet turn off, so the run's future is not
+    # fixed by its frame state; the same window left open is constant from its start.
+    inst, scenario, ads, original = _original("cs1_perc_lat")
+    oracles = OracleConfig()
+    open_end = scenario.t_max // runner.SAMPLE_MS + 1  # more states than a run has
+    for mode, looked_up in ((IdealWithinStates(1, open_end), False), (IdealAll(), True)):
+        memo = runner.ForkMemo()
+        memo.frames = LookupCounter()
+        plan = SubstitutionPlan({inst.component: mode})
+        verdict, trace = run_with_substitution(scenario, ads, plan, oracles,
+                                               origin=original.trace, memo=memo)
+        assert trace.ego_log[-1].t > trace.forked_at + runner.FRAME_MS  # simulated
+        assert (memo.frames.lookups > 0) is looked_up, mode
+        assert (len(memo.frames) > 0) is looked_up and memo.merges == 0, mode

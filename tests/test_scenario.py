@@ -188,6 +188,17 @@ def test_lane_at_tie_breaks_to_smaller_id():
     assert hit[0].id == "a"
 
 
+def test_lane_at_tie_rule_holds_whatever_the_map_order():
+    # The id order is taken once per map; a map listing "b" first still ties to "a".
+    lanes = make_map().lanes
+    flipped = LaneMap(lanes=lanes[::-1])
+    assert [ln.id for ln in flipped.lanes_by_id] == ["a", "b"]
+    assert flipped.lanes_by_id is flipped.lanes_by_id
+    for p in ((50.0, 1.75), (50.0, 0.0), (50.0, 3.0), (50.0, 15.0)):
+        assert lane_at(flipped, p) == lane_at(make_map(), p)
+    assert lane_at(flipped, (50.0, 1.75))[0].id == "a"
+
+
 def test_lateral_sign_is_left_positive():
     hit = lane_at(make_map(), (50.0, 1.0))
     assert hit[2] == pytest.approx(1.0)
