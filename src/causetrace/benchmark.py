@@ -135,6 +135,11 @@ def run_instance(inst: BenchInstance, strategy: str = "binary",
         "simulations_total": report.simulations_total,
         "monotonicity_audit": report.monotonicity_audit,
         "wall_time_s": report.wall_time_s,
+        # The re-run cost that AttributionReport.to_dict leaves out.
+        "rerun_stepped_ms": report.rerun_stepped_ms,
+        "rerun_prefix_decided": report.rerun_prefix_decided,
+        "rerun_memo_decided": report.rerun_memo_decided,
+        "rerun_merged": report.rerun_merged,
     })
     return row
 

@@ -138,6 +138,78 @@ def obb_separation_at_least(a: OrientedBox, b: OrientedBox, threshold: float,
     return False
 
 
+def face_axes(heading: float) -> tuple[Vec2, Vec2]:
+    """The two face normals of a box with this heading, as
+    `obb_separation_at_least` computes them."""
+    normal = heading + math.pi / 2
+    return (math.cos(heading), math.sin(heading)), (math.cos(normal), math.sin(normal))
+
+
+def interval(corners: list[Vec2], axis: Vec2) -> tuple[float, float]:
+    """(min, max) of the corners projected on `axis`: the projection loop of
+    `obb_separation_at_least`, so the same floats."""
+    ax, ay = axis
+    lo = hi = corners[0][0] * ax + corners[0][1] * ay
+    for px, py in corners[1:]:
+        d = px * ax + py * ay
+        if d < lo:
+            lo = d
+        elif d > hi:
+            hi = d
+    return lo, hi
+
+
+class FixedBox:
+    """A box that never moves, with its corners, its two face axes and its own
+    projection interval on each of them: what a separating-axis test against it
+    needs of it, computed once."""
+
+    __slots__ = ("box", "corners", "axes", "intervals")
+
+    def __init__(self, box: OrientedBox):
+        self.box = box
+        self.corners = box.corners()
+        self.axes = face_axes(box.heading)
+        self.intervals = tuple(interval(self.corners, axis) for axis in self.axes)
+
+
+class SatProbe:
+    """One box tested against many `FixedBox`es: `separated(fixed, threshold)` is
+    `obb_separation_at_least(box, fixed.box, threshold)`, over the same four axes
+    with the same projections. The probe projects itself on a fixed box's axes
+    once per distinct heading, and on its own axes once, when first needed. So a
+    fixed box costs two interval comparisons, plus its corners projected on the
+    probe's axes when its own axes do not separate. Headings are told apart by
+    value: the axes of 0.0 and -0.0 give projections that differ at most in the
+    sign of a zero, which no comparison sees. `corners` are the box's."""
+
+    __slots__ = ("box", "corners", "_own", "_on")
+
+    def __init__(self, box: OrientedBox, corners: list[Vec2]):
+        self.box = box
+        self.corners = corners
+        self._own: list[tuple[Vec2, tuple[float, float]]] | None = None
+        self._on: dict[float, list[tuple[float, float]]] = {}
+
+    def separated(self, fixed: FixedBox, threshold: float) -> bool:
+        heading = fixed.box.heading
+        on = self._on.get(heading)
+        if on is None:
+            on = self._on[heading] = [interval(self.corners, axis) for axis in fixed.axes]
+        for (amin, amax), (bmin, bmax) in zip(on, fixed.intervals):
+            if bmin - amax >= threshold or amin - bmax >= threshold:
+                return True
+        own = self._own
+        if own is None:
+            own = self._own = [(axis, interval(self.corners, axis))
+                               for axis in face_axes(self.box.heading)]
+        for axis, (amin, amax) in own:
+            bmin, bmax = interval(fixed.corners, axis)
+            if bmin - amax >= threshold or amin - bmax >= threshold:
+                return True
+        return False
+
+
 # The smallest positive double: with gradual underflow x - y >= _ANY_GAP holds
 # exactly when x > y, so this threshold asks "is there any separating gap".
 _ANY_GAP = math.ulp(0.0)

@@ -10,13 +10,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .geometry import (OrientedBox, Vec2, min_obb_distance, obb_separation_at_least,
-                       point_to_obb_distance, vec_dist)
+from .geometry import (OrientedBox, SatProbe, Vec2, min_obb_distance,
+                       obb_separation_at_least, point_to_obb_distance, vec_dist)
 from .middleware import Verdict
 from .payloads import PlanningOut, TrajPoint
 from .pipeline import PlannerContext
-from .scenario import (Scenario, SimTime, ValidationError, Waypoint, bbox_at, lane_at,
-                       point_on_polyline, project_on_polyline)
+from .scenario import Scenario, SimTime, ValidationError, Waypoint, bbox_at, lane_at
 from .world import Broadphase, ObjectTracker
 
 SAFE_DISTANCE = "safe_distance"
@@ -49,18 +48,19 @@ def safe_distance_at(w: Waypoint | TrajPoint, heading: float, half: tuple[float,
     """(object id, distance, detail) of the first object whose box is closer than c
     to the ego box at one sample or planned pose; None if all are far enough. The
     trackers are queried at w.t, so samples must come in time order."""
-    ego_box = ego_corners = None
+    probe = None
     for trk in trackers:
         other = trk.box_at(w.t)
         dx, dy = other.center[0] - w.p[0], other.center[1] - w.p[1]
         lim = ego_r + trk.radius + c
         if dx * dx + dy * dy > lim * lim:
             continue
-        if ego_box is None:
+        if probe is None:
             ego_box = OrientedBox(w.p, half, heading)
-            ego_corners = ego_box.corners()
-        if obb_separation_at_least(ego_box, other, c, ego_corners,
-                                   trk.corners or other.corners()):
+            probe = SatProbe(ego_box, ego_box.corners())
+        if (probe.separated(trk.fixed, c) if trk.fixed is not None
+                else obb_separation_at_least(ego_box, other, c, probe.corners,
+                                             other.corners())):
             continue
         d = min_obb_distance(ego_box, other)
         if d < c:
@@ -123,6 +123,10 @@ class SampleMonitor:
     def __init__(self, scenario: Scenario, config: OracleConfig, heading: float):
         self.config = config
         self.lane_map = scenario.map
+        # No sample at or below the lowest limit plus tolerance can speed, so it
+        # needs no lane lookup.
+        self.speed_floor = min((lane.speed_limit + config.speed_tolerance
+                                for lane in scenario.map.lanes), default=math.inf)
         self.half, self.ego_r = scenario.ego_half, scenario.ego_radius
         self.objects = Broadphase(scenario.objects, self.ego_r + config.safe_distance_c)
         self.heading = heading
@@ -149,7 +153,7 @@ class SampleMonitor:
                 self.first[SAFE_DISTANCE] = {"kind": SAFE_DISTANCE, "t": w.t,
                                              "object_id": obj_id, "distance": d,
                                              "detail": detail}
-        if self._watching(SPEEDING):
+        if self._watching(SPEEDING) and math.hypot(*w.v) > self.speed_floor:
             hit = speeding_at(w, self.lane_map, self.config.speed_tolerance)
             if hit is not None:
                 speed, limit = hit
@@ -176,20 +180,20 @@ def trajectory_is_held(plan: PlanningOut) -> bool:
 
 def _corridor_blocked_ahead(scenario: Scenario, planner: PlannerContext, c: float,
                             ego_p: Vec2, t: SimTime) -> bool:
-    s0, _, _ = project_on_polyline(planner.route, ego_p)
+    route = planner.route
+    s0, _, _ = route.project(ego_p)
     band = planner.ego_half[1] + c + 0.2
     for obj in scenario.objects:
         box = bbox_at(obj, t)
-        s, lat, _ = project_on_polyline(planner.route, box.center)
+        s, lat, _ = route.project(box.center)
         reach = math.hypot(*box.half_extents)
         if s0 - reach <= s <= s0 + STALL_LOOKAHEAD + reach and abs(lat) <= band + reach:
             steps = max(2, int(STALL_LOOKAHEAD / 2.0))
             for k in range(steps + 1):
-                q, _ = point_on_polyline(planner.route, s0 + STALL_LOOKAHEAD * k / steps)
+                q, _ = route.point(s0 + STALL_LOOKAHEAD * k / steps)
                 if point_to_obb_distance(q, box) <= band:
                     return True
-    for sig in scenario.signals:
-        s_line, lat_line, _ = project_on_polyline(planner.route, sig.stop_line)
+    for sig, (s_line, lat_line) in zip(planner.signals, planner.stop_lines):
         if abs(lat_line) <= 3.0 and s0 <= s_line <= s0 + STALL_LOOKAHEAD + 10.0 \
                 and sig.color_at(t) == "Red":
             return True

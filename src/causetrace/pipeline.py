@@ -21,8 +21,7 @@ from .faults import (FaultSpec, apply_control_faults, apply_localization_faults,
 from .geometry import OrientedBox, Vec2, min_obb_distance
 from .payloads import (ControlOut, LocalizationOut, PerceivedObject, PerceptionOut,
                        PlanningOut, PredictedTrajectory, PredictionOut, TrajPoint)
-from .scenario import (Scenario, SimTime, TrafficSignal, lane_at, point_on_polyline,
-                       project_on_polyline)
+from .scenario import PolylineTable, Scenario, SimTime, TrafficSignal, lane_at
 from .world import ACCEL_MAX, ACCEL_MIN, EgoState, STEER_MAX, WHEELBASE
 
 PREDICTION_HORIZON_MS = 3000
@@ -101,10 +100,11 @@ STATIC_SPEED_EPS = 0.3
 class PlannerContext:
     """Per-run immutable planning context derived from the scenario."""
 
-    route: tuple[Vec2, ...]
+    route: PolylineTable
     dest_s: float
     speed_limit: float
     signals: tuple[TrafficSignal, ...]
+    stop_lines: tuple[tuple[float, float], ...]  # each signal's (s, lateral) on the route
     ego_half: tuple[float, float]  # (length/2, width/2)
     ego_radius: float
 
@@ -117,7 +117,7 @@ def make_planner_context(scenario: Scenario) -> PlannerContext:
     seen = {init_hit[0].id}
     while True:
         lane = route_lanes[-1]
-        _, lat, _ = project_on_polyline(lane.centerline, scenario.a_dest)
+        _, lat, _ = lane.table.project(scenario.a_dest)
         if abs(lat) <= lane.width / 2.0 + 1e-9:
             break
         nxt = [s for s in scenario.map.successors.get(lane.id, ()) if s not in seen]
@@ -130,22 +130,18 @@ def make_planner_context(scenario: Scenario) -> PlannerContext:
         for p in lane.centerline:
             if not route or p != route[-1]:
                 route.append(p)
-    dest_s, _, _ = project_on_polyline(tuple(route), scenario.a_dest)
+    table = PolylineTable(tuple(route))
+    dest_s, _, _ = table.project(scenario.a_dest)
     limit = min(ln.speed_limit for ln in route_lanes)
     return PlannerContext(
-        route=tuple(route),
+        route=table,
         dest_s=dest_s,
         speed_limit=limit,
         signals=scenario.signals,
+        stop_lines=tuple(table.project(sig.stop_line)[:2] for sig in scenario.signals),
         ego_half=scenario.ego_half,
         ego_radius=scenario.ego_radius,
     )
-
-
-def _route_pose(ctx: PlannerContext, s: float, lat: float) -> tuple[Vec2, float]:
-    p, heading = point_on_polyline(ctx.route, s)
-    nx, ny = -math.sin(heading), math.cos(heading)
-    return (p[0] + nx * lat, p[1] + ny * lat), heading
 
 
 def _obstacle_route_interval(ctx: PlannerContext, box: OrientedBox) -> tuple[float, float, float, float]:
@@ -153,7 +149,7 @@ def _obstacle_route_interval(ctx: PlannerContext, box: OrientedBox) -> tuple[flo
     s_min = lat_min = math.inf
     s_max = lat_max = -math.inf
     for corner in box.corners():
-        s, lat, _ = project_on_polyline(ctx.route, corner)
+        s, lat, _ = ctx.route.project(corner)
         s_min, s_max = min(s_min, s), max(s_max, s)
         lat_min, lat_max = min(lat_min, lat), max(lat_max, lat)
     return s_min, s_max, lat_min, lat_max
@@ -193,7 +189,7 @@ def _gen_trajectory(ctx: PlannerContext, t: SimTime, loc: LocalizationOut, s0: f
         elif target_lat < lat:
             lat = max(target_lat, lat - LATERAL_RATE * dt)
         s += v * dt
-        p, _ = _route_pose(ctx, s, lat)
+        p, _ = ctx.route.pose(s, lat)
         dx, dy = p[0] - prev[0], p[1] - prev[1]
         if dx * dx + dy * dy > 1e-12:
             heading = math.atan2(dy, dx)
@@ -248,7 +244,7 @@ def _first_conflict(ctx: PlannerContext, traj: tuple[TrajPoint, ...],
             if obb_separation_at_least(ego_box, ob, threshold):
                 continue
             if min_obb_distance(ego_box, ob) < threshold:
-                s, _, _ = project_on_polyline(ctx.route, pt.p)
+                s, _, _ = ctx.route.project(pt.p)
                 return k, s
     return None
 
@@ -256,7 +252,7 @@ def _first_conflict(ctx: PlannerContext, traj: tuple[TrajPoint, ...],
 def planning_tick(pred: PredictionOut, loc: LocalizationOut, ctx: PlannerContext,
                   faults: list[FaultSpec], t: SimTime) -> tuple[PlanningOut, bool]:
     tags = ["route_follow"]
-    s0, lat0, _ = project_on_polyline(ctx.route, loc.p)
+    s0, lat0, _ = ctx.route.project(loc.p)
 
     # Small static intrusions ahead: nudge around them.
     target_lat = 0.0
@@ -297,8 +293,7 @@ def planning_tick(pred: PredictionOut, loc: LocalizationOut, ctx: PlannerContext
 
     # Red signals ahead become stop targets.
     stop_s: float | None = None
-    for sig in ctx.signals:
-        s_line, lat_line, _ = project_on_polyline(ctx.route, sig.stop_line)
+    for sig, (s_line, lat_line) in zip(ctx.signals, ctx.stop_lines):
         if abs(lat_line) > 3.0 or s_line < s0:
             continue
         if s_line - s0 > SIGNAL_LOOKAHEAD:

@@ -41,7 +41,7 @@ from operator import attrgetter
 from typing import Any, Callable, NamedTuple
 
 from .faults import FaultSpec
-from .geometry import OrientedBox, min_obb_distance, obb_separation_at_least
+from .geometry import OrientedBox, SatProbe, min_obb_distance, obb_separation_at_least
 from .middleware import Bus, ComponentId, Message, TICK_PRIORITY, Trace, Verdict
 from .oracles import (MISSION, OracleConfig, SampleMonitor, carried_heading, evaluate,
                       mission_violation)
@@ -185,7 +185,7 @@ def run_scheduler(scenario: Scenario, ads: AdsConfig,
         return *out, {"planning": plan_msg.seq, "localization": loc.seq}
 
     for t in range(trace.forked_at, scenario.t_max, SAMPLE_MS):
-        wp = Waypoint(p=ego.p, v=ego.velocity(), a=ego.accel_vec(), t=t)
+        wp = ego.sample(t)
         key = state_tracker.key
         index, _ = state_tracker.observe(wp.p, wp.v, wp.a)
         if index > len(trace.checkpoints):
@@ -225,7 +225,7 @@ def run_scheduler(scenario: Scenario, ads: AdsConfig,
             cmd = bus.latest(ComponentId.CONTROL).payload
             ego = step_ego(ego, cmd.accel_cmd, cmd.steer, end - t)
     if scenario.t_max % SAMPLE_MS == 0:  # closing sample, not a state of its own
-        wp = Waypoint(p=ego.p, v=ego.velocity(), a=ego.accel_vec(), t=scenario.t_max)
+        wp = ego.sample(scenario.t_max)
         trace.ego_log.append(wp)
         if monitor is not None:
             monitor.violated(wp)
@@ -234,18 +234,19 @@ def run_scheduler(scenario: Scenario, ads: AdsConfig,
 
 def _contact(ego: EgoState, ego_half, ego_r, trackers: list[ObjectTracker], t: SimTime,
              trace: Trace) -> bool:
-    ego_box = ego_corners = None
+    probe = None
     for trk in trackers:
         other = trk.box_at(t)
         dx, dy = other.center[0] - ego.p[0], other.center[1] - ego.p[1]
         lim = ego_r + trk.radius
         if dx * dx + dy * dy > lim * lim:
             continue
-        if ego_box is None:
+        if probe is None:
             ego_box = OrientedBox(ego.p, ego_half, ego.heading)
-            ego_corners = ego_box.corners()
-        if obb_separation_at_least(ego_box, other, 1e-9, ego_corners,
-                                   trk.corners or other.corners()):
+            probe = SatProbe(ego_box, ego_box.corners())
+        if (probe.separated(trk.fixed, 1e-9) if trk.fixed is not None
+                else obb_separation_at_least(ego_box, other, 1e-9, probe.corners,
+                                             other.corners())):
             continue
         if min_obb_distance(ego_box, other) <= 0.0:
             trace.diagnostics.append(f"contact t={t} object={trk.obj.id}")

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import attrgetter
@@ -59,6 +59,26 @@ class TrafficObject:
         first = self.waypoints[0]
         return all(w.p == first.p and w.v == (0.0, 0.0) for w in self.waypoints)
 
+    @cached_property
+    def fixed_box(self) -> OrientedBox | None:
+        """The box of an object with a single waypoint, which has the same pose
+        and box at every t, bit for bit; None for any other object. A static
+        object with several waypoints is not fixed bit for bit: `vec_lerp` between
+        two equal points turns -0.0 into 0.0."""
+        if len(self.waypoints) != 1:
+            return None
+        w = self.waypoints[0]
+        return object_box(self, w.t, w.p, w.v)
+
+    @cached_property
+    def fixed_perceived(self):
+        """What ideal perception reports of an object with a `fixed_box`, at any t;
+        None for any other object."""
+        from .payloads import PerceivedObject  # payloads imports this module
+        box = self.fixed_box
+        return None if box is None else PerceivedObject(self.id, self.kind, box,
+                                                        self.waypoints[0].v)
+
 
 @dataclass(frozen=True)
 class Lane:
@@ -66,6 +86,11 @@ class Lane:
     centerline: tuple[Vec2, ...]
     width: float
     speed_limit: float
+
+    @cached_property
+    def table(self) -> PolylineTable:
+        """The centerline's segments."""
+        return PolylineTable(self.centerline)
 
 
 @dataclass(frozen=True)
@@ -184,52 +209,74 @@ def bbox_at(obj: TrafficObject, t: SimTime) -> OrientedBox:
     return object_box(obj, t, p, v)
 
 
-def project_on_polyline(line: tuple[Vec2, ...], p: Vec2) -> tuple[float, float, float]:
-    """Project p onto a polyline.
+class PolylineTable:
+    """A polyline's per-segment constants, computed once.
 
-    Returns (arc length of the projection, signed lateral offset, heading of the
-    segment hit). Lateral is positive to the left of travel direction.
+    `point(s)` is the point and heading at arc length s, clamped to the ends.
+    `pose(s, lat)` is that point moved `lat` along the segment's left normal.
+    `project(p)` is the projection of p on the line: (arc length of the
+    projection, signed lateral offset, heading of the segment hit), lateral
+    positive to the left of travel; the first of equally near segments (within
+    1e-12) wins.
     """
-    best = None
-    s_acc = 0.0
-    for i in range(len(line) - 1):
-        ax, ay = line[i]
-        bx, by = line[i + 1]
-        dx, dy = bx - ax, by - ay
-        seg_len = math.hypot(dx, dy)
-        if seg_len <= 0.0:
-            continue
-        ux, uy = dx / seg_len, dy / seg_len
-        t = ((p[0] - ax) * ux + (p[1] - ay) * uy)
-        t_cl = min(seg_len, max(0.0, t))
-        qx, qy = ax + ux * t_cl, ay + uy * t_cl
-        d = math.hypot(p[0] - qx, p[1] - qy)
-        if best is None or d < best[0] - 1e-12:
-            lateral = -(p[0] - qx) * uy + (p[1] - qy) * ux
-            best = (d, s_acc + t_cl, lateral, math.atan2(uy, ux))
-        s_acc += seg_len
-    assert best is not None
-    return best[1], best[2], best[3]
 
+    def __init__(self, line: tuple[Vec2, ...]):
+        self.line = line
+        ends = []  # arc length at the end of each segment
+        # Per segment: start s, length, start point, deltas, heading, left normal.
+        segments = []
+        # Per segment of positive length: start s, length, start point, unit
+        # direction and its heading.
+        units = []
+        s_acc = 0.0
+        for i in range(len(line) - 1):
+            ax, ay = line[i]
+            bx, by = line[i + 1]
+            dx, dy = bx - ax, by - ay
+            seg_len = math.hypot(dx, dy)
+            heading = math.atan2(dy, dx)
+            segments.append((s_acc, seg_len, line[i], (dx, dy), heading,
+                             (-math.sin(heading), math.cos(heading))))
+            if seg_len > 0.0:
+                ux, uy = dx / seg_len, dy / seg_len
+                units.append((s_acc, seg_len, ax, ay, ux, uy, math.atan2(uy, ux)))
+            s_acc += seg_len
+            ends.append(s_acc)
+        self.ends, self.segments, self._units = tuple(ends), tuple(segments), tuple(units)
 
-def point_on_polyline(line: tuple[Vec2, ...], s: float) -> tuple[Vec2, float]:
-    """Point and heading at arc length s (clamped to the ends)."""
-    if s <= 0.0:
-        ax, ay = line[0]
-        bx, by = line[1]
-        return line[0], math.atan2(by - ay, bx - ax)
-    s_acc = 0.0
-    for i in range(len(line) - 1):
-        ax, ay = line[i]
-        bx, by = line[i + 1]
-        seg_len = math.hypot(bx - ax, by - ay)
-        if s_acc + seg_len >= s:
-            u = (s - s_acc) / seg_len
-            return vec_lerp(line[i], line[i + 1], u), math.atan2(by - ay, bx - ax)
-        s_acc += seg_len
-    ax, ay = line[-2]
-    bx, by = line[-1]
-    return line[-1], math.atan2(by - ay, bx - ax)
+    def _at(self, s: float) -> tuple[Vec2, int]:
+        """The point at arc length s and the index of its segment."""
+        if s <= 0.0:
+            return self.line[0], 0
+        if not s <= self.ends[-1]:  # past the end, or NaN
+            return self.line[-1], len(self.ends) - 1
+        i = bisect_left(self.ends, s)
+        start, seg_len, (ax, ay), (dx, dy), _, _ = self.segments[i]
+        u = (s - start) / seg_len
+        return (ax + dx * u, ay + dy * u), i
+
+    def point(self, s: float) -> tuple[Vec2, float]:
+        p, i = self._at(s)
+        return p, self.segments[i][4]
+
+    def pose(self, s: float, lat: float) -> tuple[Vec2, float]:
+        (x, y), i = self._at(s)
+        _, _, _, _, heading, (nx, ny) = self.segments[i]
+        return (x + nx * lat, y + ny * lat), heading
+
+    def project(self, p: Vec2) -> tuple[float, float, float]:
+        px, py = p
+        best = None
+        for start, seg_len, ax, ay, ux, uy, heading in self._units:
+            t = ((px - ax) * ux + (py - ay) * uy)
+            t_cl = min(seg_len, max(0.0, t))
+            qx, qy = ax + ux * t_cl, ay + uy * t_cl
+            d = math.hypot(px - qx, py - qy)
+            if best is None or d < best[0] - 1e-12:
+                lateral = -(px - qx) * uy + (py - qy) * ux
+                best = (d, start + t_cl, lateral, heading)
+        assert best is not None
+        return best[1], best[2], best[3]
 
 
 def lane_at(lane_map: LaneMap, p: Vec2) -> tuple[Lane, float, float] | None:
@@ -237,7 +284,7 @@ def lane_at(lane_map: LaneMap, p: Vec2) -> tuple[Lane, float, float] | None:
     best: tuple[Lane, float, float] | None = None
     best_abs = math.inf
     for lane in lane_map.lanes_by_id:
-        s, lateral, _ = project_on_polyline(lane.centerline, p)
+        s, lateral, _ = lane.table.project(p)
         if abs(lateral) <= lane.width / 2.0 + 1e-9:
             if abs(lateral) < best_abs - 1e-12:
                 best = (lane, s, lateral)

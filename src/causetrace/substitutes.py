@@ -173,10 +173,15 @@ def ideal_perception(scenario: Scenario, t: SimTime, ego_p: Vec2) -> PerceptionO
     """Exact ground-truth object list within sensor range, world frame, no faults."""
     objs = []
     for obj in scenario.objects:
-        p, v, _ = object_pose_at(obj, t)
+        seen = obj.fixed_perceived
+        if seen is None:
+            p, v, _ = object_pose_at(obj, t)
+        else:
+            p = seen.box.center
         dx, dy = p[0] - ego_p[0], p[1] - ego_p[1]
         if dx * dx + dy * dy <= SENSOR_RANGE * SENSOR_RANGE:
-            objs.append(PerceivedObject(obj.id, obj.kind, object_box(obj, t, p, v), v))
+            objs.append(seen if seen is not None
+                        else PerceivedObject(obj.id, obj.kind, object_box(obj, t, p, v), v))
     return PerceptionOut(tuple(objs))
 
 
@@ -185,7 +190,7 @@ def ideal_prediction(scenario: Scenario, t: SimTime) -> PredictionOut:
     steps = PREDICTION_HORIZON_MS // PREDICTION_STEP_MS + 1
     trajs = []
     for obj in scenario.objects:
-        box = bbox_at(obj, t)
+        box = obj.fixed_box or bbox_at(obj, t)
         if obj.is_static:
             pts = tuple(zip(range(t, t + PREDICTION_HORIZON_MS + 1, PREDICTION_STEP_MS),
                             repeat(box.center[0]), repeat(box.center[1])))

@@ -10,8 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .geometry import OrientedBox, Vec2
-from .scenario import SimTime, TrafficObject, bbox_at, object_box, object_pose_at
+from .geometry import FixedBox, OrientedBox, Vec2
+from .scenario import SimTime, TrafficObject, Waypoint, bbox_at, object_box, object_pose_at
 
 WHEELBASE = 2.8
 ACCEL_MIN = -8.0
@@ -28,11 +28,12 @@ class EgoState:
     accel: float
     t: SimTime
 
-    def velocity(self) -> Vec2:
-        return (self.speed * math.cos(self.heading), self.speed * math.sin(self.heading))
-
-    def accel_vec(self) -> Vec2:
-        return (self.accel * math.cos(self.heading), self.accel * math.sin(self.heading))
+    def sample(self, t: SimTime) -> Waypoint:
+        """The ego log sample of this state at t: velocity and acceleration
+        vectors along the heading."""
+        c, s = math.cos(self.heading), math.sin(self.heading)
+        return Waypoint(self.p, (self.speed * c, self.speed * s),
+                        (self.accel * c, self.accel * s), t)
 
 
 def step_ego(state: EgoState, accel_cmd: float, steer: float, dt: SimTime) -> EgoState:
@@ -59,17 +60,16 @@ class ObjectTracker:
     """The scenario's object model cached along a monotone time axis.
 
     Queries must come in non-decreasing t. The segment index advances instead of
-    being searched for, and a static object's box is built once, with its corners
-    (`corners`, None for a moving object); poses and boxes are those of
-    `scenario.object_pose_at` / `scenario.bbox_at`.
+    being searched for, and a static object's box is built once, with what a
+    separating-axis test needs of it (`fixed`, None for a moving object); poses
+    and boxes are those of `scenario.object_pose_at` / `scenario.bbox_at`.
     """
 
     def __init__(self, obj: TrafficObject):
         self.obj = obj
         self.radius = math.hypot(obj.size[0] / 2.0, obj.size[1] / 2.0)
         self._idx = 0
-        self._box = bbox_at(obj, obj.waypoints[0].t) if obj.is_static else None
-        self.corners = self._box.corners() if self._box is not None else None
+        self.fixed = FixedBox(bbox_at(obj, obj.waypoints[0].t)) if obj.is_static else None
 
     def pose_at(self, t: SimTime) -> tuple[Vec2, Vec2]:
         wps = self.obj.waypoints
@@ -82,8 +82,8 @@ class ObjectTracker:
         return p, v
 
     def box_at(self, t: SimTime) -> OrientedBox:
-        if self._box is not None:
-            return self._box
+        if self.fixed is not None:
+            return self.fixed.box
         p, v = self.pose_at(t)
         return object_box(self.obj, t, p, v)
 
@@ -102,13 +102,13 @@ class Broadphase:
 
     def __init__(self, objects: tuple[TrafficObject, ...], reach: float):
         self.trackers = [ObjectTracker(o) for o in objects]
-        self._moving = [i for i, trk in enumerate(self.trackers) if trk.corners is None]
-        static = [i for i, trk in enumerate(self.trackers) if trk.corners is not None]
+        self._moving = [i for i, trk in enumerate(self.trackers) if trk.fixed is None]
+        static = [i for i, trk in enumerate(self.trackers) if trk.fixed is not None]
         max_r = max((self.trackers[i].radius for i in static), default=0.0)
         self._cell = cell = (reach + max_r) * (1.0 + 1e-9)
         self._buckets: dict[tuple[int, int], list[int]] = {}  # static indices per cell
         for i in static:
-            cx, cy = self.trackers[i]._box.center
+            cx, cy = self.trackers[i].fixed.box.center
             self._buckets.setdefault((math.floor(cx / cell), math.floor(cy / cell)), []).append(i)
         self._hoods: dict[tuple[int, int], list[ObjectTracker]] = {}  # trackers per neighbourhood
 

@@ -118,6 +118,18 @@ def test_criterion_3_reduction_rate(bench_results):
     assert ok
 
 
+def test_bench_rows_carry_rerun_cost(bench_results):
+    # What the re-runs of the 42 attributions stepped, and how many were decided
+    # without stepping to their end, summed over the bench rows.
+    rows = bench_results["rows"]
+    totals = {k: sum(r[k] for r in rows) for k in (
+        "rerun_stepped_ms", "rerun_prefix_decided", "rerun_memo_decided", "rerun_merged")}
+    ok = totals == {"rerun_stepped_ms": 3_929_170, "rerun_prefix_decided": 75,
+                    "rerun_memo_decided": 69, "rerun_merged": 28}
+    report("rerun-cost", ok, f"bench row totals {totals}")
+    assert ok
+
+
 def test_criterion_4_dtest_budget(bench_results):
     rows = bench_results["rows"]
     ok = True

@@ -411,3 +411,18 @@ def test_audit_reruns_count_at_message_level():
     assert audited.dtest_message_level > plain.dtest_message_level
     assert audited.simulations_total == (1 + audited.dtest_component_level
                                          + audited.dtest_message_level)
+
+
+def test_bench_row_carries_rerun_cost():
+    # The re-run cost that the report's to_dict leaves out reaches the bench row.
+    from causetrace.benchmark import run_instance
+
+    inst = INSTS["cs1_perc_lat"]
+    report = attribute(scenario_for_instance(inst), AdsConfig(faults=[inst.fault]),
+                       OracleConfig())
+    row = run_instance(inst)
+    fields = ("rerun_stepped_ms", "rerun_prefix_decided", "rerun_memo_decided",
+              "rerun_merged")
+    assert {k: row[k] for k in fields} == {k: getattr(report, k) for k in fields}
+    assert all(row[k] > 0 for k in fields)
+    assert not any(k.startswith("rerun_") for k in report.to_dict())

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from causetrace.geometry import (OrientedBox, min_obb_distance, obb_separation_at_least,
+from causetrace.geometry import (FixedBox, OrientedBox, SatProbe, min_obb_distance,
+                                 obb_separation_at_least,
                                  point_to_obb_distance, vec_dist)
 
 
@@ -134,3 +135,66 @@ def test_point_to_obb():
     assert point_to_obb_distance((0.2, 0.1), box) == 0.0
     assert point_to_obb_distance((3.0, 0.0), box) == pytest.approx(2.0)
     assert point_to_obb_distance((2.0, 1.5), box) == pytest.approx(vec_dist((2, 1.5), (1, 0.5)))
+
+
+# --- separating-axis test against fixed boxes ---------------------------------
+
+SAT_THRESHOLDS = (math.ulp(0.0), 1e-9, 0.3)
+coord = st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(-8.0, 8.0))
+half = st.tuples(st.floats(0.05, 4.0), st.floats(0.05, 2.0))
+heading = st.one_of(st.sampled_from([0.0, -0.0, math.pi / 2, -math.pi, 0.3]),
+                    st.floats(-math.pi, math.pi))
+
+
+@st.composite
+def fixed_boxes_around(draw, probe: OrientedBox):
+    """Boxes anywhere near the probe; some overlap it, some touch it face to face
+    along one of its axes, some share its heading or each other's."""
+    out = []
+    for _ in range(draw(st.integers(1, 6))):
+        he = draw(half)
+        h = draw(st.one_of(heading, st.just(probe.heading),
+                           st.sampled_from([b.heading for b in out] or [0.0])))
+        placement = draw(st.sampled_from(["free", "overlap", "touch"]))
+        if placement == "overlap":
+            center = (probe.center[0] + draw(st.floats(-0.5, 0.5)),
+                      probe.center[1] + draw(st.floats(-0.5, 0.5)))
+        elif placement == "touch":
+            # Same heading, the faces meeting: the gap on the probe's axis is
+            # zero up to rounding.
+            h = probe.heading
+            reach = probe.half_extents[0] + he[0]
+            center = (probe.center[0] + reach * math.cos(h),
+                      probe.center[1] + reach * math.sin(h))
+        else:
+            center = (draw(coord), draw(coord))
+        out.append(OrientedBox(center, he, h))
+    return out
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), center=st.tuples(coord, coord), he=half, h=heading)
+def test_sat_probe_equals_pairwise_test(data, center, he, h):
+    # One probe against many fixed boxes, each threshold in turn, answers what
+    # obb_separation_at_least answers for each pair: the probe's cached
+    # projections (per fixed heading, and on its own axes) change nothing.
+    probe_box = OrientedBox(center, he, h)
+    probe = SatProbe(probe_box, probe_box.corners())
+    fixed = data.draw(fixed_boxes_around(probe_box))
+    for threshold in SAT_THRESHOLDS:
+        for box in fixed:
+            assert (probe.separated(FixedBox(box), threshold)
+                    == obb_separation_at_least(probe_box, box, threshold))
+
+
+def test_sat_probe_touching_and_signed_zero_headings():
+    # Two unit squares with touching faces: no gap at any threshold, though the
+    # fixed box's heading is -0.0 and the probe first met a 0.0 box.
+    probe_box = OrientedBox((0.0, 0.0), (0.5, 0.5), 0.0)
+    probe = SatProbe(probe_box, probe_box.corners())
+    apart = OrientedBox((3.0, 0.0), (0.5, 0.5), 0.0)
+    touching = OrientedBox((1.0, -0.0), (0.5, 0.5), -0.0)
+    for threshold in SAT_THRESHOLDS:
+        assert probe.separated(FixedBox(apart), threshold)
+        assert not probe.separated(FixedBox(touching), threshold)
+        assert not obb_separation_at_least(probe_box, touching, threshold)

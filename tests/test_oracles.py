@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from causetrace.benchmark import load_benchmark, load_builtin_scenario
 from causetrace.oracles import (MISSION, SAFE_DISTANCE, SPEEDING, OracleConfig,
                                 SampleMonitor, check_mission,
-                                evaluate, planning_message_violates)
+                                evaluate, planning_message_violates, speeding_at)
 from causetrace.payloads import PlanningOut, TrajPoint
 from causetrace.pipeline import make_planner_context
 from causetrace.runner import AdsConfig, rtest
@@ -95,6 +95,29 @@ def test_mission_fails_when_frozen():
     sc = load_builtin_scenario("cs1")
     res = rtest(sc, AdsConfig(faults=[inst.fault]), OracleConfig())
     assert not check_mission(res.ego_log, sc.a_dest, 2.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(limits=st.tuples(st.floats(0.5, 30.0), st.floats(0.5, 30.0)),
+       tolerance=st.one_of(st.just(0.0), st.floats(0.0, 2.0)), data=st.data())
+def test_speeding_floor_skips_only_samples_that_cannot_speed(limits, tolerance, data):
+    # Around the lowest limit plus tolerance, on either lane or off both, the
+    # monitor flags a sample exactly when the speeding rule does.
+    doc = straight_road_doc()
+    for lane, limit in zip(doc["map"]["lanes"], limits):
+        lane["speed_limit"] = limit
+    sc = scenario_from_dict(doc)
+    floor = min(limit + tolerance for limit in limits)
+    near = st.sampled_from([floor, math.nextafter(floor, math.inf),
+                            math.nextafter(floor, 0.0), max(limits) + tolerance,
+                            math.nextafter(max(limits) + tolerance, math.inf)])
+    config = OracleConfig(enabled=(SPEEDING,), speed_tolerance=tolerance)
+    for _ in range(6):
+        speed = data.draw(st.one_of(near, st.floats(0.0, 35.0)))
+        y = data.draw(st.sampled_from([0.0, 3.5, 20.0]))
+        w = Waypoint((50.0, y), (speed, 0.0), (0.0, 0.0), 0)
+        monitor = SampleMonitor(sc, config, 0.0)
+        assert monitor.violated(w) == (speeding_at(w, sc.map, tolerance) is not None)
 
 
 def test_speeding_none_below_limit():

@@ -15,10 +15,10 @@ from causetrace.payloads import (ControlOut, LocalizationOut, PerceivedObject, P
                                  PlanningOut, PredictedTrajectory, PredictionOut, TrajPoint)
 from causetrace.pipeline import (CONTROL_KP, CONTROL_SPEED_LOOKAHEAD_MS, PREDICTION_HORIZON_MS,
                                  PREDICTION_STEP_MS, _first_conflict, _obstacle_route_interval,
-                                 _plan_speed_at, _route_pose, control_tick, localization_tick,
+                                 _plan_speed_at, control_tick, localization_tick,
                                  make_planner_context, perception_tick, planning_tick,
                                  prediction_tick)
-from causetrace.scenario import project_on_polyline, scenario_from_dict
+from causetrace.scenario import scenario_from_dict
 from causetrace.substitutes import ideal_prediction
 from causetrace.world import ACCEL_MAX, ACCEL_MIN, EgoState, STEER_MAX, WHEELBASE
 from conftest import static_object, straight_road_doc
@@ -320,7 +320,7 @@ def gen_trajectory_reference(ctx, t, p0, heading0, speed0, s0, lat0, spec):
         if k == 0:
             out.append(TrajPoint(t, p0, speed0, heading0))
             continue
-        p, _ = _route_pose(ctx, sk, latk)
+        p, _ = ctx.route.pose(sk, latk)
         prev = out[-1].p
         dx, dy = p[0] - prev[0], p[1] - prev[1]
         heading = math.atan2(dy, dx) if (dx * dx + dy * dy) > 1e-12 else out[-1].heading
@@ -332,7 +332,7 @@ def planning_tick_reference(pred, loc, ctx, faults, t):
     """planning_tick's body from before the planner's settings became constants."""
     par = PlannerParams()
     tags = ["route_follow"]
-    s0, lat0, _ = project_on_polyline(ctx.route, loc.p)
+    s0, lat0, _ = ctx.route.project(loc.p)
 
     target_lat = 0.0
     cap_zone = None
@@ -372,7 +372,7 @@ def planning_tick_reference(pred, loc, ctx, faults, t):
 
     stop_s = None
     for sig in ctx.signals:
-        s_line, lat_line, _ = project_on_polyline(ctx.route, sig.stop_line)
+        s_line, lat_line, _ = ctx.route.project(sig.stop_line)
         if abs(lat_line) > 3.0 or s_line < s0:
             continue
         if s_line - s0 > par.signal_lookahead:
@@ -468,14 +468,14 @@ def planner_inputs(draw):
     t = draw(st.integers(0, 200)) * 100
     s = draw(st.floats(-5.0, 215.0))
     lat = draw(st.one_of(st.floats(-1.5, 1.5), st.floats(-25.0, 25.0)))
-    p, heading = _route_pose(ctx, s, lat)
+    p, heading = ctx.route.pose(s, lat)
     loc = LocalizationOut(p, heading + draw(st.floats(-0.4, 0.4)),
                           draw(st.one_of(st.just(0.0), st.floats(0.0, 14.0))))
     # Within reach of the trajectory, or anywhere around the route ahead.
     ahead = st.one_of(st.floats(6.0, 30.0), st.floats(-10.0, 90.0))
     objects = []
     for i in range(draw(st.integers(0, 4))):
-        center, oh = _route_pose(ctx, s + draw(ahead), draw(st.floats(-4.0, 4.0)))
+        center, oh = ctx.route.pose(s + draw(ahead), draw(st.floats(-4.0, 4.0)))
         v = draw(st.one_of(st.just((0.0, 0.0)),
                            st.tuples(st.floats(-0.1, 0.1), st.floats(-0.1, 0.1)),
                            st.tuples(st.floats(-12.0, 12.0), st.floats(-3.0, 3.0))))

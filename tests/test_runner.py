@@ -139,4 +139,4 @@ def test_ideal_control_block_equals_per_ms_chain():
         for ms in range(prev.t + 1, w.t + 1):
             nxt = sim_control_apply(plan, ms, ego)
             ego = EgoState(nxt.p, nxt.heading, nxt.speed, (nxt.speed - ego.speed) * 1000.0, ms)
-        assert (w.p, w.v, w.a) == (ego.p, ego.velocity(), ego.accel_vec())
+        assert w == ego.sample(w.t)

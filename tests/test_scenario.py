@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from causetrace.scenario import (Lane, LaneMap, ParseError, TrafficObject,
+from causetrace.geometry import vec_lerp
+from causetrace.scenario import (Lane, LaneMap, ParseError, PolylineTable, TrafficObject,
                                  ValidationError, Waypoint, bbox_at, lane_at,
                                  load_scenario, object_pose_at, save_scenario,
                                  scenario_from_dict, scenario_to_dict)
@@ -295,3 +296,92 @@ def test_is_static_matches_a_fresh_waypoint_scan(ps):
     scanned = all(w.p == first.p and w.v == (0.0, 0.0) for w in obj.waypoints)
     assert obj.is_static is scanned
     assert obj.is_static is scanned  # computed once, read again
+
+
+# --- route table --------------------------------------------------------------
+
+
+def point_on_polyline_reference(line, s):
+    """The arc-length walk the planner used before the polyline table."""
+    if s <= 0.0:
+        ax, ay = line[0]
+        bx, by = line[1]
+        return line[0], math.atan2(by - ay, bx - ax)
+    s_acc = 0.0
+    for i in range(len(line) - 1):
+        ax, ay = line[i]
+        bx, by = line[i + 1]
+        seg_len = math.hypot(bx - ax, by - ay)
+        if s_acc + seg_len >= s:
+            u = (s - s_acc) / seg_len
+            return vec_lerp(line[i], line[i + 1], u), math.atan2(by - ay, bx - ax)
+        s_acc += seg_len
+    ax, ay = line[-2]
+    bx, by = line[-1]
+    return line[-1], math.atan2(by - ay, bx - ax)
+
+
+def project_on_polyline_reference(line, p):
+    """The projection on a polyline from before the polyline table."""
+    best = None
+    s_acc = 0.0
+    for i in range(len(line) - 1):
+        ax, ay = line[i]
+        bx, by = line[i + 1]
+        dx, dy = bx - ax, by - ay
+        seg_len = math.hypot(dx, dy)
+        if seg_len <= 0.0:
+            continue
+        ux, uy = dx / seg_len, dy / seg_len
+        t = ((p[0] - ax) * ux + (p[1] - ay) * uy)
+        t_cl = min(seg_len, max(0.0, t))
+        qx, qy = ax + ux * t_cl, ay + uy * t_cl
+        d = math.hypot(p[0] - qx, p[1] - qy)
+        if best is None or d < best[0] - 1e-12:
+            lateral = -(p[0] - qx) * uy + (p[1] - qy) * ux
+            best = (d, s_acc + t_cl, lateral, math.atan2(uy, ux))
+        s_acc += seg_len
+    assert best is not None
+    return best[1], best[2], best[3]
+
+
+def route_pose_reference(line, s, lat):
+    """The planner's route pose before the polyline table."""
+    p, heading = point_on_polyline_reference(line, s)
+    nx, ny = -math.sin(heading), math.cos(heading)
+    return (p[0] + nx * lat, p[1] + ny * lat), heading
+
+
+polyline_xy = st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(-50.0, 50.0))
+
+
+@st.composite
+def polylines(draw):
+    """Two to seven points; a point may repeat its predecessor."""
+    pts = [(draw(polyline_xy), draw(polyline_xy))]
+    while len(pts) < 2 or (len(pts) < 7 and draw(st.booleans())):
+        pts.append(draw(st.one_of(st.tuples(polyline_xy, polyline_xy),
+                                  st.just(pts[-1]))))
+    if len(set(pts)) < 2:
+        pts.append((pts[-1][0] + 1.0, pts[-1][1]))
+    return tuple(pts)
+
+
+@settings(max_examples=400, deadline=None)
+@given(line=polylines(), data=st.data())
+def test_route_table_equals_polyline_walk(line, data):
+    # Every arc length, on a joint, at or below 0, past the end or NaN, and every
+    # point near the line give the reference's floats; repr tells -0.0 from 0.0.
+    table = PolylineTable(line)
+    joints = [0.0]
+    for a, b in zip(line, line[1:]):
+        joints.append(joints[-1] + math.hypot(b[0] - a[0], b[1] - a[1]))
+    arc = st.one_of(st.sampled_from(joints + [-0.0, -1.0, joints[-1] + 1.0, math.nan]),
+                    st.floats(-5.0, joints[-1] + 5.0))
+    for _ in range(8):
+        s = data.draw(arc)
+        lat = data.draw(st.one_of(st.just(0.0), st.floats(-4.0, 4.0)))
+        assert repr(table.point(s)) == repr(point_on_polyline_reference(line, s))
+        assert repr(table.pose(s, lat)) == repr(route_pose_reference(line, s, lat))
+        p = data.draw(st.one_of(st.tuples(polyline_xy, polyline_xy), st.sampled_from(line)))
+        assert repr(table.project(p)) == repr(project_on_polyline_reference(line, p))

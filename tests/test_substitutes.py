@@ -1,3 +1,4 @@
+import gc
 import math
 
 import pytest
@@ -7,15 +8,16 @@ from hypothesis import strategies as st
 from causetrace.benchmark import load_benchmark, load_builtin_scenario
 from causetrace.middleware import ComponentId
 from causetrace.oracles import OracleConfig
-from causetrace.payloads import PlanningOut, PredictedTrajectory, PredictionOut, TrajPoint
+from causetrace.payloads import (PerceivedObject, PerceptionOut, PlanningOut,
+                                 PredictedTrajectory, PredictionOut, TrajPoint)
 from causetrace.pipeline import PREDICTION_HORIZON_MS, PREDICTION_STEP_MS
 from causetrace.runner import AdsConfig, rtest, run_scheduler, run_with_substitution
-from causetrace.scenario import bbox_at, object_pose_at, scenario_from_dict
+from causetrace.scenario import bbox_at, object_box, object_pose_at, scenario_from_dict
 from causetrace.substitutes import (IdealAll, IdealFromState, QuantizationUnits,
                                     SubstitutionPlan, ideal_localization,
                                     ideal_perception, ideal_prediction,
                                     quantize_state, sim_control_apply, split_trace)
-from causetrace.world import EgoState
+from causetrace.world import SENSOR_RANGE, EgoState
 from conftest import straight_road_doc
 
 INSTS = {i.id: i for i in load_benchmark()}
@@ -217,6 +219,71 @@ def test_ideal_prediction_equals_reference(objects, t):
     # Times up to 9 s run past every script's end; repr tells -0.0 from 0.0.
     sc = scenario_from_dict(straight_road_doc(t_max_ms=9000, objects=objects))
     assert repr(ideal_prediction(sc, t)) == repr(ideal_prediction_reference(sc, t))
+
+
+def ideal_perception_reference(scenario, t, ego_p):
+    """ideal_perception's body from before fixed objects kept their report."""
+    objs = []
+    for obj in scenario.objects:
+        p, v, _ = object_pose_at(obj, t)
+        dx, dy = p[0] - ego_p[0], p[1] - ego_p[1]
+        if dx * dx + dy * dy <= SENSOR_RANGE * SENSOR_RANGE:
+            objs.append(PerceivedObject(obj.id, obj.kind, object_box(obj, t, p, v), v))
+    return PerceptionOut(tuple(objs))
+
+
+@st.composite
+def one_waypoint_objects(draw):
+    """Objects with a single waypoint: at rest (some at -0.0, some with a heading
+    override) or with a nonzero velocity, which they keep for good."""
+    coord = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-70.0, 70.0))
+    docs = []
+    for i in range(draw(st.integers(1, 4))):
+        moving = draw(st.booleans())
+        v = ([draw(st.floats(-4.0, 4.0).filter(bool)), draw(coord)] if moving
+             else [draw(st.sampled_from([0.0, -0.0])), draw(st.sampled_from([0.0, -0.0]))])
+        doc = {"id": f"o{i}", "kind": "Pedestrian" if moving else "StaticObstacle",
+               "size": [draw(st.floats(0.3, 5.0)), draw(st.floats(0.3, 2.5)), 1.5],
+               "waypoints": [{"t_ms": draw(st.integers(0, 6000)), "p": [draw(coord), draw(coord)],
+                              "v": v, "a": [0.0, 0.0]}]}
+        if draw(st.booleans()):
+            doc["heading_override"] = draw(st.sampled_from([0.0, -0.0, math.pi / 3]))
+        docs.append(doc)
+    return docs
+
+
+@settings(max_examples=200, deadline=None)
+@given(objects=one_waypoint_objects(), times=st.lists(st.integers(0, 9000), min_size=1,
+                                                      max_size=4),
+       ego_p=st.tuples(st.floats(-30.0, 30.0), st.floats(-30.0, 30.0)))
+def test_fixed_objects_report_what_each_tick_builds(objects, times, ego_p):
+    # An object with one waypoint has one pose: the report its first use caches
+    # is, to the sign of every zero, the one the per-tick path builds at any t.
+    sc = scenario_from_dict(straight_road_doc(t_max_ms=9000, objects=objects))
+    for t in times:
+        assert (repr(ideal_perception(sc, t, ego_p))
+                == repr(ideal_perception_reference(sc, t, ego_p)))
+        assert repr(ideal_prediction(sc, t)) == repr(ideal_prediction_reference(sc, t))
+
+
+def test_fixed_object_cache_belongs_to_its_scenario():
+    # Two scenarios built one after the other, with the same object id and
+    # different poses: each reports its own object, even when the first is gone
+    # and its objects' memory is reused.
+    def at(x):
+        return scenario_from_dict(straight_road_doc(objects=[
+            {"id": "box", "kind": "StaticObstacle", "size": [1.0, 1.0, 1.0],
+             "waypoints": [{"t_ms": 0, "p": [x, 2.0], "v": [0.0, 0.0], "a": [0.0, 0.0]}]}]))
+
+    first = at(30.0)
+    assert ideal_perception(first, 0, (0.0, 0.0)).objects[0].box.center == (30.0, 2.0)
+    assert ideal_prediction(first, 0).trajectories[0].points[0] == (0, 30.0, 2.0)
+    del first
+    gc.collect()
+    for x in (40.0, 50.0):
+        sc = at(x)
+        assert ideal_perception(sc, 100, (0.0, 0.0)).objects[0].box.center == (x, 2.0)
+        assert ideal_prediction(sc, 100).trajectories[0].points[-1] == (3100, x, 2.0)
 
 
 def test_ideal_localization_exact():
