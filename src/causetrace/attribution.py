@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 
 from .middleware import TICK_PRIORITY, ComponentId, Message, Trace
-from .oracles import OracleConfig, planning_message_violates, trajectory_is_held
+from .oracles import (OracleConfig, planning_message_violates, safe_distance_objects,
+                      trajectory_is_held)
 from .pipeline import make_planner_context
 from .runner import (AdsConfig, ForkMemo, RunResult, collector_paused, rtest,
                      run_with_substitution)
@@ -66,8 +67,10 @@ class DtestSession:
     simulated re-run: a re-run that forks at the same state as an earlier one,
     with the same substitutes active from there on, takes its verdict without
     stepping (`memo.hits`), and one that reaches a frame state an earlier one
-    passed stops there and takes its verdict (`memo.merges`; see
-    `run_with_substitution` and `run_scheduler`).
+    passed stops there and takes its verdict (`memo.merges`). One that comes to
+    rest in a still world stops where its frame state repeats, with the verdict
+    of its resting pose (`memo.fast_forwards`). See `run_with_substitution` and
+    `run_scheduler`.
     """
 
     def __init__(self, scenario: Scenario, ads: AdsConfig, oracles: OracleConfig,
@@ -80,7 +83,7 @@ class DtestSession:
         self.stepped_ms = 0  # simulated ms the re-runs stepped; copied prefixes excluded
         self.prefix_decided = 0  # re-runs decided from the original run without a step
         # .hits / .merges: re-runs decided by an earlier re-run's verdict, at the
-        # fork / at a frame state
+        # fork / at a frame state; .fast_forwards: re-runs stopped at rest
         self.memo = ForkMemo()
         self._cache: dict[tuple, bool] = {}
 
@@ -195,6 +198,7 @@ def attribute_message_planning(trace: Trace, scenario: Scenario,
                                oracles: OracleConfig) -> Message:
     """First planning output message that itself violates the driving rules."""
     planner_ctx = make_planner_context(scenario)
+    objects = safe_distance_objects(scenario, oracles)
     held_since: int | None = None
     for msg in trace.rows[ComponentId.PLANNING]:
         plan = msg.payload
@@ -208,7 +212,7 @@ def attribute_message_planning(trace: Trace, scenario: Scenario,
         # ego sample at or before the message (the first sample if none is)
         i = bisect_right(trace.ego_log, msg.t_pub, key=attrgetter("t"))
         if planning_message_violates(plan, msg.t_pub, scenario, planner_ctx, oracles,
-                                     trace.ego_log[max(i - 1, 0)].p, held_ms):
+                                     objects, trace.ego_log[max(i - 1, 0)].p, held_ms):
             return msg
     raise NoViolatingPlanningMessage("no planning output violates the rules")
 
@@ -297,11 +301,12 @@ class AttributionReport:
     notes: list[str] = field(default_factory=list)
     verdict_matrix: list[dict] = field(default_factory=list)
     # Re-run cost (DtestSession.stepped_ms / .prefix_decided / .memo.hits /
-    # .memo.merges), left out of to_dict.
+    # .memo.merges / .memo.fast_forwards), left out of to_dict.
     rerun_stepped_ms: int = 0
     rerun_prefix_decided: int = 0
     rerun_memo_decided: int = 0
     rerun_merged: int = 0
+    rerun_fast_forwarded: int = 0
 
     def to_dict(self) -> dict:
         out = {k: v for k, v in self.__dict__.items() if not k.startswith("rerun_")}
@@ -411,6 +416,7 @@ def attribute(scenario: Scenario, ads: AdsConfig, oracles: OracleConfig,
         rerun_prefix_decided=session.prefix_decided,
         rerun_memo_decided=session.memo.hits,
         rerun_merged=session.memo.merges,
+        rerun_fast_forwarded=session.memo.fast_forwards,
     )
     return report
 

@@ -140,6 +140,7 @@ def run_instance(inst: BenchInstance, strategy: str = "binary",
         "rerun_prefix_decided": report.rerun_prefix_decided,
         "rerun_memo_decided": report.rerun_memo_decided,
         "rerun_merged": report.rerun_merged,
+        "rerun_fast_forwarded": report.rerun_fast_forwarded,
     })
     return row
 

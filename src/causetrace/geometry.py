@@ -59,15 +59,6 @@ class OrientedBox:
             out.append((cx + dx * c - dy * s, cy + dx * s + dy * c))
         return out
 
-    def contains(self, p: Vec2) -> bool:
-        # Test in box frame; boundary counts as inside.
-        dx, dy = p[0] - self.center[0], p[1] - self.center[1]
-        c, s = math.cos(self.heading), math.sin(self.heading)
-        lx = dx * c + dy * s
-        ly = -dx * s + dy * c
-        hl, hw = self.half_extents
-        return abs(lx) <= hl and abs(ly) <= hw
-
 
 def _seg_seg_distance(p1: Vec2, p2: Vec2, q1: Vec2, q2: Vec2) -> float:
     """Minimum distance between two segments."""

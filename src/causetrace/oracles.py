@@ -71,6 +71,11 @@ def safe_distance_at(w: Waypoint | TrajPoint, heading: float, half: tuple[float,
     return None
 
 
+def safe_distance_objects(scenario: Scenario, config: OracleConfig) -> Broadphase:
+    """The scenario's objects, gridded for safe-distance queries."""
+    return Broadphase(scenario.objects, scenario.ego_radius + config.safe_distance_c)
+
+
 def check_mission(ego_log: list[Waypoint], a_dest, tolerance: float) -> bool:
     if not ego_log:
         return False
@@ -128,7 +133,7 @@ class SampleMonitor:
         self.speed_floor = min((lane.speed_limit + config.speed_tolerance
                                 for lane in scenario.map.lanes), default=math.inf)
         self.half, self.ego_r = scenario.ego_half, scenario.ego_radius
-        self.objects = Broadphase(scenario.objects, self.ego_r + config.safe_distance_c)
+        self.objects = safe_distance_objects(scenario, config)
         self.heading = heading
         self.first: dict[str, dict] = {}
 
@@ -202,21 +207,23 @@ def _corridor_blocked_ahead(scenario: Scenario, planner: PlannerContext, c: floa
 
 def planning_message_violates(plan: PlanningOut, t: SimTime, scenario: Scenario,
                               planner_ctx: PlannerContext, oracles: OracleConfig,
-                              ego_p: Vec2, held_ms: int) -> bool:
+                              objects: Broadphase, ego_p: Vec2, held_ms: int) -> bool:
     """True iff executing this trajectory verbatim would violate the rules.
 
     (a) the planned poses come within c of a ground-truth object box at matched
     times, (b) a trajectory point exceeds the lane limit, or (c) the trajectory
     is empty/held while the mission is incomplete and nothing ahead justifies
-    stopping (after the stall persistence window). `ego_p` is the believed ego
-    position when the message was made; `held_ms` is how long the trajectory
-    stream has been empty/held up to and including this message, which the
-    caller derives from the message row so the check itself stays a pure function.
+    stopping (after the stall persistence window). `objects` is
+    `safe_distance_objects(scenario, oracles)`, built once for a scan of many
+    messages. `ego_p` is the believed ego position when the message was made;
+    `held_ms` is how long the trajectory stream has been empty/held up to and
+    including this message, which the caller derives from the message row so the
+    check itself stays a pure function.
     """
     half, ego_r = scenario.ego_half, scenario.ego_radius
     c = oracles.safe_distance_c
-    # Point times rise within a message, so fresh trackers can follow them.
-    objects = Broadphase(scenario.objects, ego_r + c)
+    # Point times rise within a message, and start again at the next one.
+    objects.rewind()
     for pt in plan.trajectory:
         if safe_distance_at(pt, pt.heading, half, ego_r, objects.near(pt.p),
                             c) is not None:

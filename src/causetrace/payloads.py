@@ -73,12 +73,6 @@ class PredictedTrajectory:
 class PredictionOut:
     trajectories: tuple[PredictedTrajectory, ...]
 
-    def by_id(self, obj_id: str) -> PredictedTrajectory | None:
-        for tr in self.trajectories:
-            if tr.id == obj_id:
-                return tr
-        return None
-
 
 @dataclass(frozen=True)
 class TrajPoint:

@@ -26,6 +26,20 @@ heading the oracle carries and the set of active substitutes. Payloads
 published before the frame need no comparison, because the frame overwrites
 them all. A re-run that reaches the frame state an earlier re-run of the same
 `ForkMemo` passed merges into it there: it stops and takes that run's verdict.
+
+A re-run can also come to rest in a world that no longer changes. From some
+time on, every object is past its last waypoint, and no fault trigger window or
+signal phase opens or closes before the run ends (`still_from`). Nothing a
+component reads then changes with time, except through the times it stamps on
+its outputs, which every reader takes relative to the message. So when the
+frame state at a frame sample t equals the one at t - FRAME_MS apart from t,
+with every substitute window constant and the world still from t - FRAME_MS on,
+the run repeats the samples of [t - FRAME_MS, t) with period FRAME_MS to its
+end. Those samples passed the monitor, so safe distance and speeding cannot
+newly fail, and there is no contact. The re-run stops at t (it fast-forwards)
+with the verdict of its closing sample: the mission violation, if any, of the
+logged sample at the same phase of the period, at the time of the full run's
+last sample.
 """
 
 from __future__ import annotations
@@ -35,7 +49,7 @@ import gc
 import math
 import struct
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import islice
 from operator import attrgetter
 from typing import Any, Callable, NamedTuple
@@ -118,6 +132,34 @@ def frame_state(t: SimTime, ideal: set[ComponentId], ego: EgoState, heading: flo
                                             ego.accel, heading)
 
 
+def still_from(scenario: Scenario, faults: list[FaultSpec]) -> SimTime:
+    """The time from which nothing outside the ego changes with time in a run:
+    every object is past its last waypoint, and every fault trigger bound and
+    signal phase bound below t_max has passed. Bounds at or after t_max are never
+    reached, since components fire before t_max; waypoints count wherever they
+    lie, since prediction looks ahead of t."""
+    bounds = [b for f in faults for b in (f.trigger.t0, f.trigger.t1)]
+    bounds += [b for sig in scenario.signals for ph in sig.phases
+               for b in (ph.t_start, ph.t_end)]
+    return max([b for b in bounds if b < scenario.t_max]
+               + [obj.waypoints[-1].t for obj in scenario.objects], default=0)
+
+
+def _verdict(violation: dict | None) -> Verdict:
+    return Verdict(violation is None, [violation] if violation else [])
+
+
+def _resting_verdict(scenario: Scenario, trace: Trace, t: SimTime,
+                     config: OracleConfig) -> Verdict:
+    """The verdict of a re-run whose samples repeat with period FRAME_MS from
+    frame sample t - FRAME_MS on: the mission verdict of its closing sample, which
+    repeats the logged sample at the same phase of the period."""
+    end = scenario.t_max - scenario.t_max % SAMPLE_MS  # the full run's last sample
+    phase = t - FRAME_MS + (end - t) % FRAME_MS
+    closing = replace(trace.ego_log[phase // SAMPLE_MS], t=end)
+    return _verdict(mission_violation([closing], scenario, config))
+
+
 def run_scheduler(scenario: Scenario, ads: AdsConfig,
                   plan: SubstitutionPlan | None = None,
                   fork: tuple[Trace, int] | None = None,
@@ -125,12 +167,16 @@ def run_scheduler(scenario: Scenario, ads: AdsConfig,
                   memo: ForkMemo | None = None) -> Trace:
     """One run. `fork` = (origin, k) resumes the run `origin` from its checkpoint
     at state k; `monitor` judges each sample and stops the run at the first
-    violating one. With `memo` (and `monitor`), at each frame sample from the
-    state on which every substitute window is constant, the run merges into the
-    earlier re-run of `memo.frames` with the same frame state: it stops there,
-    after logging the sample, with that run's verdict as `trace.verdict`. Else
-    the frame state goes to `memo.pending`, for the caller to record with the
-    run's verdict."""
+    violating one. With `monitor`, at each frame sample from the state on which
+    every substitute window is constant:
+    - with `memo`, the run merges into the earlier re-run of `memo.frames` with
+      the same frame state: it stops there, after logging the sample, with that
+      run's verdict as `trace.verdict`. Else the frame state goes to
+      `memo.pending`, for the caller to record with the run's verdict;
+    - the run fast-forwards where its frame state repeats the one of the frame
+      before, apart from t, in a world still since then (see the module
+      docstring): it stops there, after logging the sample, with the verdict of
+      its closing sample as `trace.verdict`, counted in `memo.fast_forwards`."""
     plan = plan or SubstitutionPlan()
     bus = Bus()
     trace = bus.trace
@@ -156,6 +202,8 @@ def run_scheduler(scenario: Scenario, ads: AdsConfig,
                  default=1)
     if memo is not None:
         memo.pending = []
+    still = still_from(scenario, ads.faults) if monitor is not None else 0
+    last_frame = None  # the frame state of the frame sample before, once steady
 
     def fire(component: ComponentId, t: SimTime) -> tuple[Any, bool, dict[str, int]]:
         """Payload, fault flag and consumed input seqs of one firing. Every
@@ -192,14 +240,22 @@ def run_scheduler(scenario: Scenario, ads: AdsConfig,
             trace.checkpoints.append(Checkpoint(t, ego, key))
         trace.ego_log.append(wp)
         ideal = {c for c, (lo, hi) in windows.items() if lo <= index <= hi}
-        if memo is not None and t % FRAME_MS == 0 and index >= steady:
+        if monitor is not None and t % FRAME_MS == 0 and index >= steady:
             frame = frame_state(t, ideal, ego, monitor.heading)
-            merged = memo.frames.get(frame)
-            if merged is not None:
-                memo.merges += 1
-                trace.verdict = merged
+            if memo is not None:
+                merged = memo.frames.get(frame)
+                if merged is not None:
+                    memo.merges += 1
+                    trace.verdict = merged
+                    return trace
+                memo.pending.append(frame)
+            if (last_frame is not None and frame[1:] == last_frame[1:]
+                    and t - FRAME_MS >= still):
+                if memo is not None:
+                    memo.fast_forwards += 1
+                trace.verdict = _resting_verdict(scenario, trace, t, monitor.config)
                 return trace
-            memo.pending.append(frame)
+            last_frame = frame
         if ((monitor is not None and monitor.violated(wp))
                 or _contact(ego, ego_half, ego_r, objects.near(ego.p), t, trace)):
             return trace
@@ -297,7 +353,8 @@ class ForkMemo:
     """The verdicts of the simulated re-runs of one original run: by fork key (see
     `run_with_substitution`) and by each frame state they passed (see
     `run_scheduler`). `hits` counts the re-runs that took a verdict by fork key,
-    `merges` those that merged into an earlier re-run at a frame state."""
+    `merges` those that merged into an earlier re-run at a frame state, and
+    `fast_forwards` those that stopped where their frame state repeats."""
 
     def __init__(self) -> None:
         self.verdicts: dict[tuple, Verdict] = {}
@@ -305,6 +362,7 @@ class ForkMemo:
         self.pending: list[tuple] = []  # frame states of the re-run being simulated
         self.hits = 0
         self.merges = 0
+        self.fast_forwards = 0
 
 
 def _differs(scenario: Scenario, origin: Trace, m: Message) -> bool:
@@ -389,6 +447,16 @@ def run_with_substitution(scenario: Scenario, ads: AdsConfig, plan: Substitution
     violation, or else the mission violation, if any. With `memo` it may also stop
     at a frame sample where it merges into an earlier re-run (`run_scheduler`),
     and takes that run's verdict.
+
+    A re-run also stops at a frame sample where it has come to rest in a still
+    world: its frame state repeats the one of the frame before, apart from t,
+    and nothing outside the ego has changed with time since that frame
+    (`still_from`). Its future repeats that last frame period, whose samples all
+    passed, so the only violation left is the mission, judged on the closing
+    sample the full run would log: the logged sample at the same phase of the
+    period, at the full run's last sample time. Its trace ends at the fixed
+    point, so its ego log is a prefix of the full run's. A run without `origin`
+    has no monitor and never stops early.
     """
     if origin is None:
         trace = run_scheduler(scenario, ads, plan)
@@ -421,8 +489,8 @@ def run_with_substitution(scenario: Scenario, ads: AdsConfig, plan: Substitution
     monitor = SampleMonitor(scenario, oracles, heading)
     trace = run_scheduler(scenario, ads, plan, fork=(origin, k), monitor=monitor, memo=memo)
     if trace.verdict is None:
-        violation = monitor.violation or mission_violation(trace.ego_log, scenario, oracles)
-        trace.verdict = Verdict(violation is None, [violation] if violation else [])
+        trace.verdict = _verdict(monitor.violation
+                                 or mission_violation(trace.ego_log, scenario, oracles))
     if memo is not None:
         memo.verdicts[key] = trace.verdict
         memo.frames.update(dict.fromkeys(memo.pending, trace.verdict))

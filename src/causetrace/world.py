@@ -112,6 +112,13 @@ class Broadphase:
             self._buckets.setdefault((math.floor(cx / cell), math.floor(cy / cell)), []).append(i)
         self._hoods: dict[tuple[int, int], list[ObjectTracker]] = {}  # trackers per neighbourhood
 
+    def rewind(self) -> None:
+        """Let queries start again from any t, as fresh trackers would: every
+        moving tracker goes back to its first segment. The static trackers and
+        the grid keep no time."""
+        for i in self._moving:
+            self.trackers[i]._idx = 0
+
     def near(self, p: Vec2) -> list[ObjectTracker]:
         if not self._buckets:
             return self.trackers

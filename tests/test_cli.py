@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -8,6 +9,7 @@ from causetrace.cli import main
 from conftest import straight_road_doc
 
 INSTS = {i.id: i for i in load_benchmark()}
+GOLDEN = json.loads((Path(__file__).resolve().parent / "golden.json").read_text(encoding="utf-8"))
 
 
 def write_fault(tmp_path, inst_id) -> str:
@@ -202,17 +204,29 @@ def test_attribute_prints_rerun_cost_outside_report(tmp_path, capsys, monkeypatc
     reruns = r.simulations_total - 1
     # Some re-runs are decided from the original's prefix, some by the verdict of
     # an earlier re-run that forked at the same state and one by merging into an
-    # earlier re-run at a frame; the rest step, each less than the whole run.
+    # earlier re-run at a frame; the rest step, each less than the whole run, and
+    # one of them stops where it has come to rest.
     assert r.rerun_prefix_decided > 0 and r.rerun_memo_decided > 0 and r.rerun_merged > 0
     assert r.rerun_prefix_decided + r.rerun_memo_decided + r.rerun_merged < reruns
+    assert 0 < r.rerun_fast_forwarded < reruns
     assert 0 < r.rerun_stepped_ms < reruns * 25000
     line = (f"re-run cost: {r.rerun_stepped_ms} simulated ms stepped, "
             f"{r.rerun_prefix_decided} re-runs decided from the original run's prefix, "
             f"{r.rerun_memo_decided} by an earlier re-run's verdict, "
-            f"{r.rerun_merged} merged into an earlier re-run at a frame")
+            f"{r.rerun_merged} merged into an earlier re-run at a frame, "
+            f"{r.rerun_fast_forwarded} fast-forwarded at rest")
     assert line in capsys.readouterr().out.splitlines()
     report = json.loads((tmp_path / "report.json").read_text())
     assert not {k for k in report if k.startswith("rerun_")}
+    # report.json holds the golden report (wall time aside): the re-run cost and
+    # its fast-forwards change nothing in it.
+    doc = r.to_dict()
+    doc.pop("verdict_matrix")
+    assert (tmp_path / "report.json").read_text() == json.dumps(doc, indent=2) + "\n"
+    doc = r.to_dict()
+    del doc["wall_time_s"]
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN["cs1_pred_none"]["report_sha256"]
 
 
 def test_attribute_passing_scenario_exit_three(tmp_path, capsys):

@@ -2,10 +2,10 @@
 
 A re-run given the original trace resumes from the original run's checkpoint
 at the state where its substitute first becomes active, and stops at its first
-safe-distance or speeding violation, or where it merges into an earlier re-run
-at a frame sample. Each one must reach the verdict of the same plan simulated
-from t=0 to the end, and its ego log must be the start of that run's log,
-sample for sample.
+safe-distance or speeding violation, where it merges into an earlier re-run at
+a frame sample, or where it has come to rest in a still world. Each one must
+reach the verdict of the same plan simulated from t=0 to the end, and its ego
+log must be the start of that run's log, sample for sample.
 """
 
 from __future__ import annotations
@@ -19,11 +19,13 @@ import pytest
 from causetrace import attribution, runner
 from causetrace.attribution import DtestSession
 from causetrace.benchmark import load_benchmark, load_builtin_scenario
-from causetrace.middleware import ComponentId
+from causetrace.faults import apply_planning_faults, fault_from_dict
+from causetrace.geometry import vec_dist
+from causetrace.middleware import ComponentId, Trace
 from causetrace.oracles import MISSION, OracleConfig
-from causetrace.payloads import PerceptionOut
+from causetrace.payloads import PerceptionOut, PlanningOut, TrajPoint
 from causetrace.runner import AdsConfig, rtest, run_with_substitution
-from causetrace.scenario import scenario_from_dict
+from causetrace.scenario import Waypoint, scenario_from_dict
 from causetrace.substitutes import (IdealAll, IdealFromState, IdealWithinStates,
                                     SubstitutionPlan, ideal_perception, split_trace)
 from causetrace.world import EgoState
@@ -33,6 +35,9 @@ ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = json.loads((ROOT / "tests" / "golden.json").read_text(encoding="utf-8"))
 INSTS = {i.id: i for i in load_benchmark()}
 NON_PLANNING = sorted(i.id for i in INSTS.values() if i.component is not ComponentId.PLANNING)
+# Every attribution's golden re-runs; interval-dd searches the non-planning ones.
+ALL_STRATEGIES = ([(i, "binary") for i in sorted(INSTS)]
+                  + [(i, "interval-dd") for i in NON_PLANNING])
 
 
 def _original(inst_id: str):
@@ -253,12 +258,14 @@ def test_same_fork_takes_the_earlier_verdict_without_stepping(monkeypatch):
     assert strace.ego_log == original.ego_log[:len(strace.ego_log)]
 
 
-def assert_merges_match_full_runs(inst_id: str, strategy: str = "binary") -> int:
-    """Run one attribution's message-level re-runs through one DtestSession, as
-    `attribute` does: the golden plan sequence, each with its recorded pass/fail,
-    or the interval-dd search. Check every re-run that merged into an earlier
-    one at a frame against the same plan simulated from t=0. Returns the number
-    of merged re-runs."""
+def assert_frame_stops_match_full_runs(inst_id: str, strategy: str = "binary",
+                                       counter: str = "merges") -> int:
+    """Run one attribution's re-runs through one DtestSession, as `attribute`
+    does: the golden plan sequence, each with its recorded pass/fail, or the
+    interval-dd search. Check every re-run that stopped at a frame, by merging
+    into an earlier one (`counter="merges"`) or by fast-forwarding at rest
+    (`counter="fast_forwards"`), against the same plan simulated from t=0.
+    Returns the number of such re-runs."""
     inst, scenario, ads, original = _original(inst_id)
     oracles = OracleConfig()
     session = DtestSession(scenario, ads, oracles, original.trace)
@@ -266,9 +273,9 @@ def assert_merges_match_full_runs(inst_id: str, strategy: str = "binary") -> int
     real = attribution.run_with_substitution
 
     def recording(*args, **kwargs):
-        merges = session.memo.merges
+        before = getattr(session.memo, counter)
         verdict, trace = real(*args, **kwargs)
-        if session.memo.merges > merges:
+        if getattr(session.memo, counter) > before:
             merged.append((args[2], verdict, trace))
         return verdict, trace
 
@@ -280,12 +287,13 @@ def assert_merges_match_full_runs(inst_id: str, strategy: str = "binary") -> int
         else:
             n = len(split_trace(original.trace, ads.units))
             attribution.attribute_interval_dd(session, n, inst.component)
-    assert len(merged) == session.memo.merges
+    assert len(merged) == getattr(session.memo, counter)
     for plan, verdict, trace in merged:
         full, full_trace = run_with_substitution(scenario, ads, plan, oracles)
         assert verdict.passed == full.passed, plan
         # A re-run that stops at its first violating sample reports the first
-        # safe-distance or speeding violation, else the mission violation.
+        # safe-distance or speeding violation, else the mission violation, with
+        # the time of the full run's last sample.
         decisive = [v for v in full.violations if v["kind"] != MISSION] or full.violations
         assert verdict.violations == decisive[:1], plan
         n = len(trace.ego_log)
@@ -299,14 +307,147 @@ def assert_merges_match_full_runs(inst_id: str, strategy: str = "binary") -> int
                                                ("cs3_perc_miss", "interval-dd")])
 def test_merge_matches_full_run(inst_id, strategy):
     # interval-dd windows end, after which the re-runs merge as well.
-    assert assert_merges_match_full_runs(inst_id, strategy) > 0
+    assert assert_frame_stops_match_full_runs(inst_id, strategy) > 0
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("strategy", ["binary", "interval-dd"])
 @pytest.mark.parametrize("inst_id", NON_PLANNING)
 def test_merge_matches_full_run_all(inst_id, strategy):
-    assert_merges_match_full_runs(inst_id, strategy)
+    assert_frame_stops_match_full_runs(inst_id, strategy)
+
+
+@pytest.mark.parametrize("inst_id", ["cs1_ctrl_long", "cs3_perc_lat",
+                                     # the component-level IdealAll re-run
+                                     "cs5_plan_none"])
+def test_fast_forward_matches_full_run(inst_id):
+    assert assert_frame_stops_match_full_runs(inst_id, counter="fast_forwards") > 0
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("inst_id, strategy", ALL_STRATEGIES)
+def test_fast_forward_matches_full_run_all(inst_id, strategy):
+    assert_frame_stops_match_full_runs(inst_id, strategy, counter="fast_forwards")
+
+
+# --- fast-forward mutations ---------------------------------------------------
+# On a straight road, ideal control drives the ego to rest short of the
+# destination at about 9.3 s; from there nothing changes to t_max. Each mutation
+# below changes the world after the ego has come to rest, and the ego drives on
+# to the destination: a re-run that fast-forwarded at its first rest would
+# report the mission as failed.
+
+REST_AT = 9000  # the ego has come to rest by then in every case below
+CHANGE_AT = 12000
+
+
+def resting_rerun(objects=(), faults=(), signals=None, t_max_ms=30000,
+                  oracles=OracleConfig()):
+    """The ideal-control re-run on the straight road, forked from the original
+    run, and the same plan from t=0: (scenario, memo, verdict, trace, full
+    verdict, full trace). The forked ego log is checked to be a prefix."""
+    scenario = scenario_from_dict(straight_road_doc(t_max_ms=t_max_ms, dest_x=60.0,
+                                                    objects=list(objects), signals=signals))
+    ads = AdsConfig(faults=[fault_from_dict(f) for f in faults])
+    original = rtest(scenario, ads, oracles)
+    plan = SubstitutionPlan({ComponentId.CONTROL: IdealAll()})
+    memo = runner.ForkMemo()
+    verdict, trace = run_with_substitution(scenario, ads, plan, oracles,
+                                           origin=original.trace, memo=memo)
+    full, full_trace = run_with_substitution(scenario, ads, plan, oracles)
+    assert verdict == full
+    assert trace.ego_log == full_trace.ego_log[:len(trace.ego_log)]
+    return scenario, memo, verdict, trace, full, full_trace
+
+
+def test_resting_rerun_fast_forwards():
+    scenario, memo, verdict, trace, full, full_trace = resting_rerun()
+    assert memo.fast_forwards == 1 and verdict.passed
+    assert trace.ego_log[-1].t < REST_AT + 1000 < full_trace.ego_log[-1].t == scenario.t_max
+    # The planner stops 1.2 m short of the destination, outside a 1 m tolerance:
+    # the closing sample's mission violation, at the time of the full run's last
+    # sample, whether or not t_max falls on a sample.
+    for t_max in (20000, 20005):
+        scenario, memo, verdict, trace, full, full_trace = resting_rerun(
+            t_max_ms=t_max, oracles=OracleConfig(dest_tolerance=1.0))
+        assert memo.fast_forwards == 1 and trace.ego_log[-1].t < REST_AT + 1000
+        assert not verdict.passed
+        assert verdict.violations[0]["t"] == full_trace.ego_log[-1].t == 20000
+
+
+def test_resting_verdict_reads_the_closing_sample_phase():
+    # A log whose samples repeat with period FRAME_MS: each phase of the period
+    # has its own position, and only phase 50 lies at the destination (120, 0).
+    t = 10000
+    log = [Waypoint((120.0 + 10.0 * ((s % runner.FRAME_MS) // 10 - 5), 0.0),
+                    (0.0, 0.0), (0.0, 0.0), s) for s in range(0, t + 1, runner.SAMPLE_MS)]
+    trace = Trace({}, log)
+    for t_max, passed in ((20050, True), (20055, True), (20000, False), (20040, False)):
+        scenario = scenario_from_dict(straight_road_doc(t_max_ms=t_max))
+        verdict = runner._resting_verdict(scenario, trace, t, OracleConfig())
+        assert verdict.passed is passed, t_max
+        if not passed:
+            assert verdict.violations == [{"kind": MISSION, "t": t_max - t_max % 10,
+                                           "detail": "destination not reached"}]
+
+
+LEAVING_CAR = {"id": "car", "kind": "Vehicle", "size": [4.4, 1.8, 1.5],
+               "waypoints": [{"t_ms": 0, "p": [40.0, 0.0], "v": [0, 0], "a": [0, 0]},
+                             {"t_ms": CHANGE_AT, "p": [40.0, 0.0], "v": [0, 0], "a": [0, 0]},
+                             {"t_ms": CHANGE_AT + 5000, "p": [190.0, 0.0], "v": [30.0, 0],
+                              "a": [0, 0]}]}
+PLANNING_HOLD = {"target": "planning", "kind": "no_planning_trajectory",
+                 "trigger": {"t0_ms": 2000, "t1_ms": CHANGE_AT}}
+RED_UNTIL = {"id": "sig", "stop_line": [30.0, 0.0],
+             "phases": [{"color": "Red", "t_start_ms": 0, "t_end_ms": CHANGE_AT},
+                        {"color": "Green", "t_start_ms": CHANGE_AT, "t_end_ms": 30000}]}
+
+
+@pytest.mark.parametrize("case, still", [
+    # the car blocking the lane drives off, and reaches its last waypoint later
+    pytest.param({"objects": [LEAVING_CAR]}, CHANGE_AT + 5000, id="object"),
+    # the planner publishes empty trajectories until then
+    pytest.param({"faults": [PLANNING_HOLD]}, CHANGE_AT, id="fault-window"),
+    # the light turns green
+    pytest.param({"signals": [RED_UNTIL]}, CHANGE_AT, id="signal"),
+])
+def test_late_world_change_defers_fast_forward(case, still):
+    scenario, memo, verdict, trace, full, full_trace = resting_rerun(**case)
+    log = full_trace.ego_log
+    rest = log[REST_AT // runner.SAMPLE_MS]
+    # At rest well before the change, short of the destination...
+    assert all(w.p == rest.p and w.v == (0.0, 0.0)
+               for w in log[REST_AT // runner.SAMPLE_MS:CHANGE_AT // runner.SAMPLE_MS])
+    assert vec_dist(rest.p, scenario.a_dest) > OracleConfig().dest_tolerance
+    # ...which only the time of the change ends.
+    faults = [fault_from_dict(f) for f in case.get("faults", ())]
+    assert runner.still_from(scenario, faults) == still
+    assert full.passed and verdict.passed
+    assert trace.ego_log[-1].t > CHANGE_AT
+
+
+def test_ramp_fault_leaves_fast_forward_on():
+    # The ramp of an incorrect path plan runs from the trajectory's first point,
+    # not from any clock: the same plan published later is the same plan shifted.
+    fault = fault_from_dict({"target": "planning", "kind": "incorrect_path_planning",
+                             "magnitude": {"lateral_bias": 0.6, "ramp_ms": 1500}})
+    traj = tuple(TrajPoint(4000 + 100 * k, (10.0 + k, 0.5), 3.0, 0.1 * k) for k in range(31))
+    out, changed = apply_planning_faults(PlanningOut(traj, "Cruise", ()), [fault], 4000,
+                                         (10.0, 0.5))
+    shifted = tuple(TrajPoint(pt.t + 700, pt.p, pt.speed, pt.heading) for pt in traj)
+    later, _ = apply_planning_faults(PlanningOut(shifted, "Cruise", ()), [fault], 4700,
+                                     (10.0, 0.5))
+    assert changed and [(pt.p, pt.heading) for pt in later.trajectory] == [
+        (pt.p, pt.heading) for pt in out.trajectory]
+    # Ideal control moves the ego along the biased plan even at zero speed, so a
+    # ramp active at rest leaves no fixed point; here it acts on the way, in a
+    # region the ego leaves before resting.
+    ramp = dict(fault.to_dict(), trigger={"region": {"center": [30.0, 0.0], "radius": 10.0}})
+    scenario, memo, verdict, trace, full, full_trace = resting_rerun(faults=[ramp])
+    assert any(m.fault_affected for m in trace.rows[ComponentId.PLANNING])
+    assert runner.still_from(scenario, [fault_from_dict(ramp)]) == 0
+    assert memo.fast_forwards == 1 and verdict.passed
+    assert trace.ego_log[-1].t < REST_AT + 1000
 
 
 def test_signed_zero_makes_another_frame_state():

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from causetrace.benchmark import load_benchmark, load_builtin_scenario
 from causetrace.oracles import (MISSION, SAFE_DISTANCE, SPEEDING, OracleConfig,
                                 SampleMonitor, check_mission,
-                                evaluate, planning_message_violates, speeding_at)
+                                evaluate, planning_message_violates,
+                                safe_distance_objects, speeding_at)
 from causetrace.payloads import PlanningOut, TrajPoint
 from causetrace.pipeline import make_planner_context
 from causetrace.runner import AdsConfig, rtest
@@ -249,7 +250,9 @@ def test_safe_distance_monotone_in_c(c1, c2):
 
 def check_args(sc, ego_p=(5.0, 0.0), held_ms=0):
     """The arguments of `planning_message_violates` after the plan and its time."""
-    return sc, make_planner_context(sc), OracleConfig(), ego_p, held_ms
+    oracles = OracleConfig()
+    return (sc, make_planner_context(sc), oracles, safe_distance_objects(sc, oracles),
+            ego_p, held_ms)
 
 
 def cruise_traj(x0=5.0, speed=10.0, n=31):
@@ -304,6 +307,23 @@ def test_message_check_is_pure():
     args = check_args(sc)
     results = {planning_message_violates(plan, 0, *args) for _ in range(5)}
     assert results == {True}
+
+
+def test_scan_objects_start_again_at_each_message():
+    # One set of object trackers serves a whole planning scan, and point times
+    # fall back at each message: a later message must find the turning car where
+    # fresh trackers would, not on the segment the earlier message reached.
+    car = {"id": "car", "kind": "Vehicle", "size": [4.4, 1.8, 1.5],
+           "waypoints": [{"t_ms": 0, "p": [30.0, 3.5], "v": [5.0, 0.0], "a": [0, 0]},
+                         {"t_ms": 2500, "p": [42.5, 3.5], "v": [0.0, 2.6], "a": [0, 0]},
+                         {"t_ms": 5000, "p": [42.5, 10.0], "v": [0.0, 2.6], "a": [0, 0]}]}
+    sc = scenario_from_dict(straight_road_doc(objects=[car]))
+    late = PlanningOut((TrajPoint(4000, (5.0, 0.0), 0.0, 0.0),), "Stop", ())
+    early = PlanningOut((TrajPoint(1000, (35.0, 3.5), 0.0, 0.0),), "Stop", ())
+    args = check_args(sc)
+    assert not planning_message_violates(late, 4000, *args)
+    assert planning_message_violates(early, 1000, *args)
+    assert planning_message_violates(early, 1000, *check_args(sc))
 
 
 def passing_scenario(heading):

@@ -156,11 +156,16 @@ def test_ideal_perception_immune_to_fault():
     assert any(o.id == "lead" for o in ideal.objects)
 
 
+def trajectory_of(out, obj_id):
+    (tr,) = [tr for tr in out.trajectories if tr.id == obj_id]
+    return tr
+
+
 def test_ideal_prediction_reads_script():
     sc = load_builtin_scenario("cs1")
     ped = sc.object_by_id("ped")
     out = ideal_prediction(sc, 2000)
-    tr = out.by_id("ped")
+    tr = trajectory_of(out, "ped")
     for t_q, x, y in tr.points:
         p, _, _ = object_pose_at(ped, t_q)
         assert (x, y) == pytest.approx(p)
@@ -171,7 +176,7 @@ def test_ideal_prediction_clamps_at_script_end():
     ped = sc.object_by_id("ped")
     t_end = ped.waypoints[-1].t
     out = ideal_prediction(sc, t_end - 1000)
-    tr = out.by_id("ped")
+    tr = trajectory_of(out, "ped")
     tail = [pt for pt in tr.points if pt[0] >= t_end]
     assert tail and all((x, y) == ped.waypoints[-1].p for _, x, y in tail)
 
