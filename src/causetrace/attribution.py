@@ -64,13 +64,12 @@ class DtestSession:
     Each re-run is forked from `origin`, the original run's trace, where its
     substitute first publishes something the original did not, and stops once
     its verdict is decided. The session's `memo` holds the verdict of every
-    simulated re-run: a re-run that forks at the same state as an earlier one,
-    with the same substitutes active from there on, takes its verdict without
-    stepping (`memo.hits`), and one that reaches a frame state an earlier one
-    passed stops there and takes its verdict (`memo.merges`). One that comes to
-    rest in a still world stops where its frame state repeats, with the verdict
-    of its resting pose (`memo.fast_forwards`). See `run_with_substitution` and
-    `run_scheduler`.
+    simulated re-run under each frame state it passed: a re-run that reaches one
+    of them stops there and takes that verdict (`memo.merges`), as does one that
+    forks at the same state as an earlier one, with the same substitutes active
+    from there on, at its first frame sample. One that comes to rest in a still
+    world stops where its frame state repeats, with the verdict of its resting
+    pose (`memo.fast_forwards`). See `run_with_substitution` and `run_scheduler`.
     """
 
     def __init__(self, scenario: Scenario, ads: AdsConfig, oracles: OracleConfig,
@@ -82,8 +81,8 @@ class DtestSession:
         self.calls = 0
         self.stepped_ms = 0  # simulated ms the re-runs stepped; copied prefixes excluded
         self.prefix_decided = 0  # re-runs decided from the original run without a step
-        # .hits / .merges: re-runs decided by an earlier re-run's verdict, at the
-        # fork / at a frame state; .fast_forwards: re-runs stopped at rest
+        # .merges: re-runs decided by an earlier re-run's verdict at a frame state;
+        # .fast_forwards: re-runs stopped at rest
         self.memo = ForkMemo()
         self._cache: dict[tuple, bool] = {}
 
@@ -92,12 +91,12 @@ class DtestSession:
         if key in self._cache:
             return self._cache[key]
         self.calls += 1
-        decided = self.memo.hits + self.memo.merges
+        merges = self.memo.merges
         verdict, trace = run_with_substitution(self.scenario, self.ads, plan, self.oracles,
                                                origin=self.origin, memo=self.memo)
         stepped = trace.ego_log[-1].t - trace.forked_at
         self.stepped_ms += stepped
-        self.prefix_decided += stepped == 0 and self.memo.hits + self.memo.merges == decided
+        self.prefix_decided += stepped == 0 and self.memo.merges == merges
         self._cache[key] = verdict.passed
         return verdict.passed
 
@@ -176,8 +175,9 @@ def audit_suffix_monotonicity(session: DtestSession, trace: Trace, component: Co
     consecutive *differing* message states too, those whose message the
     substitute would not publish: a substitute from any state in (m, m'] forks
     at m' (see `runner.run_with_substitution`), and all but the first of those
-    probes are decided without stepping. Returns (monotone, last passing
-    message state, outcomes); the binary search reports that state too.
+    probes merge at the first frame sample at or after the fork. Returns
+    (monotone, last passing message state, outcomes); the binary search reports
+    that state too.
     """
     indices = _component_states(trace, component)
     if 1 not in indices:
@@ -300,11 +300,10 @@ class AttributionReport:
     focus_affected_gap_ms: int | None = None  # 0 when the focus itself is affected
     notes: list[str] = field(default_factory=list)
     verdict_matrix: list[dict] = field(default_factory=list)
-    # Re-run cost (DtestSession.stepped_ms / .prefix_decided / .memo.hits /
-    # .memo.merges / .memo.fast_forwards), left out of to_dict.
+    # Re-run cost (DtestSession.stepped_ms / .prefix_decided / .memo.merges /
+    # .memo.fast_forwards), left out of to_dict.
     rerun_stepped_ms: int = 0
     rerun_prefix_decided: int = 0
-    rerun_memo_decided: int = 0
     rerun_merged: int = 0
     rerun_fast_forwarded: int = 0
 
@@ -414,7 +413,6 @@ def attribute(scenario: Scenario, ads: AdsConfig, oracles: OracleConfig,
         verdict_matrix=build_verdict_matrix(original.trace, component, focus),
         rerun_stepped_ms=session.stepped_ms,
         rerun_prefix_decided=session.prefix_decided,
-        rerun_memo_decided=session.memo.hits,
         rerun_merged=session.memo.merges,
         rerun_fast_forwarded=session.memo.fast_forwards,
     )

@@ -138,7 +138,6 @@ def run_instance(inst: BenchInstance, strategy: str = "binary",
         # The re-run cost that AttributionReport.to_dict leaves out.
         "rerun_stepped_ms": report.rerun_stepped_ms,
         "rerun_prefix_decided": report.rerun_prefix_decided,
-        "rerun_memo_decided": report.rerun_memo_decided,
         "rerun_merged": report.rerun_merged,
         "rerun_fast_forwarded": report.rerun_fast_forwarded,
     })

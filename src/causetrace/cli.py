@@ -116,7 +116,6 @@ def cmd_attribute(args) -> int:
           f"({report.simulations_total} simulations total)")
     print(f"re-run cost: {report.rerun_stepped_ms} simulated ms stepped, "
           f"{report.rerun_prefix_decided} re-runs decided from the original run's prefix, "
-          f"{report.rerun_memo_decided} by an earlier re-run's verdict, "
           f"{report.rerun_merged} merged into an earlier re-run at a frame, "
           f"{report.rerun_fast_forwarded} fast-forwarded at rest")
     print(f"wall time: {report.wall_time_s:.2f} s")

@@ -14,39 +14,41 @@ A run records a checkpoint at the first sample of every state. A counterfactual
 re-run given the original trace equals the original run until one of its
 substitutes first publishes something the original did not; it resumes from the
 checkpoint of that message's state and stops at its first safe-distance or
-speeding violation, since that decides its verdict. Re-runs that fork at the
-same state with the same substitutes active from there on share one future, so
-a later one takes the verdict of the first (`ForkMemo`).
+speeding violation, since that decides its verdict.
 
 Every FRAME_MS all five components fire, each reading only what was published
-at that sample, and the ego then moves by what they published. So once every
-substitute window of a re-run is constant (active for good, or over), its future
-from a frame sample is fixed by the frame state: the time, the ego state, the
-heading the oracle carries and the set of active substitutes. Payloads
-published before the frame need no comparison, because the frame overwrites
-them all. A re-run that reaches the frame state an earlier re-run of the same
-`ForkMemo` passed merges into it there: it stops and takes that run's verdict.
+at that sample, and the ego then moves by what they published. Apart from the
+substitute windows, nothing in a run's future reads the absolute state index,
+and the quantized key that moves the index on is a function of the ego state.
+So a re-run's future from a frame sample is fixed by its frame state: the time,
+the ego state, the heading the oracle carries and each substitute's window
+relative to the current state index. Payloads published before the frame need
+no comparison, because the frame overwrites them all. A re-run that reaches the
+frame state an earlier re-run of the same `ForkMemo` passed merges into it
+there: it stops and takes that run's verdict. Two re-runs that fork at the same
+state with the same substitutes active from there on reach the same frame state
+at their first frame sample, so they merge there.
 
 A re-run can also come to rest in a world that no longer changes. From some
 time on, every object is past its last waypoint, and no fault trigger window or
 signal phase opens or closes before the run ends (`still_from`). Nothing a
 component reads then changes with time, except through the times it stamps on
 its outputs, which every reader takes relative to the message. So when the
-frame state at a frame sample t equals the one at t - FRAME_MS apart from t,
-with every substitute window constant and the world still from t - FRAME_MS on,
-the run repeats the samples of [t - FRAME_MS, t) with period FRAME_MS to its
-end. Those samples passed the monitor, so safe distance and speeding cannot
-newly fail, and there is no contact. The re-run stops at t (it fast-forwards)
-with the verdict of its closing sample: the mission violation, if any, of the
-logged sample at the same phase of the period, at the time of the full run's
-last sample.
+frame state at a frame sample t equals the one at t - FRAME_MS apart from t, in
+a world still from t - FRAME_MS on, the run repeats the samples of
+[t - FRAME_MS, t) with period FRAME_MS to its end. Equal relative windows mean
+that every window is constant from here on or that the state index did not move
+in that period; with the samples repeating, it never moves again. Those samples
+passed the monitor, so safe distance and speeding cannot newly fail, and there
+is no contact. The re-run stops at t (it fast-forwards) with the verdict of its
+closing sample: the mission violation, if any, of the logged sample at the same
+phase of the period, at the time of the full run's last sample.
 """
 
 from __future__ import annotations
 
 import functools
 import gc
-import math
 import struct
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
@@ -122,14 +124,16 @@ def _prefix(trace: Trace, t: SimTime, through: bool = False
     return rows, trace.ego_log[:t // SAMPLE_MS + through]
 
 
-def frame_state(t: SimTime, ideal: set[ComponentId], ego: EgoState, heading: float
-                ) -> tuple:
-    """What fixes a run's future from frame sample t on, once no substitute turns
-    on or off any more: t, the active substitutes, the ego state and the heading
-    the oracle carries into t. The floats are packed bit for bit, so a signed zero
-    makes another frame state."""
-    return t, frozenset(ideal), struct.pack("<6d", *ego.p, ego.heading, ego.speed,
-                                            ego.accel, heading)
+def frame_state(t: SimTime, windows: dict[ComponentId, tuple[int, float]], index: int,
+                ego: EgoState, heading: float) -> tuple:
+    """What fixes a run's future from frame sample t on: t, each substitute window
+    not yet over relative to the state index at t (0 once it has opened), the ego
+    state and the heading the oracle carries into t. The floats are packed bit
+    for bit, so a signed zero makes another frame state."""
+    relative = tuple(sorted((c.value, max(lo - index, 0), hi - index)
+                            for c, (lo, hi) in windows.items() if hi >= index))
+    return t, relative, struct.pack("<6d", *ego.p, ego.heading, ego.speed, ego.accel,
+                                    heading)
 
 
 def still_from(scenario: Scenario, faults: list[FaultSpec]) -> SimTime:
@@ -167,8 +171,7 @@ def run_scheduler(scenario: Scenario, ads: AdsConfig,
                   memo: ForkMemo | None = None) -> Trace:
     """One run. `fork` = (origin, k) resumes the run `origin` from its checkpoint
     at state k; `monitor` judges each sample and stops the run at the first
-    violating one. With `monitor`, at each frame sample from the state on which
-    every substitute window is constant:
+    violating one. With `monitor`, at each frame sample:
     - with `memo`, the run merges into the earlier re-run of `memo.frames` with
       the same frame state: it stops there, after logging the sample, with that
       run's verdict as `trace.verdict`. Else the frame state goes to
@@ -197,13 +200,10 @@ def run_scheduler(scenario: Scenario, ads: AdsConfig,
     faults = {c: [f for f in ads.faults if f.target is c] for c in ComponentId}
     windows = {c: active_states(m) for c, m in plan.modes.items()}
     ideal: set[ComponentId] = set()  # substitutes active at the current state index
-    # The state index from which no substitute turns on or off any more.
-    steady = max((lo if hi == math.inf else hi + 1 for lo, hi in windows.values()),
-                 default=1)
     if memo is not None:
         memo.pending = []
     still = still_from(scenario, ads.faults) if monitor is not None else 0
-    last_frame = None  # the frame state of the frame sample before, once steady
+    last_frame = None  # the frame state of the frame sample before
 
     def fire(component: ComponentId, t: SimTime) -> tuple[Any, bool, dict[str, int]]:
         """Payload, fault flag and consumed input seqs of one firing. Every
@@ -240,8 +240,8 @@ def run_scheduler(scenario: Scenario, ads: AdsConfig,
             trace.checkpoints.append(Checkpoint(t, ego, key))
         trace.ego_log.append(wp)
         ideal = {c for c, (lo, hi) in windows.items() if lo <= index <= hi}
-        if monitor is not None and t % FRAME_MS == 0 and index >= steady:
-            frame = frame_state(t, ideal, ego, monitor.heading)
+        if monitor is not None and t % FRAME_MS == 0:
+            frame = frame_state(t, windows, index, ego, monitor.heading)
             if memo is not None:
                 merged = memo.frames.get(frame)
                 if merged is not None:
@@ -350,17 +350,14 @@ def rtest(scenario: Scenario, ads: AdsConfig, oracles: OracleConfig) -> RunResul
 
 
 class ForkMemo:
-    """The verdicts of the simulated re-runs of one original run: by fork key (see
-    `run_with_substitution`) and by each frame state they passed (see
-    `run_scheduler`). `hits` counts the re-runs that took a verdict by fork key,
-    `merges` those that merged into an earlier re-run at a frame state, and
-    `fast_forwards` those that stopped where their frame state repeats."""
+    """The verdicts of the simulated re-runs of one original run, by each frame
+    state they passed (see `run_scheduler`). `merges` counts the re-runs that
+    merged into an earlier re-run at a frame state, and `fast_forwards` those
+    that stopped where their frame state repeats."""
 
     def __init__(self) -> None:
-        self.verdicts: dict[tuple, Verdict] = {}
         self.frames: dict[tuple, Verdict] = {}
         self.pending: list[tuple] = []  # frame states of the re-run being simulated
-        self.hits = 0
         self.merges = 0
         self.fast_forwards = 0
 
@@ -397,17 +394,15 @@ def _first_difference(scenario: Scenario, origin: Trace, component: ComponentId,
     return None
 
 
-def _fork(scenario: Scenario, plan: SubstitutionPlan, origin: Trace
-          ) -> tuple[int, tuple] | None:
+def _fork(scenario: Scenario, plan: SubstitutionPlan, origin: Trace) -> int | None:
     """The state where a re-run of `plan` first publishes something the original
-    run did not, and the key of its future; None if that never happens.
+    run did not; None if that never happens.
 
     Up to that state's first sample the re-run is the original, message for
     message. The control substitute moves the ego by another model, so it
     differs at its first active state; any other substitute is compared with the
     original's messages from its first active state on, up to the earliest
-    difference found so far. From the fork on, the run is fixed by the fork state
-    and each substitute's remaining active window, which make the key.
+    difference found so far.
     """
     cps = origin.checkpoints
     windows = {c: active_states(m) for c, m in plan.modes.items()}
@@ -420,11 +415,7 @@ def _fork(scenario: Scenario, plan: SubstitutionPlan, origin: Trace
             state = _first_difference(scenario, origin, c, lo, min(hi + 1, fork))
             if state is not None:
                 fork = state
-    if fork > len(cps):
-        return None
-    key = tuple(sorted((c.value, max(lo, fork), hi)
-                       for c, (lo, hi) in windows.items() if hi >= fork))
-    return fork, key
+    return fork if fork <= len(cps) else None
 
 
 def run_with_substitution(scenario: Scenario, ads: AdsConfig, plan: SubstitutionPlan,
@@ -439,14 +430,13 @@ def run_with_substitution(scenario: Scenario, ads: AdsConfig, plan: Substitution
     something the original did not (`_fork`), the re-run equals that run. So its
     verdict is taken from the original when the original's first safe-distance
     or speeding violation lies in that prefix, or when no substitute ever does
-    so. Otherwise, when an earlier re-run with the same `memo` forked at the same
-    state with the same substitutes active from there on, it has that re-run's
-    future and takes its verdict; its trace is the original's through the fork
-    sample. Else it resumes from the original's checkpoint at the fork and stops
+    so. Otherwise it resumes from the original's checkpoint at the fork and stops
     at its first safe-distance or speeding violation; the verdict then holds that
     violation, or else the mission violation, if any. With `memo` it may also stop
     at a frame sample where it merges into an earlier re-run (`run_scheduler`),
-    and takes that run's verdict.
+    and takes that run's verdict: one that forked at the same state, with the
+    same substitutes active from there on, merges at the first frame sample at or
+    after the fork.
 
     A re-run also stops at a frame sample where it has come to rest in a still
     world: its frame state repeats the one of the frame before, apart from t,
@@ -465,7 +455,7 @@ def run_with_substitution(scenario: Scenario, ads: AdsConfig, plan: Substitution
         return verdict, trace
     fork = _fork(scenario, plan, origin)
     decided = [v for v in origin.verdict.violations if v["kind"] != MISSION]
-    if decided and (fork is None or decided[0]["t"] <= origin.checkpoints[fork[0] - 1].t):
+    if decided and (fork is None or decided[0]["t"] <= origin.checkpoints[fork - 1].t):
         t = decided[0]["t"]
         verdict = Verdict(False, decided[:1])
         # The trace an early-stopped run would leave: the samples through t and
@@ -476,22 +466,16 @@ def run_with_substitution(scenario: Scenario, ads: AdsConfig, plan: Substitution
         # The re-run publishes what the original did, to the end: it is the original.
         return origin.verdict, Trace(origin.rows, origin.ego_log, origin.verdict,
                                      forked_at=origin.ego_log[-1].t)
-    k, key = fork
-    cp = origin.checkpoints[k - 1]
-    if memo is not None and key in memo.verdicts:
-        memo.hits += 1
-        verdict = memo.verdicts[key]
-        rows, ego_log = _prefix(origin, cp.t, through=True)
-        return verdict, Trace(rows, ego_log, verdict, forked_at=cp.t)
+    cp = origin.checkpoints[fork - 1]
     heading = scenario.a_init[1]
     for w in origin.ego_log[:cp.t // SAMPLE_MS]:
         heading = carried_heading(w, heading)
     monitor = SampleMonitor(scenario, oracles, heading)
-    trace = run_scheduler(scenario, ads, plan, fork=(origin, k), monitor=monitor, memo=memo)
+    trace = run_scheduler(scenario, ads, plan, fork=(origin, fork), monitor=monitor,
+                          memo=memo)
     if trace.verdict is None:
         trace.verdict = _verdict(monitor.violation
                                  or mission_violation(trace.ego_log, scenario, oracles))
     if memo is not None:
-        memo.verdicts[key] = trace.verdict
         memo.frames.update(dict.fromkeys(memo.pending, trace.verdict))
     return trace.verdict, trace

@@ -151,12 +151,6 @@ class Scenario:
         """Radius of the circle that holds the ego box at any heading."""
         return math.hypot(*self.ego_half)
 
-    def object_by_id(self, obj_id: str) -> TrafficObject:
-        for obj in self.objects:
-            if obj.id == obj_id:
-                return obj
-        raise KeyError(obj_id)
-
 
 # ---------------------------------------------------------------------------
 # geometry queries

@@ -31,6 +31,12 @@ def static_object(obj_id="blk", kind="StaticObstacle", size=(0.4, 0.4, 0.7),
             "waypoints": [{"t_ms": 0, "p": list(p), "v": [0, 0], "a": [0, 0]}]}
 
 
+def object_by_id(sc, obj_id: str):
+    """The scenario's traffic object with that id."""
+    (obj,) = [o for o in sc.objects if o.id == obj_id]
+    return obj
+
+
 @pytest.fixture
 def straight_scenario():
     return scenario_from_dict(straight_road_doc())

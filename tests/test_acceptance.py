@@ -123,11 +123,9 @@ def test_bench_rows_carry_rerun_cost(bench_results):
     # without stepping to their end, summed over the bench rows.
     rows = bench_results["rows"]
     totals = {k: sum(r[k] for r in rows) for k in (
-        "rerun_stepped_ms", "rerun_prefix_decided", "rerun_memo_decided", "rerun_merged",
-        "rerun_fast_forwarded")}
-    ok = totals == {"rerun_stepped_ms": 3_510_670, "rerun_prefix_decided": 75,
-                    "rerun_memo_decided": 69, "rerun_merged": 28,
-                    "rerun_fast_forwarded": 49}
+        "rerun_stepped_ms", "rerun_prefix_decided", "rerun_merged", "rerun_fast_forwarded")}
+    ok = totals == {"rerun_stepped_ms": 3_510_810, "rerun_prefix_decided": 75,
+                    "rerun_merged": 97, "rerun_fast_forwarded": 49}
     report("rerun-cost", ok, f"bench row totals {totals}")
     assert ok
 

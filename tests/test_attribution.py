@@ -421,8 +421,8 @@ def test_bench_row_carries_rerun_cost():
     report = attribute(scenario_for_instance(inst), AdsConfig(faults=[inst.fault]),
                        OracleConfig())
     row = run_instance(inst)
-    fields = ("rerun_stepped_ms", "rerun_prefix_decided", "rerun_memo_decided",
-              "rerun_merged", "rerun_fast_forwarded")
+    fields = ("rerun_stepped_ms", "rerun_prefix_decided", "rerun_merged",
+              "rerun_fast_forwarded")
     assert {k: row[k] for k in fields} == {k: getattr(report, k) for k in fields}
     assert all(row[k] > 0 for k in fields)
     assert not any(k.startswith("rerun_") for k in report.to_dict())

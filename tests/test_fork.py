@@ -1,11 +1,12 @@
 """Forked, early-stopped re-runs against the same re-runs simulated from t=0.
 
 A re-run given the original trace resumes from the original run's checkpoint
-at the state where its substitute first becomes active, and stops at its first
-safe-distance or speeding violation, where it merges into an earlier re-run at
-a frame sample, or where it has come to rest in a still world. Each one must
-reach the verdict of the same plan simulated from t=0 to the end, and its ego
-log must be the start of that run's log, sample for sample.
+at the state where its substitute first publishes something the original did
+not, and stops at its first safe-distance or speeding violation, where it
+merges into an earlier re-run at a frame sample, or where it has come to rest
+in a still world. Each one must reach the verdict of the same plan simulated
+from t=0 to the end, and its ego log must be the start of that run's log,
+sample for sample.
 """
 
 from __future__ import annotations
@@ -229,33 +230,65 @@ def test_fault_affected_localization_counts_as_a_difference():
                    for m in row if m.t_pub < first.t_pub)
     assert runner._differs(scenario, original.trace, first)
     plan = SubstitutionPlan({ComponentId.LOCALIZATION: IdealAll()})
-    fork, _ = runner._fork(scenario, plan, original.trace)
+    fork = runner._fork(scenario, plan, original.trace)
     cps = original.trace.checkpoints
     assert cps[fork - 1].t <= first.t_pub and (fork == len(cps) or first.t_pub < cps[fork].t)
 
 
-def test_same_fork_takes_the_earlier_verdict_without_stepping(monkeypatch):
+def test_same_fork_merges_at_its_first_frame_sample():
     # The perception fault first changes an output at some state f > 2, so a
     # suffix plan from state 2 forks where the whole-run plan does, with
-    # perception ideal from there on: it has that re-run's future.
+    # perception ideal from there on: it has that re-run's future, and reaches
+    # its frame state at the first frame sample at or after the fork.
     inst, scenario, ads, original = _original("cs3_perc_long")
     oracles = OracleConfig()
     memo = runner.ForkMemo()
     whole = SubstitutionPlan({inst.component: IdealAll()})
     verdict, trace = run_with_substitution(scenario, ads, whole, oracles,
                                            origin=original.trace, memo=memo)
-    fork, key = runner._fork(scenario, whole, original.trace)
+    fork = runner._fork(scenario, whole, original.trace)
     assert fork > 2 and trace.forked_at == original.trace.checkpoints[fork - 1].t > 0
-    assert trace.ego_log[-1].t > trace.forked_at  # this one was simulated
-    assert memo.verdicts == {key: verdict} and memo.hits == 0
-    _no_stepping(monkeypatch)
+    assert trace.ego_log[-1].t > trace.forked_at + runner.FRAME_MS  # simulated
+    assert memo.merges == 0
     suffix = SubstitutionPlan({inst.component: IdealFromState(2)})
-    assert runner._fork(scenario, suffix, original.trace) == (fork, key)
+    assert runner._fork(scenario, suffix, original.trace) == fork
     shared, strace = run_with_substitution(scenario, ads, suffix, oracles,
                                            origin=original.trace, memo=memo)
-    assert shared == verdict and memo.hits == 1
-    assert strace.forked_at == trace.forked_at == strace.ego_log[-1].t
-    assert strace.ego_log == original.ego_log[:len(strace.ego_log)]
+    assert shared == verdict and memo.merges == 1
+    assert strace.forked_at == trace.forked_at
+    assert strace.ego_log[-1].t - strace.forked_at < runner.FRAME_MS
+    assert strace.ego_log[-1].t % runner.FRAME_MS == 0
+    assert strace.ego_log == trace.ego_log[:len(strace.ego_log)]
+
+
+def test_open_window_merges_into_the_same_fork():
+    # Two perception windows that open at or before the fork and close at state
+    # 300, long after it, have the same future from the fork on. The second
+    # merges into the first at its first frame sample, with its window still
+    # open, and takes a verdict that the window's end decides: the whole-run
+    # substitute passes.
+    inst, scenario, ads, original = _original("cs3_perc_long")
+    oracles = OracleConfig()
+    cps = original.trace.checkpoints
+    memo = runner.ForkMemo()
+    first, second = (SubstitutionPlan({inst.component: IdealWithinStates(a, 300)})
+                     for a in (1, 2))
+    fork = runner._fork(scenario, first, original.trace)
+    assert runner._fork(scenario, second, original.trace) == fork and 2 < fork < 300
+    run_with_substitution(scenario, ads, first, oracles, origin=original.trace, memo=memo)
+    assert memo.merges == 0
+    verdict, trace = run_with_substitution(scenario, ads, second, oracles,
+                                           origin=original.trace, memo=memo)
+    assert memo.merges == 1
+    assert trace.forked_at == cps[fork - 1].t
+    assert trace.ego_log[-1].t - trace.forked_at < runner.FRAME_MS
+    assert trace.ego_log[-1].t < cps[300].t  # state 301 starts there
+    full, full_trace = run_with_substitution(scenario, ads, second, oracles)
+    decisive = [v for v in full.violations if v["kind"] != MISSION] or full.violations
+    assert not verdict.passed and verdict.violations == decisive[:1]
+    assert trace.ego_log == full_trace.ego_log[:len(trace.ego_log)]
+    assert run_with_substitution(scenario, ads, SubstitutionPlan({inst.component: IdealAll()}),
+                                 oracles)[0].passed
 
 
 def assert_frame_stops_match_full_runs(inst_id: str, strategy: str = "binary",
@@ -452,47 +485,26 @@ def test_ramp_fault_leaves_fast_forward_on():
 
 def test_signed_zero_makes_another_frame_state():
     ego = EgoState(p=(5.0, 0.0), heading=0.0, speed=3.0, accel=0.0, t=100)
-    key = runner.frame_state(100, {ComponentId.PERCEPTION}, ego, 0.0)
-    assert key == runner.frame_state(100, {ComponentId.PERCEPTION}, replace(ego), 0.0)
+    windows = {ComponentId.PERCEPTION: (3, 9)}
+    key = runner.frame_state(100, windows, 4, ego, 0.0)
+    assert key == runner.frame_state(100, windows, 4, replace(ego), 0.0)
     assert -0.0 == 0.0  # so a key of the floats themselves would not tell them apart
-    for other in (runner.frame_state(100, {ComponentId.PERCEPTION}, ego, -0.0),
-                  runner.frame_state(100, {ComponentId.PERCEPTION},
-                                     replace(ego, heading=-0.0), 0.0),
-                  runner.frame_state(100, {ComponentId.PERCEPTION},
-                                     replace(ego, p=(5.0, -0.0)), 0.0)):
+    for other in (runner.frame_state(100, windows, 4, ego, -0.0),
+                  runner.frame_state(100, windows, 4, replace(ego, heading=-0.0), 0.0),
+                  runner.frame_state(100, windows, 4, replace(ego, p=(5.0, -0.0)), 0.0)):
         assert other != key
 
 
-class LookupCounter(dict):
-    """A `ForkMemo.frames` that counts the lookups made in it."""
-
-    lookups = 0
-
-    def get(self, *args):
-        self.lookups += 1
-        return super().get(*args)
-
-    def __contains__(self, key):
-        self.lookups += 1
-        return super().__contains__(key)
-
-    def __getitem__(self, key):
-        self.lookups += 1
-        return super().__getitem__(key)
-
-
-def test_active_window_never_looks_up_frames():
-    # A window that is still active may yet turn off, so the run's future is not
-    # fixed by its frame state; the same window left open is constant from its start.
-    inst, scenario, ads, original = _original("cs1_perc_lat")
-    oracles = OracleConfig()
-    open_end = scenario.t_max // runner.SAMPLE_MS + 1  # more states than a run has
-    for mode, looked_up in ((IdealWithinStates(1, open_end), False), (IdealAll(), True)):
-        memo = runner.ForkMemo()
-        memo.frames = LookupCounter()
-        plan = SubstitutionPlan({inst.component: mode})
-        verdict, trace = run_with_substitution(scenario, ads, plan, oracles,
-                                               origin=original.trace, memo=memo)
-        assert trace.ego_log[-1].t > trace.forked_at + runner.FRAME_MS  # simulated
-        assert (memo.frames.lookups > 0) is looked_up, mode
-        assert (len(memo.frames) > 0) is looked_up and memo.merges == 0, mode
+def test_frame_state_holds_the_window_relative_to_the_index():
+    ego = EgoState(p=(5.0, 0.0), heading=0.0, speed=3.0, accel=0.0, t=100)
+    key = runner.frame_state(100, {ComponentId.PERCEPTION: (3, 9)}, 4, ego, 0.0)
+    # The same ego, with the window closing at another state from here...
+    assert key != runner.frame_state(100, {ComponentId.PERCEPTION: (3, 10)}, 4, ego, 0.0)
+    # ...or opening later, is another future; the same window seen from another
+    # state index, or opened at another state before it, is the same one.
+    assert key != runner.frame_state(100, {ComponentId.PERCEPTION: (5, 9)}, 4, ego, 0.0)
+    assert key == runner.frame_state(100, {ComponentId.PERCEPTION: (8, 14)}, 9, ego, 0.0)
+    assert key == runner.frame_state(100, {ComponentId.PERCEPTION: (1, 9)}, 4, ego, 0.0)
+    # A window that has ended is no part of the future.
+    assert (runner.frame_state(100, {ComponentId.PERCEPTION: (1, 3)}, 4, ego, 0.0)
+            == runner.frame_state(100, {}, 4, ego, 0.0))

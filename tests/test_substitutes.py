@@ -18,7 +18,7 @@ from causetrace.substitutes import (IdealAll, IdealFromState, QuantizationUnits,
                                     ideal_perception, ideal_prediction,
                                     quantize_state, sim_control_apply, split_trace)
 from causetrace.world import SENSOR_RANGE, EgoState
-from conftest import straight_road_doc
+from conftest import object_by_id, straight_road_doc
 
 INSTS = {i.id: i for i in load_benchmark()}
 UNITS = QuantizationUnits()
@@ -116,7 +116,7 @@ def test_object_at_rest_then_moving_has_one_heading():
             {"t_ms": 2000, "p": [40.0, -8.0], "v": [0.0, 0.0], "a": [0.0, 1.5]},
             {"t_ms": 4000, "p": [40.0, -5.0], "v": [0.0, 3.0], "a": [0.0, 0.0]}]}])
     sc = scenario_from_dict(doc)
-    ped = sc.object_by_id("ped")
+    ped = object_by_id(sc, "ped")
     pairs = perception_vs_ideal(sc)
     assert len(pairs) == 30
     for t, (seen, ideal) in zip(range(0, 3000, 100), pairs):
@@ -163,7 +163,7 @@ def trajectory_of(out, obj_id):
 
 def test_ideal_prediction_reads_script():
     sc = load_builtin_scenario("cs1")
-    ped = sc.object_by_id("ped")
+    ped = object_by_id(sc, "ped")
     out = ideal_prediction(sc, 2000)
     tr = trajectory_of(out, "ped")
     for t_q, x, y in tr.points:
@@ -173,7 +173,7 @@ def test_ideal_prediction_reads_script():
 
 def test_ideal_prediction_clamps_at_script_end():
     sc = load_builtin_scenario("cs1")
-    ped = sc.object_by_id("ped")
+    ped = object_by_id(sc, "ped")
     t_end = ped.waypoints[-1].t
     out = ideal_prediction(sc, t_end - 1000)
     tr = trajectory_of(out, "ped")

@@ -13,7 +13,7 @@ from causetrace.scenario import (TrafficObject, Waypoint, bbox_at, object_pose_a
 from causetrace.substitutes import ideal_perception
 from causetrace.world import (ACCEL_MAX, ACCEL_MIN, Broadphase, EgoState, ObjectTracker,
                               STEER_MAX, WHEELBASE, step_ego)
-from conftest import static_object, straight_road_doc
+from conftest import object_by_id, static_object, straight_road_doc
 
 
 def test_straight_advance():
@@ -125,7 +125,7 @@ def test_ground_truth_matches_pose_interpolation():
 
     sc = load_builtin_scenario("cs2")
     t = 7000
-    lead = sc.object_by_id("lead")
+    lead = object_by_id(sc, "lead")
     p, v, _ = object_pose_at(lead, t)
     got = ideal_perception(sc, t, (60.0, 0.0))
     seen = next(o for o in got.objects if o.id == "lead")
@@ -140,7 +140,7 @@ def test_object_tracker_is_the_scenario_model():
     # through the stop-and-go segments of the cs2 lead vehicle.
     from causetrace.benchmark import load_builtin_scenario
 
-    lead = load_builtin_scenario("cs2").object_by_id("lead")
+    lead = object_by_id(load_builtin_scenario("cs2"), "lead")
     trk = ObjectTracker(lead)
     for t in range(-100, 32000, 10):
         assert trk.box_at(t) == bbox_at(lead, t)
@@ -152,7 +152,7 @@ def test_object_tracker_builds_static_box_once(monkeypatch):
     calls = []
     real = world.bbox_at
     monkeypatch.setattr(world, "bbox_at", lambda obj, t: calls.append(t) or real(obj, t))
-    curb = scenario_with_objects().object_by_id("near")
+    curb = object_by_id(scenario_with_objects(), "near")
     trk = ObjectTracker(curb)
     boxes = [trk.box_at(t) for t in range(0, 5000, 10)]
     assert len(calls) == 1
