@@ -22,9 +22,9 @@ from pathlib import Path
 from .attribution import attribute, check_options
 from .faults import FaultSpec, fault_from_dict
 from .middleware import ComponentId
-from .oracles import OracleConfig
+from .oracles import ALL_KINDS, OracleConfig
 from .runner import AdsConfig
-from .scenario import Scenario, expect, load_json, load_scenario, record
+from .scenario import Scenario, ValidationError, expect, load_json, load_scenario, record
 
 # Every scenario file name, and the archetype it realizes (cs3b/cs4b are
 # geometry variants).
@@ -69,19 +69,25 @@ def load_builtin_scenario(name: str) -> Scenario:
 
 def load_benchmark(path: Path | None = None) -> list[BenchInstance]:
     """Instances of a benchmark file; malformed ones raise ParseError /
-    ValidationError with a path such as `instances[0].scenario`."""
+    ValidationError with a path such as `instances[0].scenario`. Ids are unique,
+    and each expected violation is an oracle kind."""
     path = path or (data_dir() / "benchmark.json")
     doc = record(load_json(path), "", ("instances",))
     out = []
     for i, raw in enumerate(expect(doc["instances"], list, "instances")):
         where = f"instances[{i}]"
         record(raw, where, ("id", "scenario", "fault", "expected_violation"))
+        inst_id = expect(raw["id"], str, f"{where}.id")
+        if any(inst.id == inst_id for inst in out):
+            raise ValidationError(f"{where}.id", f"duplicate id {inst_id!r}")
+        kind = expect(raw["expected_violation"], str, f"{where}.expected_violation")
+        if kind not in ALL_KINDS:
+            raise ValidationError(f"{where}.expected_violation", f"unknown kind {kind!r}")
         out.append(BenchInstance(
-            id=expect(raw["id"], str, f"{where}.id"),
+            id=inst_id,
             scenario=Path(expect(raw["scenario"], str, f"{where}.scenario")).stem,
             fault=fault_from_dict(raw["fault"], f"{where}.fault"),
-            expected_violation=expect(raw["expected_violation"], str,
-                                      f"{where}.expected_violation"),
+            expected_violation=kind,
         ))
     return out
 

@@ -93,52 +93,15 @@ def _seg_seg_distance(p1: Vec2, p2: Vec2, q1: Vec2, q2: Vec2) -> float:
     return vec_dist(vec_add(p1, vec_scale(d1, s)), vec_add(q1, vec_scale(d2, t)))
 
 
-def obb_separation_at_least(a: OrientedBox, b: OrientedBox, threshold: float,
-                            ca: list[Vec2] | None = None,
-                            cb: list[Vec2] | None = None) -> bool:
-    """True if the boxes are provably at least `threshold` apart.
-
-    Separating-axis test over the 4 face normals: the gap between the boxes'
-    projections on any axis is a lower bound on their Euclidean distance, so
-    one wide axis is enough to skip the exact (much more expensive)
-    computation. False means "maybe closer": callers fall back to
-    min_obb_distance. `ca` / `cb` are the boxes' corners when the caller
-    already has them.
-    """
-    if ca is None:
-        ca = a.corners()
-        cb = b.corners()
-    for heading in (a.heading, a.heading + math.pi / 2, b.heading, b.heading + math.pi / 2):
-        ax, ay = math.cos(heading), math.sin(heading)
-        amin = amax = ca[0][0] * ax + ca[0][1] * ay
-        for px, py in ca[1:]:
-            d = px * ax + py * ay
-            if d < amin:
-                amin = d
-            elif d > amax:
-                amax = d
-        bmin = bmax = cb[0][0] * ax + cb[0][1] * ay
-        for px, py in cb[1:]:
-            d = px * ax + py * ay
-            if d < bmin:
-                bmin = d
-            elif d > bmax:
-                bmax = d
-        if bmin - amax >= threshold or amin - bmax >= threshold:
-            return True
-    return False
-
-
 def face_axes(heading: float) -> tuple[Vec2, Vec2]:
-    """The two face normals of a box with this heading, as
-    `obb_separation_at_least` computes them."""
+    """The two face normals of a box with this heading."""
     normal = heading + math.pi / 2
     return (math.cos(heading), math.sin(heading)), (math.cos(normal), math.sin(normal))
 
 
 def interval(corners: list[Vec2], axis: Vec2) -> tuple[float, float]:
-    """(min, max) of the corners projected on `axis`: the projection loop of
-    `obb_separation_at_least`, so the same floats."""
+    """(min, max) of the corners projected on `axis`: the one projection loop of
+    every separating-axis test here."""
     ax, ay = axis
     lo = hi = corners[0][0] * ax + corners[0][1] * ay
     for px, py in corners[1:]:
@@ -148,6 +111,30 @@ def interval(corners: list[Vec2], axis: Vec2) -> tuple[float, float]:
         elif d > hi:
             hi = d
     return lo, hi
+
+
+def obb_separation_at_least(a: OrientedBox, b: OrientedBox, threshold: float,
+                            ca: list[Vec2] | None = None,
+                            cb: list[Vec2] | None = None) -> bool:
+    """True if the boxes are provably at least `threshold` apart.
+
+    Separating-axis test over the 4 face normals, a's then b's: the gap between
+    the boxes' projections on any axis is a lower bound on their Euclidean
+    distance, so one wide axis is enough to skip the exact (much more expensive)
+    computation. False means "maybe closer": callers fall back to
+    min_obb_distance. `ca` / `cb` are the boxes' corners when the caller
+    already has them.
+    """
+    if ca is None:
+        ca = a.corners()
+        cb = b.corners()
+    for heading in (a.heading, b.heading):
+        for axis in face_axes(heading):
+            amin, amax = interval(ca, axis)
+            bmin, bmax = interval(cb, axis)
+            if bmin - amax >= threshold or amin - bmax >= threshold:
+                return True
+    return False
 
 
 class FixedBox:
@@ -201,9 +188,9 @@ class SatProbe:
         return False
 
 
-# The smallest positive double: with gradual underflow x - y >= _ANY_GAP holds
+# The smallest positive double: with gradual underflow x - y >= ANY_GAP holds
 # exactly when x > y, so this threshold asks "is there any separating gap".
-_ANY_GAP = math.ulp(0.0)
+ANY_GAP = math.ulp(0.0)
 # Private binding, so that rebinding the public name (say, to profile the
 # callers' pre-filter) leaves min_obb_distance's own overlap test alone.
 _separated = obb_separation_at_least
@@ -213,7 +200,7 @@ def min_obb_distance(a: OrientedBox, b: OrientedBox) -> float:
     """Exact minimum distance between two oriented boxes; 0.0 when overlapping."""
     ca = a.corners()
     cb = b.corners()
-    if not _separated(a, b, _ANY_GAP, ca, cb):
+    if not _separated(a, b, ANY_GAP, ca, cb):
         return 0.0
     best = math.inf
     for i in range(4):

@@ -3,12 +3,14 @@
 Components fire at multiples of 10 ms, so SimTime advances in 10 ms blocks. At
 the start of each block the ego log is sampled (100 Hz) and the set of active
 substitutes follows the state index, which only advances at a sample; a contact
-(box distance exactly zero) stops the run early. Then the due components fire in
-a fixed priority order (localization, perception, prediction, planning,
-control), and the world integrates the block's ego motion in 1 ms steps from
-the latest control command (or along the planning trajectory when control is
-substituted). Each firing publishes one message carrying its inputs. Identical
-inputs produce byte-identical serialized traces.
+stops the run early. A contact is `safe_distance_at` at the gap `ANY_GAP`: an
+object box that no face axis, of its own or of the ego box, separates from the
+ego box by a positive gap, so `min_obb_distance` reads 0.0. Then the due
+components fire in a fixed priority order (localization, perception,
+prediction, planning, control), and the world integrates the block's ego motion
+in 1 ms steps from the latest control command (or along the planning trajectory
+when control is substituted). Each firing publishes one message carrying its
+inputs. Identical inputs produce byte-identical serialized traces.
 
 A run records a checkpoint at the first sample of every state. A counterfactual
 re-run given the original trace equals the original run until one of its
@@ -57,10 +59,13 @@ from operator import attrgetter
 from typing import Any, Callable, NamedTuple
 
 from .faults import FaultSpec
-from .geometry import OrientedBox, SatProbe, min_obb_distance, obb_separation_at_least
+from .geometry import ANY_GAP
+# The frozen perfbench/tracer.py times these two under geometry.obb.runner, and
+# patches them here; nothing in this module calls them.
+from .geometry import min_obb_distance, obb_separation_at_least  # noqa: F401
 from .middleware import Bus, ComponentId, Message, TICK_PRIORITY, Trace, Verdict
 from .oracles import (MISSION, OracleConfig, SampleMonitor, carried_heading, evaluate,
-                      mission_violation)
+                      mission_violation, safe_distance_at)
 from .pipeline import (control_tick, localization_tick, make_planner_context,
                        perception_tick, planning_tick, prediction_tick)
 from .scenario import Scenario, SimTime, Waypoint
@@ -68,7 +73,7 @@ from .substitutes import (OnlineStateTracker, QuantizationUnits, StateKey,
                           SubstitutionPlan, active_states, derived_control,
                           ideal_localization, ideal_perception, ideal_prediction,
                           sim_control_apply)
-from .world import Broadphase, EgoState, ObjectTracker, step_ego
+from .world import Broadphase, EgoState, step_ego
 
 SAMPLE_MS = 10  # ego log and state tracking at 100 Hz
 FRAME_MS = 100  # every component fires at a multiple of FRAME_MS
@@ -169,17 +174,23 @@ def run_scheduler(scenario: Scenario, ads: AdsConfig,
                   fork: tuple[Trace, int] | None = None,
                   monitor: SampleMonitor | None = None,
                   memo: ForkMemo | None = None) -> Trace:
-    """One run. `fork` = (origin, k) resumes the run `origin` from its checkpoint
-    at state k; `monitor` judges each sample and stops the run at the first
-    violating one. With `monitor`, at each frame sample:
-    - with `memo`, the run merges into the earlier re-run of `memo.frames` with
-      the same frame state: it stops there, after logging the sample, with that
-      run's verdict as `trace.verdict`. Else the frame state goes to
-      `memo.pending`, for the caller to record with the run's verdict;
-    - the run fast-forwards where its frame state repeats the one of the frame
+    """One run, which stops early at a contact. `fork` = (origin, k) resumes the
+    run `origin` from its checkpoint at state k.
+
+    `monitor` (which needs `memo`) judges each sample and stops the run at the
+    first violating one. At each frame sample, the run also stops, after logging
+    the sample:
+    - where it merges into the earlier re-run of `memo.frames` with the same
+      frame state, taking that run's verdict;
+    - where it fast-forwards: its frame state repeats the one of the frame
       before, apart from t, in a world still since then (see the module
-      docstring): it stops there, after logging the sample, with the verdict of
-      its closing sample as `trace.verdict`, counted in `memo.fast_forwards`."""
+      docstring). It takes the verdict of its closing sample, and counts in
+      `memo.fast_forwards`.
+    Every monitored run ends in one place: `trace.verdict` is the merged or
+    resting verdict, else the monitor's first violation, else the mission
+    violation, if any; and every frame state the run passed goes into
+    `memo.frames` with that verdict. Without `monitor`, `trace.verdict` stays
+    None."""
     plan = plan or SubstitutionPlan()
     bus = Bus()
     trace = bus.trace
@@ -200,10 +211,9 @@ def run_scheduler(scenario: Scenario, ads: AdsConfig,
     faults = {c: [f for f in ads.faults if f.target is c] for c in ComponentId}
     windows = {c: active_states(m) for c, m in plan.modes.items()}
     ideal: set[ComponentId] = set()  # substitutes active at the current state index
-    if memo is not None:
-        memo.pending = []
     still = still_from(scenario, ads.faults) if monitor is not None else 0
-    last_frame = None  # the frame state of the frame sample before
+    passed: list[tuple] = []  # the frame states this run passed
+    verdict = None  # set where a merge or a fast-forward decides the run
 
     def fire(component: ComponentId, t: SimTime) -> tuple[Any, bool, dict[str, int]]:
         """Payload, fault flag and consumed input seqs of one firing. Every
@@ -242,23 +252,23 @@ def run_scheduler(scenario: Scenario, ads: AdsConfig,
         ideal = {c for c, (lo, hi) in windows.items() if lo <= index <= hi}
         if monitor is not None and t % FRAME_MS == 0:
             frame = frame_state(t, windows, index, ego, monitor.heading)
-            if memo is not None:
-                merged = memo.frames.get(frame)
-                if merged is not None:
-                    memo.merges += 1
-                    trace.verdict = merged
-                    return trace
-                memo.pending.append(frame)
-            if (last_frame is not None and frame[1:] == last_frame[1:]
-                    and t - FRAME_MS >= still):
-                if memo is not None:
-                    memo.fast_forwards += 1
-                trace.verdict = _resting_verdict(scenario, trace, t, monitor.config)
-                return trace
-            last_frame = frame
-        if ((monitor is not None and monitor.violated(wp))
-                or _contact(ego, ego_half, ego_r, objects.near(ego.p), t, trace)):
-            return trace
+            verdict = memo.frames.get(frame)
+            if verdict is not None:
+                memo.merges += 1
+                break
+            if passed and frame[1:] == passed[-1][1:] and t - FRAME_MS >= still:
+                memo.fast_forwards += 1
+                verdict = _resting_verdict(scenario, trace, t, monitor.config)
+            passed.append(frame)
+            if verdict is not None:
+                break
+        if monitor is not None and monitor.violated(wp):
+            break
+        contact = safe_distance_at(wp, ego.heading, ego_half, ego_r, objects.near(ego.p),
+                                   ANY_GAP)
+        if contact is not None:
+            trace.diagnostics.append(f"contact t={t} object={contact[0]}")
+            break
         for component in TICK_PRIORITY:
             if t % DEFAULT_PERIODS[component] == 0:
                 try:
@@ -280,34 +290,17 @@ def run_scheduler(scenario: Scenario, ads: AdsConfig,
         else:
             cmd = bus.latest(ComponentId.CONTROL).payload
             ego = step_ego(ego, cmd.accel_cmd, cmd.steer, end - t)
-    if scenario.t_max % SAMPLE_MS == 0:  # closing sample, not a state of its own
-        wp = ego.sample(scenario.t_max)
-        trace.ego_log.append(wp)
-        if monitor is not None:
-            monitor.violated(wp)
+    else:
+        if scenario.t_max % SAMPLE_MS == 0:  # closing sample, not a state of its own
+            wp = ego.sample(scenario.t_max)
+            trace.ego_log.append(wp)
+            if monitor is not None:
+                monitor.violated(wp)
+    if monitor is not None:
+        trace.verdict = verdict or _verdict(
+            monitor.violation or mission_violation(trace.ego_log, scenario, monitor.config))
+        memo.frames.update(dict.fromkeys(passed, trace.verdict))
     return trace
-
-
-def _contact(ego: EgoState, ego_half, ego_r, trackers: list[ObjectTracker], t: SimTime,
-             trace: Trace) -> bool:
-    probe = None
-    for trk in trackers:
-        other = trk.box_at(t)
-        dx, dy = other.center[0] - ego.p[0], other.center[1] - ego.p[1]
-        lim = ego_r + trk.radius
-        if dx * dx + dy * dy > lim * lim:
-            continue
-        if probe is None:
-            ego_box = OrientedBox(ego.p, ego_half, ego.heading)
-            probe = SatProbe(ego_box, ego_box.corners())
-        if (probe.separated(trk.fixed, 1e-9) if trk.fixed is not None
-                else obb_separation_at_least(ego_box, other, 1e-9, probe.corners,
-                                             other.corners())):
-            continue
-        if min_obb_distance(ego_box, other) <= 0.0:
-            trace.diagnostics.append(f"contact t={t} object={trk.obj.id}")
-            return True
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -351,13 +344,13 @@ def rtest(scenario: Scenario, ads: AdsConfig, oracles: OracleConfig) -> RunResul
 
 class ForkMemo:
     """The verdicts of the simulated re-runs of one original run, by each frame
-    state they passed (see `run_scheduler`). `merges` counts the re-runs that
-    merged into an earlier re-run at a frame state, and `fast_forwards` those
-    that stopped where their frame state repeats."""
+    state they passed, which `run_scheduler` records as each re-run ends.
+    `merges` counts the re-runs that merged into an earlier re-run at a frame
+    state, and `fast_forwards` those that stopped where their frame state
+    repeats."""
 
     def __init__(self) -> None:
         self.frames: dict[tuple, Verdict] = {}
-        self.pending: list[tuple] = []  # frame states of the re-run being simulated
         self.merges = 0
         self.fast_forwards = 0
 
@@ -432,11 +425,11 @@ def run_with_substitution(scenario: Scenario, ads: AdsConfig, plan: Substitution
     or speeding violation lies in that prefix, or when no substitute ever does
     so. Otherwise it resumes from the original's checkpoint at the fork and stops
     at its first safe-distance or speeding violation; the verdict then holds that
-    violation, or else the mission violation, if any. With `memo` it may also stop
-    at a frame sample where it merges into an earlier re-run (`run_scheduler`),
-    and takes that run's verdict: one that forked at the same state, with the
+    violation, or else the mission violation, if any. It may also stop at a frame
+    sample where it merges into an earlier re-run of `memo` (`run_scheduler`),
+    and take that run's verdict: one that forked at the same state, with the
     same substitutes active from there on, merges at the first frame sample at or
-    after the fork.
+    after the fork. Without `memo` the re-run shares frame states with no other.
 
     A re-run also stops at a frame sample where it has come to rest in a still
     world: its frame state repeats the one of the frame before, apart from t,
@@ -446,7 +439,7 @@ def run_with_substitution(scenario: Scenario, ads: AdsConfig, plan: Substitution
     sample the full run would log: the logged sample at the same phase of the
     period, at the full run's last sample time. Its trace ends at the fixed
     point, so its ego log is a prefix of the full run's. A run without `origin`
-    has no monitor and never stops early.
+    has no monitor, and stops early only at a contact.
     """
     if origin is None:
         trace = run_scheduler(scenario, ads, plan)
@@ -472,10 +465,5 @@ def run_with_substitution(scenario: Scenario, ads: AdsConfig, plan: Substitution
         heading = carried_heading(w, heading)
     monitor = SampleMonitor(scenario, oracles, heading)
     trace = run_scheduler(scenario, ads, plan, fork=(origin, fork), monitor=monitor,
-                          memo=memo)
-    if trace.verdict is None:
-        trace.verdict = _verdict(monitor.violation
-                                 or mission_violation(trace.ego_log, scenario, oracles))
-    if memo is not None:
-        memo.frames.update(dict.fromkeys(memo.pending, trace.verdict))
+                          memo=memo or ForkMemo())
     return trace.verdict, trace

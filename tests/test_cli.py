@@ -319,6 +319,10 @@ def test_replay_malformed_record_exit_two(tmp_path, capsys, line, field_path):
      "instances[0].fault.kind"),
     (lambda doc: doc["instances"][0].update(note="x"), "instances[0].note: unknown key"),
     (lambda doc: doc.update(instance=[]), "instance: unknown key"),
+    (lambda doc: doc["instances"].append(dict(doc["instances"][0])),
+     "instances[1].id: duplicate id 'cs1_plan_none'"),
+    (lambda doc: doc["instances"][0].update(expected_violation="safe_distanse"),
+     "instances[0].expected_violation: unknown kind 'safe_distanse'"),
 ])
 def test_bench_malformed_instance_exit_two(tmp_path, capsys, edit, field_path):
     doc = {"instances": [INSTS["cs1_plan_none"].to_dict()]}

@@ -3,13 +3,14 @@ import gc
 import pytest
 
 from causetrace import runner
+from causetrace.geometry import OrientedBox
 from causetrace.middleware import ComponentId
 from causetrace.oracles import OracleConfig
 from causetrace.runner import AdsConfig, SimPanic, run_scheduler, run_with_substitution, rtest
 from causetrace.scenario import scenario_from_dict
 from causetrace.substitutes import IdealAll, SubstitutionPlan, sim_control_apply
 from causetrace.world import EgoState
-from conftest import straight_road_doc
+from conftest import static_object, straight_road_doc
 
 
 def _panicking_perception(monkeypatch):
@@ -81,6 +82,21 @@ def test_ego_log_ends_at_collision_tick():
     # No messages were published after the collision tick.
     for row in res.trace.rows.values():
         assert all(m.t_pub <= t_contact for m in row)
+
+
+@pytest.mark.parametrize("gap, stops_at_start", [(0.0, True), (1e-12, False)])
+def test_touching_box_is_a_contact_and_a_tiny_gap_is_not(gap, stops_at_start):
+    # A static 0.5 m box whose rear face lies `gap` ahead of the ego's front face
+    # at t=0: touching is a contact, and the smallest gap is not.
+    sc = scenario_from_dict(straight_road_doc())
+    front = max(x for x, _ in OrientedBox(sc.a_init[0], sc.ego_half, sc.a_init[1]).corners())
+    box = static_object(size=(0.5, 0.5, 0.7), p=(front + 0.25 + gap, 0.0))
+    sc = scenario_from_dict(straight_road_doc(objects=[box]))
+    rear = sc.objects[0].waypoints[0].p[0] - 0.25
+    assert (rear == front) is stops_at_start and rear - front == pytest.approx(gap, abs=1e-15)
+    trace = run_scheduler(sc, AdsConfig())
+    assert (trace.ego_log[-1].t == 0) is stops_at_start
+    assert ("contact t=0 object=blk" in trace.diagnostics) is stops_at_start
 
 
 def test_latest_reflects_substituted_payload():

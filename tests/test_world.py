@@ -5,9 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from causetrace.geometry import OrientedBox, min_obb_distance, obb_separation_at_least
+from causetrace.geometry import ANY_GAP, OrientedBox, min_obb_distance, obb_separation_at_least
 from causetrace.oracles import safe_distance_at
-from causetrace.runner import _contact
 from causetrace.scenario import (TrafficObject, Waypoint, bbox_at, object_pose_at,
                                  scenario_from_dict)
 from causetrace.substitutes import ideal_perception
@@ -164,8 +163,8 @@ def test_object_tracker_builds_static_box_once(monkeypatch):
 
 
 def contact_reference(ego, ego_half, ego_r, trackers, t, trace) -> bool:
-    """runner._contact's body from before the broadphase and the corner reuse,
-    run over every tracker."""
+    """The scheduler's contact test from before the broadphase and the corner
+    reuse, with its 1e-9 separating-axis pre-filter, run over every tracker."""
     ego_box = None
     for trk in trackers:
         other = trk.box_at(t)
@@ -282,25 +281,44 @@ def test_broadphase_keeps_every_circle_hit(objects, data, ego_r, c):
         assert kept(broad.near(p), t, p) == kept(full, t, p)
 
 
-@settings(max_examples=300, deadline=None)
-@given(objects=scenes(), data=st.data(), half=st.tuples(st.floats(0.05, 3.0),
-                                                          st.floats(0.05, 1.5)),
-       c=reaches["c"])
-def test_broadphase_checks_equal_full_scans(objects, data, half, c):
-    # safe_distance_at and _contact over near() return the hit, distance, detail
-    # and diagnostic of the pre-broadphase loops over every object.
+def checks_equal_full_scans(objects, data, half, c):
+    # safe_distance_at over near(), at c and at ANY_GAP as the scheduler's
+    # contact test, returns the hit, distance, detail and contact diagnostic of
+    # the pre-broadphase loops over every object.
     ego_r = math.hypot(*half)
     safe, safe_ref = Broadphase(objects, ego_r + c), [ObjectTracker(o) for o in objects]
     contact, contact_ref = Broadphase(objects, ego_r), [ObjectTracker(o) for o in objects]
-    got, want = SimpleNamespace(diagnostics=[]), SimpleNamespace(diagnostics=[])
+    got, want = [], SimpleNamespace(diagnostics=[])
     for t, p, heading in sample_points(data, objects, ego_r, c):
         w = Waypoint(p, (0.0, 0.0), (0.0, 0.0), t)
         assert (safe_distance_at(w, heading, half, ego_r, safe.near(p), c)
                 == safe_distance_reference(w, heading, half, ego_r, safe_ref, c))
+        hit = safe_distance_at(w, heading, half, ego_r, contact.near(p), ANY_GAP)
+        if hit is not None:
+            got.append(f"contact t={t} object={hit[0]}")
         ego = EgoState(p, heading, 0.0, 0.0, t)
-        assert (_contact(ego, half, ego_r, contact.near(p), t, got)
-                == contact_reference(ego, half, ego_r, contact_ref, t, want))
-        assert got.diagnostics == want.diagnostics
+        assert (hit is not None) == contact_reference(ego, half, ego_r, contact_ref, t, want)
+        assert got == want.diagnostics
+
+
+broadphase_checks = dict(objects=scenes(), data=st.data(),
+                         half=st.tuples(st.floats(0.05, 3.0), st.floats(0.05, 1.5)),
+                         c=reaches["c"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(**broadphase_checks)
+def test_broadphase_checks_equal_full_scans(objects, data, half, c):
+    checks_equal_full_scans(objects, data, half, c)
+
+
+@pytest.mark.slow
+@settings(max_examples=5000, deadline=None)
+@given(**broadphase_checks)
+def test_broadphase_checks_equal_full_scans_many(objects, data, half, c):
+    # The contact test asks for any positive separating gap, where the reference
+    # pre-filters at 1e-9 m; they could only disagree on boxes closer than that.
+    checks_equal_full_scans(objects, data, half, c)
 
 
 def test_broadphase_pads_its_cells():
