@@ -46,8 +46,8 @@ def safe_distance_at(w: Waypoint | TrajPoint, heading: float, half: tuple[float,
                      ego_r: float, trackers: list[ObjectTracker], c: float
                      ) -> tuple[str, float, str] | None:
     """(object id, distance, detail) of the first object whose box is closer than c
-    to the ego box at one sample or planned pose; None if all are far enough. The
-    trackers are queried at w.t, so samples must come in time order."""
+    to the ego box at one sample or planned pose, with the trackers queried at
+    w.t; None if all are far enough."""
     probe = None
     for trk in trackers:
         other = trk.box_at(w.t)
@@ -82,12 +82,17 @@ def check_mission(ego_log: list[Waypoint], a_dest, tolerance: float) -> bool:
     return vec_dist(ego_log[-1].p, a_dest) <= tolerance
 
 
-def speeding_at(w: Waypoint, lane_map, tolerance: float) -> tuple[float, float] | None:
-    """(speed, limit) if the sample exceeds its lane's limit; off-lane never does."""
-    speed = math.hypot(*w.v)
-    if speed < 0.5:
-        return None  # cannot exceed any positive limit worth checking
-    hit = lane_at(lane_map, w.p)
+def speed_floor(lane_map, tolerance: float) -> float:
+    """The lowest lane limit plus the tolerance: no speed at or below it can be
+    speeding, so it needs no lane lookup."""
+    return min((lane.speed_limit + tolerance for lane in lane_map.lanes), default=math.inf)
+
+
+def speeding_at(p: Vec2, speed: float, lane_map,
+                tolerance: float) -> tuple[float, float] | None:
+    """(speed, limit) if a sample or planned point at p exceeds its lane's limit;
+    off-lane never does."""
+    hit = lane_at(lane_map, p)
     if hit is None:
         return None
     limit = hit[0].speed_limit
@@ -128,10 +133,7 @@ class SampleMonitor:
     def __init__(self, scenario: Scenario, config: OracleConfig, heading: float):
         self.config = config
         self.lane_map = scenario.map
-        # No sample at or below the lowest limit plus tolerance can speed, so it
-        # needs no lane lookup.
-        self.speed_floor = min((lane.speed_limit + config.speed_tolerance
-                                for lane in scenario.map.lanes), default=math.inf)
+        self.speed_floor = speed_floor(scenario.map, config.speed_tolerance)
         self.half, self.ego_r = scenario.ego_half, scenario.ego_radius
         self.objects = safe_distance_objects(scenario, config)
         self.heading = heading
@@ -158,12 +160,12 @@ class SampleMonitor:
                 self.first[SAFE_DISTANCE] = {"kind": SAFE_DISTANCE, "t": w.t,
                                              "object_id": obj_id, "distance": d,
                                              "detail": detail}
-        if self._watching(SPEEDING) and math.hypot(*w.v) > self.speed_floor:
-            hit = speeding_at(w, self.lane_map, self.config.speed_tolerance)
+        speed = math.hypot(*w.v)
+        if self._watching(SPEEDING) and speed > self.speed_floor:
+            hit = speeding_at(w.p, speed, self.lane_map, self.config.speed_tolerance)
             if hit is not None:
-                speed, limit = hit
                 self.first[SPEEDING] = {"kind": SPEEDING, "t": w.t, "speed": speed,
-                                        "limit": limit}
+                                        "limit": hit[1]}
         return len(self.first) > found
 
 
@@ -221,17 +223,15 @@ def planning_message_violates(plan: PlanningOut, t: SimTime, scenario: Scenario,
     check itself stays a pure function.
     """
     half, ego_r = scenario.ego_half, scenario.ego_radius
-    c = oracles.safe_distance_c
-    # Point times rise within a message, and start again at the next one.
-    objects.rewind()
+    c, tolerance = oracles.safe_distance_c, oracles.speed_tolerance
+    floor = speed_floor(scenario.map, tolerance)
     for pt in plan.trajectory:
         if safe_distance_at(pt, pt.heading, half, ego_r, objects.near(pt.p),
                             c) is not None:
             return True
-        if pt.speed > 0.5:
-            hit = lane_at(scenario.map, pt.p)
-            if hit is not None and pt.speed > hit[0].speed_limit + oracles.speed_tolerance:
-                return True
+        if pt.speed > floor and speeding_at(pt.p, pt.speed, scenario.map,
+                                            tolerance) is not None:
+            return True
 
     if trajectory_is_held(plan) and held_ms >= STALL_PERSISTENCE_MS:
         if vec_dist(ego_p, scenario.a_dest) > oracles.dest_tolerance:

@@ -22,8 +22,6 @@ SimTime = int  # integer milliseconds
 KINDS = ("Pedestrian", "Vehicle", "StaticObstacle", "Infrastructure")
 SIGNAL_COLORS = ("Red", "Yellow", "Green")
 
-_waypoint_t = attrgetter("t")
-
 
 class ParseError(Exception):
     """Scenario file is not valid JSON or misses required structure."""
@@ -52,6 +50,11 @@ class TrafficObject:
     size: tuple[float, float, float]  # length, width, height
     waypoints: tuple[Waypoint, ...]
     heading_override: float | None = None
+
+    @cached_property
+    def times(self) -> tuple[SimTime, ...]:
+        """The waypoint times, in order: what `object_pose_at` bisects."""
+        return tuple(w.t for w in self.waypoints)
 
     @cached_property
     def is_static(self) -> bool:
@@ -156,10 +159,8 @@ class Scenario:
 # geometry queries
 
 
-def object_pose_at(obj: TrafficObject, t: SimTime,
-                   i: int | None = None) -> tuple[Vec2, Vec2, Vec2]:
-    """Pose (p, v, a) at time t: linear interpolation, clamped outside the script.
-    `i`, if given, is the index of the last waypoint at or before t."""
+def object_pose_at(obj: TrafficObject, t: SimTime) -> tuple[Vec2, Vec2, Vec2]:
+    """Pose (p, v, a) at time t: linear interpolation, clamped outside the script."""
     wps = obj.waypoints
     if t <= wps[0].t:
         w = wps[0]
@@ -167,8 +168,7 @@ def object_pose_at(obj: TrafficObject, t: SimTime,
     if t >= wps[-1].t:
         w = wps[-1]
         return w.p, w.v, w.a
-    if i is None:
-        i = bisect_right(wps, t, key=_waypoint_t) - 1
+    i = bisect_right(obj.times, t) - 1
     w0, w1 = wps[i], wps[i + 1]
     u = (t - w0.t) / (w1.t - w0.t)
     return vec_lerp(w0.p, w1.p, u), vec_lerp(w0.v, w1.v, u), w0.a
@@ -291,8 +291,11 @@ def lane_at(lane_map: LaneMap, p: Vec2) -> tuple[Lane, float, float] | None:
 
 
 def parse_number(raw, path: str, kind: type = float):
-    """`kind(raw)` for a finite JSON number (or numeric string); ParseError otherwise."""
-    if isinstance(raw, (int, float, str)):
+    """`kind(raw)` for a finite JSON number (or numeric string), integral for an
+    `int` field; ParseError otherwise. A JSON boolean is not a number."""
+    if isinstance(raw, (int, float, str)) and not isinstance(raw, bool):
+        if kind is int and isinstance(raw, float) and not raw.is_integer():
+            raise ParseError(f"{path}: expected an integer, got {raw!r}")
         try:
             value = kind(raw)
             if math.isfinite(value):
@@ -415,9 +418,11 @@ def _parse_signal(raw: dict, idx: int, t_max: SimTime) -> TrafficSignal:
         t_start = parse_number(ph["t_start_ms"], f"{ph_path}.t_start_ms", int)
         t_end = parse_number(ph["t_end_ms"], f"{ph_path}.t_end_ms", int)
         phases.append(SignalPhase(t_start, t_end, color))
-    phases.sort(key=lambda p: p.t_start)
+    # In time order, each named by its index in the file.
+    order = sorted(range(len(phases)), key=lambda i: phases[i].t_start)
     cursor = 0
-    for i, ph in enumerate(phases):
+    for i in order:
+        ph = phases[i]
         if ph.t_start != cursor:
             raise ValidationError(f"{path}.phases[{i}]", "phases must be contiguous from 0")
         if ph.t_end <= ph.t_start:
@@ -425,7 +430,7 @@ def _parse_signal(raw: dict, idx: int, t_max: SimTime) -> TrafficSignal:
         cursor = ph.t_end
     if cursor < t_max:
         raise ValidationError(f"{path}.phases", f"phases must cover [0, {t_max})")
-    return TrafficSignal(sig_id, stop_line, tuple(phases))
+    return TrafficSignal(sig_id, stop_line, tuple(phases[i] for i in order))
 
 
 def _reachable_lanes(lane_map: LaneMap, start: str) -> set[str]:

@@ -57,28 +57,20 @@ def step_ego(state: EgoState, accel_cmd: float, steer: float, dt: SimTime) -> Eg
 
 
 class ObjectTracker:
-    """The scenario's object model cached along a monotone time axis.
-
-    Queries must come in non-decreasing t. The segment index advances instead of
-    being searched for, and a static object's box is built once, with what a
-    separating-axis test needs of it (`fixed`, None for a moving object); poses
-    and boxes are those of `scenario.object_pose_at` / `scenario.bbox_at`.
+    """One object of the scenario model with what a run keeps of it: the radius of
+    the circle that holds its box and, for a static object, its box built once
+    with what a separating-axis test needs of it (`fixed`, None for a moving
+    object). Poses and boxes are those of `scenario.object_pose_at` /
+    `scenario.bbox_at`, asked at any t in any order.
     """
 
     def __init__(self, obj: TrafficObject):
         self.obj = obj
         self.radius = math.hypot(obj.size[0] / 2.0, obj.size[1] / 2.0)
-        self._idx = 0
         self.fixed = FixedBox(bbox_at(obj, obj.waypoints[0].t)) if obj.is_static else None
 
     def pose_at(self, t: SimTime) -> tuple[Vec2, Vec2]:
-        wps = self.obj.waypoints
-        n = len(wps)
-        i = self._idx
-        while i + 1 < n and wps[i + 1].t <= t:
-            i += 1
-        self._idx = i
-        p, v, _ = object_pose_at(self.obj, t, i)
+        p, v, _ = object_pose_at(self.obj, t)
         return p, v
 
     def box_at(self, t: SimTime) -> OrientedBox:
@@ -111,13 +103,6 @@ class Broadphase:
             cx, cy = self.trackers[i].fixed.box.center
             self._buckets.setdefault((math.floor(cx / cell), math.floor(cy / cell)), []).append(i)
         self._hoods: dict[tuple[int, int], list[ObjectTracker]] = {}  # trackers per neighbourhood
-
-    def rewind(self) -> None:
-        """Let queries start again from any t, as fresh trackers would: every
-        moving tracker goes back to its first segment. The static trackers and
-        the grid keep no time."""
-        for i in self._moving:
-            self.trackers[i]._idx = 0
 
     def near(self, p: Vec2) -> list[ObjectTracker]:
         if not self._buckets:

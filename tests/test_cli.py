@@ -153,6 +153,25 @@ MALFORMED = {
     "oracle_negative_c": (None, None, {"safe_distance_c": -1}, "safe_distance_c"),
     "oracle_unknown_key": (None, None, {"safe_distance": 2.0}, "safe_distance: unknown key"),
     "oracle_unknown_kind": (None, None, {"enabled": ["speedng"]}, "enabled[0]"),
+    # Integer fields take integral numbers only, and no field takes a boolean.
+    "t_max_not_integral": (lambda d: _set(d, "t_max_ms", 999.9), None, None,
+                           "t_max_ms: expected an integer"),
+    "seed_not_integral": (lambda d: _set(d, "seed", 7.9), None, None,
+                          "seed: expected an integer"),
+    "waypoint_t_boolean": (
+        lambda d: _set(d, "objects", [{
+            "id": "o", "kind": "Vehicle", "size": [4.0, 1.8, 1.5],
+            "waypoints": [{"t_ms": True, "p": [50, 0], "v": [0, 0], "a": [0, 0]}]}]),
+        None, None, "objects[0].waypoints[0].t_ms: expected a finite number"),
+    "lane_width_boolean": (lambda d: d["map"]["lanes"][0].update(width=True) or d,
+                           None, None, "map.lanes[0].width"),
+    "fault_trigger_t0_not_integral": (None, {
+        "target": "perception", "kind": "miss_detection", "trigger": {"t0_ms": 1500.7}},
+        None, "fault.trigger.t0_ms: expected an integer"),
+    "fault_magnitude_boolean": (None, {
+        "target": "perception", "kind": "wrong_lateral_distance",
+        "magnitude": {"offset": True}}, None, "fault.magnitude.offset"),
+    "oracle_c_boolean": (None, None, {"safe_distance_c": True}, "safe_distance_c"),
 }
 
 
@@ -302,6 +321,9 @@ def test_replay_corrupt_trace_exit_two(tmp_path):
     ("[1,2]", "line 2: expected an object"),
     ('{"kind":"ego","t":0,"p":[0,0],"v":[0],"a":[0,0]}', "line 2.v"),
     ('{"t":0}', "line 2.kind"),
+    ('{"kind":"ego","t":1.5,"p":[0,0],"v":[0,0],"a":[0,0]}', "line 2.t: expected an integer"),
+    ('{"kind":"ego","t":true,"p":[0,0],"v":[0,0],"a":[0,0]}', "line 2.t"),
+    ('{"kind":"ego","t":0,"p":[false,0],"v":[0,0],"a":[0,0]}', "line 2.p[0]"),
 ])
 def test_replay_malformed_record_exit_two(tmp_path, capsys, line, field_path):
     bad = tmp_path / "bad.jsonl"

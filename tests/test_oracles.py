@@ -99,7 +99,7 @@ def test_mission_fails_when_frozen():
 
 
 @settings(max_examples=200, deadline=None)
-@given(limits=st.tuples(st.floats(0.5, 30.0), st.floats(0.5, 30.0)),
+@given(limits=st.tuples(st.floats(0.05, 30.0), st.floats(0.05, 30.0)),
        tolerance=st.one_of(st.just(0.0), st.floats(0.0, 2.0)), data=st.data())
 def test_speeding_floor_skips_only_samples_that_cannot_speed(limits, tolerance, data):
     # Around the lowest limit plus tolerance, on either lane or off both, the
@@ -118,7 +118,23 @@ def test_speeding_floor_skips_only_samples_that_cannot_speed(limits, tolerance, 
         y = data.draw(st.sampled_from([0.0, 3.5, 20.0]))
         w = Waypoint((50.0, y), (speed, 0.0), (0.0, 0.0), 0)
         monitor = SampleMonitor(sc, config, 0.0)
-        assert monitor.violated(w) == (speeding_at(w, sc.map, tolerance) is not None)
+        assert monitor.violated(w) == (speeding_at(w.p, speed, sc.map, tolerance) is not None)
+
+
+@pytest.mark.parametrize("limit, speed", [(0.3, 0.45), (0.4, 0.5)])
+def test_speeding_on_slow_lanes(limit, speed):
+    # However slow the lane, a sample or a planned point over its limit is
+    # speeding, in the run oracle and in the planning check alike.
+    doc = straight_road_doc()
+    for lane in doc["map"]["lanes"]:
+        lane["speed_limit"] = limit
+    sc = scenario_from_dict(doc)
+    hit = speeding_hit(ego_log_straight(speed=speed), sc, 0.0)
+    assert (hit["t"], hit["speed"], hit["limit"]) == (0, speed, limit)
+    plan = PlanningOut(cruise_traj(speed=speed), "Cruise", ("cruise",))
+    oracles = OracleConfig(speed_tolerance=0.0)
+    assert planning_message_violates(plan, 0, sc, make_planner_context(sc), oracles,
+                                     safe_distance_objects(sc, oracles), (5.0, 0.0), 0)
 
 
 def test_speeding_none_below_limit():
@@ -312,7 +328,7 @@ def test_message_check_is_pure():
 def test_scan_objects_start_again_at_each_message():
     # One set of object trackers serves a whole planning scan, and point times
     # fall back at each message: a later message must find the turning car where
-    # fresh trackers would, not on the segment the earlier message reached.
+    # fresh trackers would, whatever an earlier message asked.
     car = {"id": "car", "kind": "Vehicle", "size": [4.4, 1.8, 1.5],
            "waypoints": [{"t_ms": 0, "p": [30.0, 3.5], "v": [5.0, 0.0], "a": [0, 0]},
                          {"t_ms": 2500, "p": [42.5, 3.5], "v": [0.0, 2.6], "a": [0, 0]},

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from causetrace.geometry import vec_lerp
 from causetrace.scenario import (Lane, LaneMap, ParseError, PolylineTable, TrafficObject,
                                  ValidationError, Waypoint, bbox_at, lane_at,
-                                 load_scenario, object_pose_at, save_scenario,
+                                 load_scenario, object_pose_at, parse_number, save_scenario,
                                  scenario_from_dict, scenario_to_dict)
 from conftest import static_object, straight_road_doc
 
@@ -259,6 +259,31 @@ def test_missing_key_reported_at_every_level(where, key, path):
     del where(doc)[key]
     with pytest.raises(ParseError, match=rf"^{re.escape(path)}: missing key '{key}'$"):
         scenario_from_dict(doc)
+
+
+@pytest.mark.parametrize("raw, want", [(5000, 5000), (5000.0, 5000), ("5000", 5000),
+                                       (-0.0, 0), (2**63, 2**63)])
+def test_integer_fields_take_integral_numbers(raw, want):
+    got = parse_number(raw, "t_max_ms", int)
+    assert (got, type(got)) == (want, int)
+
+
+@pytest.mark.parametrize("raw, kind", [(4999.9, int), ("4999.9", int), (True, int),
+                                       (False, int), (True, float), (math.inf, int)])
+def test_number_fields_reject_non_integral_and_boolean(raw, kind):
+    with pytest.raises(ParseError, match=r"^t_max_ms: expected "):
+        parse_number(raw, "t_max_ms", kind)
+
+
+def test_signal_phase_error_names_the_phase_in_the_file():
+    # The phases are checked in time order, but named by their index in the file.
+    doc = straight_road_doc(signals=[{"id": "s1", "stop_line": [80.0, 0.0], "phases": [
+        {"t_start_ms": 3000, "t_end_ms": 3000, "color": "Green"},
+        {"t_start_ms": 0, "t_end_ms": 3000, "color": "Red"}]}])
+    with pytest.raises(ValidationError, match=r"^signals\[0\]\.phases\[0\]: empty phase"):
+        scenario_from_dict(doc)
+    doc["signals"][0]["phases"][0]["t_end_ms"] = 5000
+    assert [ph.color for ph in scenario_from_dict(doc).signals[0].phases] == ["Red", "Green"]
 
 
 def test_signal_phase_gaps_rejected():

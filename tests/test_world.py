@@ -135,13 +135,13 @@ def test_ground_truth_matches_pose_interpolation():
 
 
 def test_object_tracker_is_the_scenario_model():
-    # Along a monotone time axis the tracker gives exactly bbox_at's boxes,
-    # through the stop-and-go segments of the cs2 lead vehicle.
+    # The tracker gives exactly bbox_at's boxes, through the stop-and-go segments
+    # of the cs2 lead vehicle, asked forwards and then backwards.
     from causetrace.benchmark import load_builtin_scenario
 
     lead = object_by_id(load_builtin_scenario("cs2"), "lead")
     trk = ObjectTracker(lead)
-    for t in range(-100, 32000, 10):
+    for t in [*range(-100, 32000, 10), *range(32000, -100, -10)]:
         assert trk.box_at(t) == bbox_at(lead, t)
 
 
@@ -207,7 +207,8 @@ xy = st.floats(-60.0, 60.0)
 
 @st.composite
 def scenes(draw) -> tuple[TrafficObject, ...]:
-    """Static and moving objects of mixed sizes, some sharing a center."""
+    """Static and moving objects of mixed sizes, some sharing a center; a moving
+    object drives one to three segments, each at its own velocity, possibly zero."""
     objects = []
     centers = [(0.0, 0.0)]
     for i in range(draw(st.integers(0, 10))):
@@ -217,11 +218,14 @@ def scenes(draw) -> tuple[TrafficObject, ...]:
         if draw(st.booleans()):
             wps = (Waypoint(p, (0.0, 0.0), (0.0, 0.0), 0),)
         else:
-            v = (draw(st.floats(-15.0, 15.0)), draw(st.floats(-15.0, 15.0)))
-            t1 = draw(st.integers(100, 2000))
-            wps = (Waypoint(p, v, (0.0, 0.0), 0),
-                   Waypoint((p[0] + v[0] * t1 / 1000.0, p[1] + v[1] * t1 / 1000.0), v,
-                            (0.0, 0.0), t1))
+            wps, t = [], 0
+            for _ in range(draw(st.integers(1, 3))):
+                v = draw(st.one_of(st.just((0.0, 0.0)), st.tuples(st.floats(-15.0, 15.0),
+                                                                   st.floats(-15.0, 15.0))))
+                wps.append(Waypoint(p, v, (0.0, 0.0), t))
+                dt = draw(st.integers(100, 2000))
+                p, t = (p[0] + v[0] * dt / 1000.0, p[1] + v[1] * dt / 1000.0), t + dt
+            wps = (*wps, Waypoint(p, wps[-1].v, (0.0, 0.0), t))
         heading = draw(st.one_of(st.none(), st.floats(-math.pi, math.pi)))
         objects.append(TrafficObject(f"o{i}", "StaticObstacle", size, wps, heading))
     return tuple(objects)
@@ -251,7 +255,7 @@ def sample_points(data, objects, ego_r, c) -> list[tuple[int, tuple[float, float
             [(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0), (0.6, 0.8), (-0.6, -0.8)])
         ).map(at_limit))
     n = data.draw(st.integers(1, 12))
-    times = sorted(data.draw(st.lists(st.integers(-100, 2500), min_size=n, max_size=n)))
+    times = sorted(data.draw(st.lists(st.integers(-100, 6500), min_size=n, max_size=n)))
     return [(t, data.draw(st.one_of(kinds)), data.draw(st.floats(-math.pi, math.pi)))
             for t in times]
 
@@ -319,6 +323,34 @@ def test_broadphase_checks_equal_full_scans_many(objects, data, half, c):
     # The contact test asks for any positive separating gap, where the reference
     # pre-filters at 1e-9 m; they could only disagree on boxes closer than that.
     checks_equal_full_scans(objects, data, half, c)
+
+
+def queries_in_any_order(objects, data, half, c):
+    # Trackers and a Broadphase asked at shuffled times answer as bbox_at and a
+    # fresh full scan do: no answer depends on an earlier query.
+    ego_r = math.hypot(*half)
+    broad = Broadphase(objects, ego_r + c)
+    points = data.draw(st.permutations(sample_points(data, objects, ego_r, c)))
+    for t, p, heading in points:
+        for trk in broad.trackers:
+            assert trk.box_at(t) == bbox_at(trk.obj, t)
+        w = Waypoint(p, (0.0, 0.0), (0.0, 0.0), t)
+        fresh = [ObjectTracker(o) for o in objects]
+        assert (safe_distance_at(w, heading, half, ego_r, broad.near(p), c)
+                == safe_distance_reference(w, heading, half, ego_r, fresh, c))
+
+
+@settings(max_examples=300, deadline=None)
+@given(**broadphase_checks)
+def test_queries_in_any_order(objects, data, half, c):
+    queries_in_any_order(objects, data, half, c)
+
+
+@pytest.mark.slow
+@settings(max_examples=5000, deadline=None)
+@given(**broadphase_checks)
+def test_queries_in_any_order_many(objects, data, half, c):
+    queries_in_any_order(objects, data, half, c)
 
 
 def test_broadphase_pads_its_cells():
