@@ -9,14 +9,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .geometry import (OrientedBox, SatProbe, Vec2, min_obb_distance,
                        obb_separation_at_least, point_to_obb_distance, vec_dist)
 from .middleware import Verdict
 from .payloads import PlanningOut, TrajPoint
-from .pipeline import PlannerContext
 from .scenario import Scenario, SimTime, ValidationError, Waypoint, bbox_at, lane_at
 from .world import Broadphase, ObjectTracker
+
+if TYPE_CHECKING:
+    from .pipeline import PlannerContext  # pipeline imports this module
 
 SAFE_DISTANCE = "safe_distance"
 MISSION = "mission"
@@ -45,16 +48,19 @@ def carried_heading(w: Waypoint, last: float) -> float:
 def safe_distance_at(w: Waypoint | TrajPoint, heading: float, half: tuple[float, float],
                      ego_r: float, trackers: list[ObjectTracker], c: float
                      ) -> tuple[str, float, str] | None:
-    """(object id, distance, detail) of the first object whose box is closer than c
-    to the ego box at one sample or planned pose, with the trackers queried at
-    w.t; None if all are far enough."""
+    """(object id, distance, detail) of the first tracker whose box is closer than
+    c to the ego box at one sample or planned pose, at w.t; None if all are far
+    enough. A tracker has `ObjectTracker`'s shape (`obj`, `radius`, `fixed`,
+    `center_at`, `box_at`); its box is built only if its circle comes within c."""
+    t, (px, py) = w.t, w.p
     probe = None
     for trk in trackers:
-        other = trk.box_at(w.t)
-        dx, dy = other.center[0] - w.p[0], other.center[1] - w.p[1]
+        cx, cy = trk.center_at(t)
+        dx, dy = cx - px, cy - py
         lim = ego_r + trk.radius + c
         if dx * dx + dy * dy > lim * lim:
             continue
+        other = trk.box_at(t)
         if probe is None:
             ego_box = OrientedBox(w.p, half, heading)
             probe = SatProbe(ego_box, ego_box.corners())

@@ -3,9 +3,7 @@
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
-from operator import itemgetter
 
 from .geometry import OrientedBox, Vec2
 from .scenario import SimTime
@@ -38,35 +36,42 @@ class PerceptionOut:
 
 @dataclass(frozen=True)
 class PredictedTrajectory:
+    """Predicted centres on the grid every producer emits, `t_0 + k * step`
+    (`pipeline.PREDICTION_STEP_MS`): the point before t is found by division.
+    The centre is linear between points and held outside them."""
+
     id: str
     kind: str
     half_extents: tuple[float, float]
     heading: float  # heading at the first point
-    points: tuple[tuple[SimTime, float, float], ...]  # (t_ms, x, y), strictly increasing t
+    points: tuple[tuple[SimTime, float, float], ...]  # (t_ms, x, y), on the grid
 
-    def box_at(self, t: SimTime) -> OrientedBox:
+    def _at(self, t: SimTime) -> tuple[Vec2, int]:
+        """The centre at t and the index of the point before it (-1 up to the first)."""
         pts = self.points
         if t <= pts[0][0]:
-            x, y = pts[0][1], pts[0][2]
-            return OrientedBox((x, y), self.half_extents, self.heading)
+            return pts[0][1:], -1
         if t >= pts[-1][0]:
-            x, y = pts[-1][1], pts[-1][2]
-            return OrientedBox((x, y), self.half_extents, self._heading_at(len(pts) - 1))
-        lo = bisect_right(pts, t, key=itemgetter(0)) - 1
-        t0, x0, y0 = pts[lo]
-        t1, x1, y1 = pts[lo + 1]
-        u = (t - t0) / (t1 - t0)
-        return OrientedBox((x0 + (x1 - x0) * u, y0 + (y1 - y0) * u),
-                           self.half_extents, self._heading_at(lo))
+            return pts[-1][1:], len(pts) - 1
+        u = (t - pts[0][0]) / (pts[1][0] - pts[0][0])
+        i = int(u)
+        f = u - i
+        (_, x0, y0), (_, x1, y1) = pts[i], pts[i + 1]
+        return (x0 + (x1 - x0) * f, y0 + (y1 - y0) * f), i
 
-    def _heading_at(self, i: int) -> float:
+    def center_at(self, t: SimTime) -> Vec2:
+        return self._at(t)[0]
+
+    def box_at(self, t: SimTime) -> OrientedBox:
+        """The box at t, headed along the segment that holds t (the last one after
+        the last point), or by `heading` up to the first point and while still."""
+        center, i = self._at(t)
         pts = self.points
         j = min(i + 1, len(pts) - 1)
-        k = max(0, j - 1)
-        dx, dy = pts[j][1] - pts[k][1], pts[j][2] - pts[k][2]
-        if dx == 0.0 and dy == 0.0:
-            return self.heading
-        return math.atan2(dy, dx)
+        (_, x0, y0), (_, x1, y1) = pts[max(0, j - 1)], pts[j]
+        dx, dy = x1 - x0, y1 - y0
+        heading = self.heading if dx == 0.0 and dy == 0.0 else math.atan2(dy, dx)
+        return OrientedBox(center, self.half_extents, heading)
 
 
 @dataclass(frozen=True)

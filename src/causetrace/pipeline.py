@@ -18,7 +18,9 @@ from operator import attrgetter
 from .faults import (FaultSpec, apply_control_faults, apply_localization_faults,
                      apply_perception_faults, apply_planning_faults,
                      apply_prediction_faults)
-from .geometry import OrientedBox, Vec2, min_obb_distance
+# perfbench/tracer.py patches min_obb_distance here; nothing in this module calls it.
+from .geometry import FixedBox, OrientedBox, Vec2, min_obb_distance  # noqa: F401
+from .oracles import safe_distance_at
 from .payloads import (ControlOut, LocalizationOut, PerceivedObject, PerceptionOut,
                        PlanningOut, PredictedTrajectory, PredictionOut, TrajPoint)
 from .scenario import PolylineTable, Scenario, SimTime, TrafficSignal, lane_at
@@ -198,54 +200,28 @@ def _gen_trajectory(ctx: PlannerContext, t: SimTime, loc: LocalizationOut, s0: f
     return tuple(out)
 
 
-def _first_conflict(ctx: PlannerContext, traj: tuple[TrajPoint, ...],
-                    pred: PredictionOut) -> tuple[int, float] | None:
-    """Earliest (point index, route s of ego) where a predicted box gets too close."""
-    from .geometry import obb_separation_at_least
+class _Candidate:
+    """A predicted trajectory in `world.ObjectTracker`'s shape; `fixed` if it never moves."""
 
-    threshold = CONFLICT_CLEAR
-    ego_r = ctx.ego_radius
-    items = []
-    for tr in pred.trajectories:
-        if tr.kind == "Infrastructure":
-            continue  # lane furniture is not an avoidance target
-        pts = tr.points
-        static = pts[0][1:] == pts[-1][1:]
-        box0 = tr.box_at(pts[0][0]) if static else None
-        step = pts[1][0] - pts[0][0] if len(pts) > 1 else 1
-        items.append((tr, static, box0, math.hypot(*tr.half_extents), step))
-    for k, pt in enumerate(traj):
-        if k == 0:
-            continue  # current pose is given, not plannable
-        ego_box = None
-        px, py = pt.p
-        for tr, static, box0, r, step in items:
-            if static:
-                cx, cy = box0.center
-            else:
-                pts = tr.points
-                u = (pt.t - pts[0][0]) / step
-                i = int(u)
-                if i < 0:
-                    cx, cy = pts[0][1], pts[0][2]
-                elif i >= len(pts) - 1:
-                    cx, cy = pts[-1][1], pts[-1][2]
-                else:
-                    f = u - i
-                    cx = pts[i][1] + (pts[i + 1][1] - pts[i][1]) * f
-                    cy = pts[i][2] + (pts[i + 1][2] - pts[i][2]) * f
-            dx, dy = cx - px, cy - py
-            lim = ego_r + r + threshold
-            if dx * dx + dy * dy > lim * lim:
-                continue
-            if ego_box is None:
-                ego_box = OrientedBox(pt.p, ctx.ego_half, pt.heading)
-            ob = box0 if static else tr.box_at(pt.t)
-            if obb_separation_at_least(ego_box, ob, threshold):
-                continue
-            if min_obb_distance(ego_box, ob) < threshold:
-                s, _, _ = ctx.route.project(pt.p)
-                return k, s
+    __slots__ = ("obj", "radius", "fixed", "center_at", "box_at")
+
+    def __init__(self, tr: PredictedTrajectory):
+        self.obj, self.radius = tr, math.hypot(*tr.half_extents)
+        self.fixed, self.center_at, self.box_at = None, tr.center_at, tr.box_at
+        xy = tr.points[0][1:]
+        if all(pt[1:] == xy for pt in tr.points):
+            box = tr.box_at(tr.points[0][0])
+            self.fixed, self.center_at, self.box_at = FixedBox(box), lambda t: xy, lambda t: box
+
+
+def _first_conflict(ctx: PlannerContext, traj: tuple[TrajPoint, ...],
+                    candidates: list[_Candidate]) -> tuple[int, float] | None:
+    """Earliest (point index >= 1, route s of ego) where a predicted box gets too close."""
+    for k, pt in enumerate(traj[1:], start=1):
+        if safe_distance_at(pt, pt.heading, ctx.ego_half, ctx.ego_radius, candidates,
+                            CONFLICT_CLEAR) is not None:
+            s, _, _ = ctx.route.project(pt.p)
+            return k, s
     return None
 
 
@@ -253,14 +229,14 @@ def planning_tick(pred: PredictionOut, loc: LocalizationOut, ctx: PlannerContext
                   faults: list[FaultSpec], t: SimTime) -> tuple[PlanningOut, bool]:
     tags = ["route_follow"]
     s0, lat0, _ = ctx.route.project(loc.p)
+    # Lane furniture is owned by lane keeping: it is neither nudged nor avoided.
+    targets = [tr for tr in pred.trajectories if tr.kind != "Infrastructure"]
 
     # Small static intrusions ahead: nudge around them.
     target_lat = 0.0
     cap_zone: tuple[float, float] | None = None
     nudge = None
-    for tr in pred.trajectories:
-        if tr.kind == "Infrastructure":
-            continue  # lane furniture is owned by lane keeping, not nudging
+    for tr in targets:
         first = tr.points[0]
         last = tr.points[-1]
         horizon_s = (last[0] - first[0]) / 1000.0
@@ -304,7 +280,8 @@ def planning_tick(pred: PredictionOut, loc: LocalizationOut, ctx: PlannerContext
             tags.append("red_stop")
 
     traj = _gen_trajectory(ctx, t, loc, s0, lat0, stop_s, target_lat, cap_zone)
-    conflict = _first_conflict(ctx, traj, pred)
+    candidates = [_Candidate(tr) for tr in targets]
+    conflict = _first_conflict(ctx, traj, candidates)
     decision = "Cruise"
     if conflict is not None:
         tags.append("stop_for_conflict")
@@ -316,7 +293,7 @@ def planning_tick(pred: PredictionOut, loc: LocalizationOut, ctx: PlannerContext
             cand_traj = _gen_trajectory(ctx, t, loc, s0, lat0,
                                         cand_stop if stop_s is None else min(stop_s, cand_stop),
                                         target_lat, cap_zone)
-            if _first_conflict(ctx, cand_traj, pred) is None:
+            if _first_conflict(ctx, cand_traj, candidates) is None:
                 traj = cand_traj
                 decision = "Stop"
                 resolved = True

@@ -445,6 +445,16 @@ def _reachable_lanes(lane_map: LaneMap, start: str) -> set[str]:
     return seen
 
 
+def _unique_ids(items, path: str) -> set[str]:
+    """The ids of `items`; a repeated one fails at `<path>[<i>].id`."""
+    ids: set[str] = set()
+    for i, item in enumerate(items):
+        if item.id in ids:
+            raise ValidationError(f"{path}[{i}].id", f"repeats id {item.id!r}")
+        ids.add(item.id)
+    return ids
+
+
 def scenario_from_dict(doc: dict) -> Scenario:
     record(doc, "", ("map", "ego", "t_max_ms", "seed"), ("objects", "signals"))
     map_raw = record(doc["map"], "map", ("lanes",), ("successors",))
@@ -454,7 +464,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
 
     lanes = tuple(_parse_lane(ln, i)
                   for i, ln in enumerate(expect(map_raw["lanes"], list, "map.lanes")))
-    lane_ids = {ln.id for ln in lanes}
+    lane_ids = _unique_ids(lanes, "map.lanes")
     successors = {}
     for lane_id, succ in expect(map_raw.get("successors", {}), dict, "map.successors").items():
         if lane_id not in lane_ids:
@@ -480,9 +490,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
 
     objects = tuple(_parse_object(o, i)
                     for i, o in enumerate(expect(doc.get("objects", []), list, "objects")))
-    ids = [o.id for o in objects]
-    if len(ids) != len(set(ids)):
-        raise ValidationError("objects", "object ids must be unique")
+    _unique_ids(objects, "objects")
 
     signals = tuple(_parse_signal(s, i, t_max)
                     for i, s in enumerate(expect(doc.get("signals", []), list, "signals")))

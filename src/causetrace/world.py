@@ -60,7 +60,7 @@ class ObjectTracker:
     """One object of the scenario model with what a run keeps of it: the radius of
     the circle that holds its box and, for a static object, its box built once
     with what a separating-axis test needs of it (`fixed`, None for a moving
-    object). Poses and boxes are those of `scenario.object_pose_at` /
+    object). Poses, centres and boxes are those of `scenario.object_pose_at` /
     `scenario.bbox_at`, asked at any t in any order.
     """
 
@@ -72,6 +72,9 @@ class ObjectTracker:
     def pose_at(self, t: SimTime) -> tuple[Vec2, Vec2]:
         p, v, _ = object_pose_at(self.obj, t)
         return p, v
+
+    def center_at(self, t: SimTime) -> Vec2:
+        return self.fixed.box.center if self.fixed is not None else self.pose_at(t)[0]
 
     def box_at(self, t: SimTime) -> OrientedBox:
         if self.fixed is not None:

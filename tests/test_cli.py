@@ -172,6 +172,16 @@ MALFORMED = {
         "target": "perception", "kind": "wrong_lateral_distance",
         "magnitude": {"offset": True}}, None, "fault.magnitude.offset"),
     "oracle_c_boolean": (None, None, {"safe_distance_c": True}, "safe_distance_c"),
+    # Ids are names: a lane or an object id may appear once.
+    "lane_id_repeated": (
+        lambda d: d["map"]["lanes"].append(dict(d["map"]["lanes"][0])) or d,
+        None, None, "map.lanes[2].id: repeats id 'lane0'"),
+    "object_id_repeated": (
+        lambda d: _set(d, "objects", [{
+            "id": "o", "kind": "Vehicle", "size": [4.0, 1.8, 1.5],
+            "waypoints": [{"t_ms": 0, "p": [x, 0], "v": [0, 0], "a": [0, 0]}]}
+            for x in (50, 70)]),
+        None, None, "objects[1].id: repeats id 'o'"),
 }
 
 

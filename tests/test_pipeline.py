@@ -14,7 +14,7 @@ from causetrace.middleware import ComponentId
 from causetrace.payloads import (ControlOut, LocalizationOut, PerceivedObject, PerceptionOut,
                                  PlanningOut, PredictedTrajectory, PredictionOut, TrajPoint)
 from causetrace.pipeline import (CONTROL_KP, CONTROL_SPEED_LOOKAHEAD_MS, PREDICTION_HORIZON_MS,
-                                 PREDICTION_STEP_MS, _first_conflict, _obstacle_route_interval,
+                                 PREDICTION_STEP_MS, _obstacle_route_interval,
                                  _plan_speed_at, control_tick, localization_tick,
                                  make_planner_context, perception_tick, planning_tick,
                                  prediction_tick)
@@ -246,6 +246,35 @@ def test_planning_respects_decel_bound():
         assert abs(b.speed - a.speed) / dt <= 8.0 + 1e-6
 
 
+def out_and_back(x, y_far, y_near, y_end, t0=0):
+    """A 0.6 m object predicted from (x, y_far) to (x, y_near) at 1.5 s and to
+    (x, y_end) at 3 s, linearly, on the prediction grid."""
+    pts = []
+    for k in range(31):
+        u = k / 15.0 if k <= 15 else (k - 15) / 15.0
+        y = y_far + (y_near - y_far) * u if k <= 15 else y_near + (y_end - y_near) * u
+        pts.append((t0 + k * PREDICTION_STEP_MS, x, y))
+    return PredictedTrajectory("ped", "Pedestrian", (0.3, 0.3), math.pi / 2, tuple(pts))
+
+
+def test_conflict_scan_sees_an_object_that_returns_to_its_start():
+    # The object ends where it began but crosses the lane in between: it is not
+    # standing still, whatever its first and last points say.
+    _, ctx = plan_setup()
+    plan = tuple(TrajPoint(k * PREDICTION_STEP_MS, (2.0 * k, 0.0), 20.0, 0.0)
+                 for k in range(31))
+    for y_end in (-6.0, -6.001):
+        tr = out_and_back(30.0, -6.0, 0.0, y_end)
+        assert pipeline._Candidate(tr).fixed is None
+        assert pipeline._first_conflict(ctx, plan, [pipeline._Candidate(tr)]) == (14, 28.0)
+    # planning_tick stops for it, from 11 m/s with the object 18 m ahead.
+    pred = PredictionOut((out_and_back(20.0, -6.0, 0.0, -6.0),))
+    out, _ = planning_tick(pred, LocalizationOut((2.0, 0.0), 0.0, 11.0), ctx, [], 0)
+    assert "stop_for_conflict" in out.branch_tags and out.decision != "Cruise"
+    # An object whose every point is the first stands still.
+    assert pipeline._Candidate(out_and_back(30.0, -6.0, -6.0, -6.0)).fixed is not None
+
+
 @dataclass(frozen=True)
 class PlannerParams:
     """The planner's settings before they became pipeline constants."""
@@ -328,6 +357,59 @@ def gen_trajectory_reference(ctx, t, p0, heading0, speed0, s0, lat0, spec):
     return tuple(out)
 
 
+def first_conflict_reference(ctx, traj, pred):
+    """_first_conflict's body from before it became safe_distance_at over the
+    predicted trajectories, with the clearance read from PlannerParams. It takes
+    a trajectory whose first and last points are equal for a still one, which
+    planner_inputs never draws for an object that moves in between."""
+    from causetrace.geometry import obb_separation_at_least
+
+    threshold = PlannerParams().conflict_clear
+    ego_r = ctx.ego_radius
+    items = []
+    for tr in pred.trajectories:
+        if tr.kind == "Infrastructure":
+            continue  # lane furniture is not an avoidance target
+        pts = tr.points
+        static = pts[0][1:] == pts[-1][1:]
+        box0 = tr.box_at(pts[0][0]) if static else None
+        step = pts[1][0] - pts[0][0] if len(pts) > 1 else 1
+        items.append((tr, static, box0, math.hypot(*tr.half_extents), step))
+    for k, pt in enumerate(traj):
+        if k == 0:
+            continue  # current pose is given, not plannable
+        ego_box = None
+        px, py = pt.p
+        for tr, static, box0, r, step in items:
+            if static:
+                cx, cy = box0.center
+            else:
+                pts = tr.points
+                u = (pt.t - pts[0][0]) / step
+                i = int(u)
+                if i < 0:
+                    cx, cy = pts[0][1], pts[0][2]
+                elif i >= len(pts) - 1:
+                    cx, cy = pts[-1][1], pts[-1][2]
+                else:
+                    f = u - i
+                    cx = pts[i][1] + (pts[i + 1][1] - pts[i][1]) * f
+                    cy = pts[i][2] + (pts[i + 1][2] - pts[i][2]) * f
+            dx, dy = cx - px, cy - py
+            lim = ego_r + r + threshold
+            if dx * dx + dy * dy > lim * lim:
+                continue
+            if ego_box is None:
+                ego_box = OrientedBox(pt.p, ctx.ego_half, pt.heading)
+            ob = box0 if static else tr.box_at(pt.t)
+            if obb_separation_at_least(ego_box, ob, threshold):
+                continue
+            if min_obb_distance(ego_box, ob) < threshold:
+                s, _, _ = ctx.route.project(pt.p)
+                return k, s
+    return None
+
+
 def planning_tick_reference(pred, loc, ctx, faults, t):
     """planning_tick's body from before the planner's settings became constants."""
     par = PlannerParams()
@@ -384,7 +466,7 @@ def planning_tick_reference(pred, loc, ctx, faults, t):
 
     spec = CandidateSpec(stop_s=stop_s, target_lat=target_lat, cap_zone=cap_zone)
     traj = gen_trajectory_reference(ctx, t, loc.p, loc.heading, loc.speed, s0, lat0, spec)
-    conflict = _first_conflict(ctx, traj, pred)
+    conflict = first_conflict_reference(ctx, traj, pred)
     decision = "Cruise"
     if conflict is not None:
         tags.append("stop_for_conflict")
@@ -398,7 +480,7 @@ def planning_tick_reference(pred, loc, ctx, faults, t):
                 target_lat=target_lat, cap_zone=cap_zone)
             cand_traj = gen_trajectory_reference(ctx, t, loc.p, loc.heading, loc.speed, s0,
                                                  lat0, cand_spec)
-            if _first_conflict(ctx, cand_traj, pred) is None:
+            if first_conflict_reference(ctx, cand_traj, pred) is None:
                 traj = cand_traj
                 decision = "Stop"
                 resolved = True
@@ -423,8 +505,8 @@ def planning_tick_reference(pred, loc, ctx, faults, t):
 
 
 def test_planner_constants_equal_the_old_settings():
-    # _first_conflict reads CONFLICT_CLEAR directly, so the reference planner
-    # shares it; pin every constant to its old setting, to the bit.
+    # The reference planner, its conflict scan included, reads every setting from
+    # PlannerParams; pin every pipeline constant to its old setting, to the bit.
     par = PlannerParams()
     assert (pipeline.PREDICTION_HORIZON_MS, pipeline.PREDICTION_STEP_MS) == (par.horizon_ms,
                                                                             par.step_ms)
@@ -499,14 +581,24 @@ WALL_AHEAD = (prediction_tick(PerceptionOut((WALL,)), [], 12000)[0],
               LocalizationOut((25.0, 0.0), 0.0, 11.0), PLANNER_CONTEXTS["straight"], 12000)
 
 
+def planning_tick_equals_reference(pred, loc, ctx, t):
+    # repr tells -0.0 from 0.0, so every float of the plan must be equal to the bit.
+    assert repr(planning_tick(pred, loc, ctx, [], t)) == repr(
+        planning_tick_reference(pred, loc, ctx, [], t))
+
+
 @settings(max_examples=300, deadline=None)
 @given(inputs=planner_inputs())
 @example(inputs=WALL_AHEAD)
 def test_planning_tick_equals_reference(inputs):
-    # repr tells -0.0 from 0.0, so every float of the plan must be equal to the bit.
-    pred, loc, ctx, t = inputs
-    assert repr(planning_tick(pred, loc, ctx, [], t)) == repr(
-        planning_tick_reference(pred, loc, ctx, [], t))
+    planning_tick_equals_reference(*inputs)
+
+
+@pytest.mark.slow
+@settings(max_examples=5000, deadline=None)
+@given(inputs=planner_inputs())
+def test_planning_tick_equals_reference_many(inputs):
+    planning_tick_equals_reference(*inputs)
 
 
 # --- control ----------------------------------------------------------------

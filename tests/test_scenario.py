@@ -286,6 +286,21 @@ def test_signal_phase_error_names_the_phase_in_the_file():
     assert [ph.color for ph in scenario_from_dict(doc).signals[0].phases] == ["Red", "Green"]
 
 
+def test_repeated_ids_are_rejected_where_they_repeat():
+    # Lanes are looked up by id (lane_by_id, map.successors), so a repeated lane
+    # id would make a name mean two lanes.
+    doc = straight_road_doc()
+    doc["map"]["lanes"].append(dict(doc["map"]["lanes"][0], centerline=[[0.0, 7.0],
+                                                                         [200.0, 7.0]]))
+    assert [ln["id"] for ln in doc["map"]["lanes"]] == ["lane0", "lane1", "lane0"]
+    with pytest.raises(ValidationError, match=r"^map\.lanes\[2\]\.id: repeats id 'lane0'"):
+        scenario_from_dict(doc)
+    doc = straight_road_doc(objects=[static_object("a"), static_object("b", p=(80.0, 0.0)),
+                                     static_object("a", p=(90.0, 0.0))])
+    with pytest.raises(ValidationError, match=r"^objects\[2\]\.id: repeats id 'a'"):
+        scenario_from_dict(doc)
+
+
 def test_signal_phase_gaps_rejected():
     doc = straight_road_doc(signals=[{"id": "s1", "stop_line": [80.0, 0.0],
                                       "phases": [

@@ -326,14 +326,16 @@ def test_broadphase_checks_equal_full_scans_many(objects, data, half, c):
 
 
 def queries_in_any_order(objects, data, half, c):
-    # Trackers and a Broadphase asked at shuffled times answer as bbox_at and a
-    # fresh full scan do: no answer depends on an earlier query.
+    # Trackers (boxes and centres) and a Broadphase asked at shuffled times
+    # answer as bbox_at and a fresh full scan do: no answer depends on an
+    # earlier query.
     ego_r = math.hypot(*half)
     broad = Broadphase(objects, ego_r + c)
     points = data.draw(st.permutations(sample_points(data, objects, ego_r, c)))
     for t, p, heading in points:
         for trk in broad.trackers:
             assert trk.box_at(t) == bbox_at(trk.obj, t)
+            assert trk.center_at(t) == bbox_at(trk.obj, t).center
         w = Waypoint(p, (0.0, 0.0), (0.0, 0.0), t)
         fresh = [ObjectTracker(o) for o in objects]
         assert (safe_distance_at(w, heading, half, ego_r, broad.near(p), c)
