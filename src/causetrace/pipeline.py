@@ -19,7 +19,7 @@ from .faults import (FaultSpec, apply_control_faults, apply_localization_faults,
                      apply_perception_faults, apply_planning_faults,
                      apply_prediction_faults)
 # perfbench/tracer.py patches min_obb_distance here; nothing in this module calls it.
-from .geometry import FixedBox, OrientedBox, Vec2, min_obb_distance  # noqa: F401
+from .geometry import OrientedBox, Vec2, min_obb_distance  # noqa: F401
 from .oracles import safe_distance_at
 from .payloads import (ControlOut, LocalizationOut, PerceivedObject, PerceptionOut,
                        PlanningOut, PredictedTrajectory, PredictionOut, TrajPoint)
@@ -201,17 +201,14 @@ def _gen_trajectory(ctx: PlannerContext, t: SimTime, loc: LocalizationOut, s0: f
 
 
 class _Candidate:
-    """A predicted trajectory in `world.ObjectTracker`'s shape; `fixed` if it never moves."""
+    """A predicted trajectory in `world.ObjectTracker`'s shape, never `fixed`: a
+    still one is asked for its box at each t like a moving one."""
 
     __slots__ = ("obj", "radius", "fixed", "center_at", "box_at")
 
     def __init__(self, tr: PredictedTrajectory):
-        self.obj, self.radius = tr, math.hypot(*tr.half_extents)
-        self.fixed, self.center_at, self.box_at = None, tr.center_at, tr.box_at
-        xy = tr.points[0][1:]
-        if all(pt[1:] == xy for pt in tr.points):
-            box = tr.box_at(tr.points[0][0])
-            self.fixed, self.center_at, self.box_at = FixedBox(box), lambda t: xy, lambda t: box
+        self.obj, self.radius, self.fixed = tr, math.hypot(*tr.half_extents), None
+        self.center_at, self.box_at = tr.center_at, tr.box_at
 
 
 def _first_conflict(ctx: PlannerContext, traj: tuple[TrajPoint, ...],

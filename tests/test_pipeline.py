@@ -1,5 +1,7 @@
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 
 import pytest
 from hypothesis import example, given, settings
@@ -264,15 +266,12 @@ def test_conflict_scan_sees_an_object_that_returns_to_its_start():
     plan = tuple(TrajPoint(k * PREDICTION_STEP_MS, (2.0 * k, 0.0), 20.0, 0.0)
                  for k in range(31))
     for y_end in (-6.0, -6.001):
-        tr = out_and_back(30.0, -6.0, 0.0, y_end)
-        assert pipeline._Candidate(tr).fixed is None
-        assert pipeline._first_conflict(ctx, plan, [pipeline._Candidate(tr)]) == (14, 28.0)
+        candidates = [pipeline._Candidate(out_and_back(30.0, -6.0, 0.0, y_end))]
+        assert pipeline._first_conflict(ctx, plan, candidates) == (14, 28.0)
     # planning_tick stops for it, from 11 m/s with the object 18 m ahead.
     pred = PredictionOut((out_and_back(20.0, -6.0, 0.0, -6.0),))
     out, _ = planning_tick(pred, LocalizationOut((2.0, 0.0), 0.0, 11.0), ctx, [], 0)
     assert "stop_for_conflict" in out.branch_tags and out.decision != "Cruise"
-    # An object whose every point is the first stands still.
-    assert pipeline._Candidate(out_and_back(30.0, -6.0, -6.0, -6.0)).fixed is not None
 
 
 @dataclass(frozen=True)
@@ -357,11 +356,60 @@ def gen_trajectory_reference(ctx, t, p0, heading0, speed0, s0, lat0, spec):
     return tuple(out)
 
 
+def box_at_reference(tr, t):
+    """PredictedTrajectory.box_at from before it found the point before t by
+    division on the prediction grid: a bisection over the point times."""
+    pts = tr.points
+
+    def heading_at(i):
+        j = min(i + 1, len(pts) - 1)
+        k = max(0, j - 1)
+        dx, dy = pts[j][1] - pts[k][1], pts[j][2] - pts[k][2]
+        if dx == 0.0 and dy == 0.0:
+            return tr.heading
+        return math.atan2(dy, dx)
+
+    if t <= pts[0][0]:
+        x, y = pts[0][1], pts[0][2]
+        return OrientedBox((x, y), tr.half_extents, tr.heading)
+    if t >= pts[-1][0]:
+        x, y = pts[-1][1], pts[-1][2]
+        return OrientedBox((x, y), tr.half_extents, heading_at(len(pts) - 1))
+    lo = bisect_right(pts, t, key=itemgetter(0)) - 1
+    t0, x0, y0 = pts[lo]
+    t1, x1, y1 = pts[lo + 1]
+    u = (t - t0) / (t1 - t0)
+    return OrientedBox((x0 + (x1 - x0) * u, y0 + (y1 - y0) * u),
+                       tr.half_extents, heading_at(lo))
+
+
+coords = st.floats(-1e4, 1e4, allow_nan=False, allow_infinity=False)
+# Up to 31 points drawn from a pool of at most 4: still stretches and returns.
+grid_paths = st.lists(st.tuples(coords, coords), min_size=1, max_size=4).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=31))
+
+
+@settings(max_examples=300, deadline=None)
+@given(t0=st.integers(-10_000, 10_000), xy=grid_paths, heading=st.floats(-math.pi, math.pi))
+def test_predicted_box_equals_the_bisection_on_the_grid(t0, xy, heading):
+    # Every producer emits its points on the prediction grid and every tick asks
+    # on it, where the division finds the bisection's point and a zero fraction.
+    tr = PredictedTrajectory("o", "Vehicle", (2.0, 0.9), heading,
+                             tuple((t0 + k * PREDICTION_STEP_MS, x, y)
+                                   for k, (x, y) in enumerate(xy)))
+    for k in range(-2, len(xy) + 2):
+        t = t0 + k * PREDICTION_STEP_MS
+        box = box_at_reference(tr, t)
+        assert repr(tr.box_at(t)) == repr(box)
+        assert repr(tr.center_at(t)) == repr(box.center)
+
+
 def first_conflict_reference(ctx, traj, pred):
     """_first_conflict's body from before it became safe_distance_at over the
-    predicted trajectories, with the clearance read from PlannerParams. It takes
-    a trajectory whose first and last points are equal for a still one, which
-    planner_inputs never draws for an object that moves in between."""
+    predicted trajectories, with the clearance read from PlannerParams and the
+    boxes from box_at_reference. It takes a trajectory whose first and last
+    points are equal for a still one, which planner_inputs never draws for an
+    object that moves in between."""
     from causetrace.geometry import obb_separation_at_least
 
     threshold = PlannerParams().conflict_clear
@@ -372,7 +420,7 @@ def first_conflict_reference(ctx, traj, pred):
             continue  # lane furniture is not an avoidance target
         pts = tr.points
         static = pts[0][1:] == pts[-1][1:]
-        box0 = tr.box_at(pts[0][0]) if static else None
+        box0 = box_at_reference(tr, pts[0][0]) if static else None
         step = pts[1][0] - pts[0][0] if len(pts) > 1 else 1
         items.append((tr, static, box0, math.hypot(*tr.half_extents), step))
     for k, pt in enumerate(traj):
@@ -401,7 +449,7 @@ def first_conflict_reference(ctx, traj, pred):
                 continue
             if ego_box is None:
                 ego_box = OrientedBox(pt.p, ctx.ego_half, pt.heading)
-            ob = box0 if static else tr.box_at(pt.t)
+            ob = box0 if static else box_at_reference(tr, pt.t)
             if obb_separation_at_least(ego_box, ob, threshold):
                 continue
             if min_obb_distance(ego_box, ob) < threshold:
@@ -428,7 +476,7 @@ def planning_tick_reference(pred, loc, ctx, faults, t):
         disp = math.hypot(last[1] - first[1], last[2] - first[2])
         if horizon_s > 0 and disp / horizon_s > par.static_speed_eps:
             continue
-        box0 = tr.box_at(first[0])
+        box0 = box_at_reference(tr, first[0])
         s_min, s_max, lat_min, lat_max = _obstacle_route_interval(ctx, box0)
         if s_max < s0 or s_min > s0 + par.nudge_lookahead:
             continue
