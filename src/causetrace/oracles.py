@@ -77,6 +77,24 @@ def safe_distance_at(w: Waypoint | TrajPoint, heading: float, half: tuple[float,
     return None
 
 
+def circle_hits(poses: tuple[TrajPoint, ...], centres, ego_r: float, radius: float,
+                c: float) -> list[int]:
+    """Indices k at which `safe_distance_at`'s circle test passes for one tracker
+    of `radius` centred at centres[k], a (t, x, y) point, against poses[k]: the
+    same test as that function's, run over many poses at once. A tracker that
+    fails it at a pose cannot be too close there."""
+    lim = ego_r + radius + c
+    lim2 = lim * lim
+    hits = []
+    for k, ((_, cx, cy), w) in enumerate(zip(centres, poses)):
+        px, py = w.p
+        dx, dy = cx - px, cy - py
+        if dx * dx + dy * dy > lim2:
+            continue
+        hits.append(k)
+    return hits
+
+
 def safe_distance_objects(scenario: Scenario, config: OracleConfig) -> Broadphase:
     """The scenario's objects, gridded for safe-distance queries."""
     return Broadphase(scenario.objects, scenario.ego_radius + config.safe_distance_c)

@@ -89,6 +89,10 @@ class TrajPoint:
 
 @dataclass(frozen=True)
 class PlanningOut:
+    """A planned trajectory whose points lie on the grid the planner emits,
+    `t_0 + k * step` (`pipeline.PREDICTION_STEP_MS`), which the planning faults
+    keep: control finds the point before t by division (`pipeline.PlanTable`)."""
+
     trajectory: tuple[TrajPoint, ...]
     decision: str  # Cruise | Stop | Nudge | Emergency
     branch_tags: tuple[str, ...] = field(default_factory=tuple)

@@ -10,17 +10,15 @@ destination.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import repeat
-from operator import attrgetter
 
 from .faults import (FaultSpec, apply_control_faults, apply_localization_faults,
                      apply_perception_faults, apply_planning_faults,
                      apply_prediction_faults)
 # perfbench/tracer.py patches min_obb_distance here; nothing in this module calls it.
 from .geometry import OrientedBox, Vec2, min_obb_distance  # noqa: F401
-from .oracles import safe_distance_at
+from .oracles import circle_hits, safe_distance_at
 from .payloads import (ControlOut, LocalizationOut, PerceivedObject, PerceptionOut,
                        PlanningOut, PredictedTrajectory, PredictionOut, TrajPoint)
 from .scenario import PolylineTable, Scenario, SimTime, TrafficSignal, lane_at
@@ -213,12 +211,31 @@ class _Candidate:
 
 def _first_conflict(ctx: PlannerContext, traj: tuple[TrajPoint, ...],
                     candidates: list[_Candidate]) -> tuple[int, float] | None:
-    """Earliest (point index >= 1, route s of ego) where a predicted box gets too close."""
-    for k, pt in enumerate(traj[1:], start=1):
-        if safe_distance_at(pt, pt.heading, ctx.ego_half, ctx.ego_radius, candidates,
+    """Earliest (point index >= 1, route s of ego) where a predicted box gets too
+    close. Each candidate's circle test runs once over the planned points, and
+    `safe_distance_at` is asked only where some circle passes, about the
+    candidates that pass there, in candidate order."""
+    if not candidates:
+        return None
+    poses = traj[1:]
+    near: dict[int, list[_Candidate]] = {}
+    for cand in candidates:
+        pts = cand.obj.points
+        if pts[0][0] == traj[0].t:
+            # Both lie on the same grid: planned point k sits on predicted point
+            # k, and the centre holds after the last one.
+            centres = pts[1:len(traj)]
+            centres += (pts[-1],) * (len(poses) - len(centres))
+        else:
+            centres = [(pt.t, *cand.center_at(pt.t)) for pt in poses]
+        for k in circle_hits(poses, centres, ctx.ego_radius, cand.radius, CONFLICT_CLEAR):
+            near.setdefault(k, []).append(cand)
+    for k in sorted(near):
+        pt = poses[k]
+        if safe_distance_at(pt, pt.heading, ctx.ego_half, ctx.ego_radius, near[k],
                             CONFLICT_CLEAR) is not None:
             s, _, _ = ctx.route.project(pt.p)
-            return k, s
+            return k + 1, s
     return None
 
 
@@ -320,26 +337,47 @@ CONTROL_KP = 1.8
 CONTROL_SPEED_LOOKAHEAD_MS = 100
 
 
-def _plan_speed_at(traj, t_q: SimTime) -> float:
-    if t_q <= traj[0].t:
-        return traj[0].speed
-    i = bisect_right(traj, t_q, key=attrgetter("t")) - 1
-    if i == len(traj) - 1:
-        return traj[-1].speed
-    u = (t_q - traj[i].t) / (traj[i + 1].t - traj[i].t)
-    return traj[i].speed + (traj[i + 1].speed - traj[i].speed) * u
+class PlanTable:
+    """What the 100 Hz control path reads of one plan, built once per planning
+    message: the points' positions and headings, their speeds, the length of
+    each segment (`hypot` of start minus end, as the lookahead march adds them)
+    and the grid the points lie on, `t0 + k * step` (see `PlanningOut`). A plan
+    of fewer than two points keeps only its length `n`."""
+
+    __slots__ = ("n", "t0", "step", "p", "heading", "speed", "seg")
+
+    def __init__(self, plan: PlanningOut):
+        traj = plan.trajectory
+        self.n = len(traj)
+        if self.n < 2:
+            return
+        self.t0, self.step = traj[0].t, traj[1].t - traj[0].t
+        self.p = [pt.p for pt in traj]
+        self.heading = [pt.heading for pt in traj]
+        self.speed = [pt.speed for pt in traj]
+        self.seg = [math.hypot(ax - bx, ay - by)
+                    for (ax, ay), (bx, by) in zip(self.p, self.p[1:])]
+
+    def speed_at(self, t: SimTime) -> float:
+        """The plan speed at t: linear between points, held outside them."""
+        if t <= self.t0:
+            return self.speed[0]
+        i, r = divmod(t - self.t0, self.step)
+        if i >= self.n - 1:
+            return self.speed[-1]
+        v0 = self.speed[i]
+        return v0 + (self.speed[i + 1] - v0) * (r / self.step)
 
 
-def control_tick(plan: PlanningOut, loc: LocalizationOut,
+def control_tick(plan: PlanTable, loc: LocalizationOut,
                  faults: list[FaultSpec], t: SimTime) -> tuple[ControlOut, bool]:
     """Pure-pursuit steering plus speed tracking with plan-slope feedforward."""
-    if len(plan.trajectory) < 2:
+    if plan.n < 2:
         return apply_control_faults(ControlOut(ACCEL_MIN, 0.0), faults, t, loc.p)
-    traj = plan.trajectory
 
     t_q = t + CONTROL_SPEED_LOOKAHEAD_MS
-    v_target = _plan_speed_at(traj, t_q)
-    a_ff = (_plan_speed_at(traj, t_q + 200) - v_target) / 0.2
+    v_target = plan.speed_at(t_q)
+    a_ff = (plan.speed_at(t_q + 200) - v_target) / 0.2
     err = v_target - loc.speed
     if abs(err) < 0.02:
         err = 0.0  # deadband keeps equilibrium commands exactly zero
@@ -347,23 +385,26 @@ def control_tick(plan: PlanningOut, loc: LocalizationOut,
 
     lookahead = max(3.0, 0.5 * loc.speed)
     # Nearest trajectory point (the first of equals), then march forward to the
-    # lookahead target.
+    # lookahead target. hypot(dx, dy) >= |dx|, so a point whose |dx| is not below
+    # the best distance cannot be nearer.
     lx, ly = loc.p
     best_i, best_d = 0, math.inf
-    for i, pt in enumerate(traj):
-        x, y = pt.p
-        d = math.hypot(x - lx, y - ly)
+    for i, (x, y) in enumerate(plan.p):
+        dx = x - lx
+        if abs(dx) >= best_d:
+            continue
+        d = math.hypot(dx, y - ly)
         if d < best_d:
             best_d, best_i = d, i
-    target = traj[-1].p
+    pts, seg = plan.p, plan.seg
+    target = pts[-1]
     acc = 0.0
-    for i in range(best_i, len(traj) - 1):
-        (ax, ay), (bx, by) = traj[i].p, traj[i + 1].p
-        acc += math.hypot(ax - bx, ay - by)
+    for i in range(best_i, plan.n - 1):
+        acc += seg[i]
         if acc >= lookahead:
-            target = traj[i + 1].p
+            target = pts[i + 1]
             break
-    dx, dy = target[0] - loc.p[0], target[1] - loc.p[1]
+    dx, dy = target[0] - lx, target[1] - ly
     dist = math.hypot(dx, dy)
     if dist < 0.3:
         steer = 0.0

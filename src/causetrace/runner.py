@@ -66,7 +66,7 @@ from .geometry import min_obb_distance, obb_separation_at_least  # noqa: F401
 from .middleware import Bus, ComponentId, Message, TICK_PRIORITY, Trace, Verdict
 from .oracles import (MISSION, OracleConfig, SampleMonitor, carried_heading, evaluate,
                       mission_violation, safe_distance_at)
-from .pipeline import (control_tick, localization_tick, make_planner_context,
+from .pipeline import (PlanTable, control_tick, localization_tick, make_planner_context,
                        perception_tick, planning_tick, prediction_tick)
 from .scenario import Scenario, SimTime, Waypoint
 from .substitutes import (OnlineStateTracker, QuantizationUnits, StateKey,
@@ -214,6 +214,12 @@ def run_scheduler(scenario: Scenario, ads: AdsConfig,
     still = still_from(scenario, ads.faults) if monitor is not None else 0
     passed: list[tuple] = []  # the frame states this run passed
     verdict = None  # set where a merge or a fast-forward decides the run
+    tabled: list = [None, None]  # the planning message control last read, and its table
+
+    def plan_table(msg: Message) -> PlanTable:
+        if msg is not tabled[0]:
+            tabled[:] = msg, PlanTable(msg.payload)
+        return tabled[1]
 
     def fire(component: ComponentId, t: SimTime) -> tuple[Any, bool, dict[str, int]]:
         """Payload, fault flag and consumed input seqs of one firing. Every
@@ -238,8 +244,9 @@ def run_scheduler(scenario: Scenario, ads: AdsConfig,
             return (*planning_tick(pred.payload, loc.payload, ctx, fs, t),
                     {"prediction": pred.seq, "localization": loc.seq})
         plan_msg = bus.latest(ComponentId.PLANNING)
-        out = ((derived_control(plan_msg.payload, ego.speed, t), False) if sub
-               else control_tick(plan_msg.payload, loc.payload, fs, t))
+        planned = plan_table(plan_msg)
+        out = ((derived_control(planned, ego.speed, t), False) if sub
+               else control_tick(planned, loc.payload, fs, t))
         return *out, {"planning": plan_msg.seq, "localization": loc.seq}
 
     for t in range(trace.forked_at, scenario.t_max, SAMPLE_MS):
@@ -283,7 +290,7 @@ def run_scheduler(scenario: Scenario, ads: AdsConfig,
             # The ego sits on the plan at every ms, and the plan does not change
             # within a block (an empty plan's fallback keeps p and heading); the
             # accel is the speed change of the block's last ms.
-            planned = bus.latest(ComponentId.PLANNING).payload
+            planned = plan_table(bus.latest(ComponentId.PLANNING))
             before = sim_control_apply(planned, end - 1, ego).speed if end - 1 > t else ego.speed
             nxt = sim_control_apply(planned, end, ego)
             ego = EgoState(nxt.p, nxt.heading, nxt.speed, (nxt.speed - before) * 1000.0, end)

@@ -17,15 +17,16 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import repeat
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 
 from .geometry import Vec2
 from .middleware import ComponentId, Trace
 from .payloads import (ControlOut, LocalizationOut, PerceivedObject, PerceptionOut,
-                       PlanningOut, PredictedTrajectory, PredictionOut)
-from .pipeline import PREDICTION_HORIZON_MS, PREDICTION_STEP_MS
+                       PredictedTrajectory, PredictionOut)
+from .pipeline import (CONTROL_SPEED_LOOKAHEAD_MS, PREDICTION_HORIZON_MS,
+                       PREDICTION_STEP_MS, PlanTable)
 from .scenario import Scenario, SimTime, bbox_at, object_box, object_pose_at
-from .world import EgoState, SENSOR_RANGE
+from .world import ACCEL_MAX, ACCEL_MIN, EgoState, SENSOR_RANGE
 
 StateKey = tuple[int, int, int, int, int, int]
 
@@ -210,32 +211,28 @@ def ideal_localization(true_ego: EgoState) -> LocalizationOut:
     return LocalizationOut(true_ego.p, true_ego.heading, true_ego.speed)
 
 
-def sim_control_apply(plan: PlanningOut, t: SimTime, fallback: EgoState) -> EgoState:
+def sim_control_apply(plan: PlanTable, t: SimTime, fallback: EgoState) -> EgoState:
     """Ego state interpolated on the planning trajectory; frozen on empty plans."""
-    if len(plan.trajectory) < 2:
+    if plan.n < 2:
         return EgoState(fallback.p, fallback.heading, 0.0, 0.0, t)
-    traj = plan.trajectory
-    if t <= traj[0].t:
-        pt = traj[0]
-        return EgoState(pt.p, pt.heading, pt.speed, 0.0, t)
-    if t >= traj[-1].t:
-        pt = traj[-1]
-        return EgoState(pt.p, pt.heading, pt.speed, 0.0, t)
-    lo = bisect_right(traj, t, key=attrgetter("t")) - 1
-    a, b = traj[lo], traj[lo + 1]
-    u = (t - a.t) / (b.t - a.t)
-    p = (a.p[0] + (b.p[0] - a.p[0]) * u, a.p[1] + (b.p[1] - a.p[1]) * u)
-    speed = a.speed + (b.speed - a.speed) * u
-    accel = (b.speed - a.speed) / ((b.t - a.t) / 1000.0)
-    heading = a.heading if u < 1.0 else b.heading
-    return EgoState(p, heading, speed, accel, t)
+    if t <= plan.t0:
+        return EgoState(plan.p[0], plan.heading[0], plan.speed[0], 0.0, t)
+    lo, r = divmod(t - plan.t0, plan.step)
+    if lo >= plan.n - 1:
+        return EgoState(plan.p[-1], plan.heading[-1], plan.speed[-1], 0.0, t)
+    (ax, ay), (bx, by) = plan.p[lo], plan.p[lo + 1]
+    va, vb = plan.speed[lo], plan.speed[lo + 1]
+    u = r / plan.step
+    # t lies before the next point (u < 1), so the segment's start heading holds.
+    return EgoState((ax + (bx - ax) * u, ay + (by - ay) * u), plan.heading[lo],
+                    va + (vb - va) * u, (vb - va) / (plan.step / 1000.0), t)
 
 
-def derived_control(plan: PlanningOut, ego_speed: float, t: SimTime) -> ControlOut:
-    """Command the idealized control substitute reports into the trace."""
-    if len(plan.trajectory) < 2:
+def derived_control(plan: PlanTable, ego_speed: float, t: SimTime) -> ControlOut:
+    """Command the idealized control substitute reports into the trace: the
+    acceleration that reaches the plan speed CONTROL_SPEED_LOOKAHEAD_MS ahead."""
+    if plan.n < 2:
         return ControlOut(0.0, 0.0)
-    nxt = sim_control_apply(plan, t + 100, EgoState((0, 0), 0, 0, 0, t))
-    accel = max(-8.0, min(3.0, (nxt.speed - ego_speed) / 0.1))
-    return ControlOut(accel, 0.0)
-
+    ahead = plan.speed_at(t + CONTROL_SPEED_LOOKAHEAD_MS)
+    accel = (ahead - ego_speed) / (CONTROL_SPEED_LOOKAHEAD_MS / 1000.0)
+    return ControlOut(max(ACCEL_MIN, min(ACCEL_MAX, accel)), 0.0)

@@ -46,11 +46,13 @@ def step_ego(state: EgoState, accel_cmd: float, steer: float, dt: SimTime) -> Eg
     tan_steer = math.tan(steer)
     dt_s = 0.001  # 1 ms
     (px, py), heading, speed = state.p, state.heading, state.speed
+    cos_h, sin_h = math.cos(heading), math.sin(heading)
     for _ in range(dt):
         if speed > 0.0 and steer != 0.0:
             heading += (speed / WHEELBASE) * tan_steer * dt_s
-        px += speed * math.cos(heading) * dt_s
-        py += speed * math.sin(heading) * dt_s
+            cos_h, sin_h = math.cos(heading), math.sin(heading)
+        px += speed * cos_h * dt_s
+        py += speed * sin_h * dt_s
         prev, speed = speed, max(0.0, speed + accel_cmd * dt_s)
     applied = (speed - prev) / dt_s
     return EgoState(p=(px, py), heading=heading, speed=speed, accel=applied, t=state.t + dt)

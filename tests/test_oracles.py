@@ -1,12 +1,14 @@
 import math
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from causetrace.benchmark import load_benchmark, load_builtin_scenario
+from causetrace.geometry import OrientedBox
 from causetrace.oracles import (MISSION, SAFE_DISTANCE, SPEEDING, OracleConfig,
-                                SampleMonitor, check_mission,
+                                SampleMonitor, check_mission, circle_hits, safe_distance_at,
                                 evaluate, planning_message_violates,
                                 safe_distance_objects, speeding_at)
 from causetrace.payloads import PlanningOut, TrajPoint
@@ -361,3 +363,41 @@ def test_planned_pose_flagged_iff_ego_sample_is(x, y, heading, t):
     sample = [Waypoint((x, y), (0.0, 0.0), (0.0, 0.0), t)]
     flagged = planning_message_violates(pose, t, *check_args(sc))
     assert flagged == (close_hit(sample, sc, 0.3) is not None)
+
+
+class BoxSpy:
+    """A tracker in ObjectTracker's shape, centred at one drawn point, that
+    records each t it is asked for a box at: safe_distance_at asks exactly where
+    its circle test passes."""
+
+    def __init__(self, x, y, radius):
+        self.obj, self.radius, self.fixed = SimpleNamespace(id="spy"), radius, None
+        self.centre, self.asked = (x, y), []
+
+    def center_at(self, t):
+        return self.centre
+
+    def box_at(self, t):
+        self.asked.append(t)
+        return OrientedBox(self.centre, (100.0, 100.0), 0.0)  # far from clear
+
+
+signed = st.one_of(st.sampled_from([-0.0, 0.0, 1.0]), st.floats(-20.0, 20.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(poses=st.lists(st.tuples(signed, signed), min_size=1, max_size=31),
+       centres=st.lists(st.tuples(signed, signed), min_size=31, max_size=31),
+       radius=st.floats(0.0, 3.0), c=st.sampled_from([0.0, 0.3, 0.75]))
+def test_circle_hits_is_the_circle_test_of_safe_distance_at(poses, centres, radius, c):
+    # The planner asks safe_distance_at only at the poses circle_hits returns:
+    # the two must draw the same circle, to the bit.
+    ego_r = math.hypot(2.3, 0.95)
+    pts = tuple(TrajPoint(k * 100, p, 0.0, 0.0) for k, p in enumerate(poses))
+    table = [(k * 100, x, y) for k, (x, y) in enumerate(centres)]
+    asked = []
+    for pt, (_, x, y) in zip(pts, table):
+        spy = BoxSpy(x, y, radius)
+        safe_distance_at(pt, 0.0, (2.3, 0.95), ego_r, [spy], c)
+        asked += [pt.t // 100 for _ in spy.asked]
+    assert circle_hits(pts, table, ego_r, radius, c) == asked

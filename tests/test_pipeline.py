@@ -1,7 +1,7 @@
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,13 +11,13 @@ from causetrace import pipeline
 from causetrace.benchmark import load_builtin_scenario
 from causetrace.faults import (FaultSpec, Trigger, apply_control_faults,
                               apply_planning_faults, apply_prediction_faults)
-from causetrace.geometry import OrientedBox, min_obb_distance, vec_dist
+from causetrace.geometry import OrientedBox, min_obb_distance
 from causetrace.middleware import ComponentId
 from causetrace.payloads import (ControlOut, LocalizationOut, PerceivedObject, PerceptionOut,
                                  PlanningOut, PredictedTrajectory, PredictionOut, TrajPoint)
 from causetrace.pipeline import (CONTROL_KP, CONTROL_SPEED_LOOKAHEAD_MS, PREDICTION_HORIZON_MS,
-                                 PREDICTION_STEP_MS, _obstacle_route_interval,
-                                 _plan_speed_at, control_tick, localization_tick,
+                                 PREDICTION_STEP_MS, PlanTable, _obstacle_route_interval,
+                                 control_tick, localization_tick,
                                  make_planner_context, perception_tick, planning_tick,
                                  prediction_tick)
 from causetrace.scenario import scenario_from_dict
@@ -649,6 +649,54 @@ def test_planning_tick_equals_reference_many(inputs):
     planning_tick_equals_reference(*inputs)
 
 
+def crossing(perceived, t):
+    """The planning inputs at t for one object perceived at `perceived` ahead of
+    an ego cruising at 11 m/s on the straight road."""
+    pred, _ = prediction_tick(PerceptionOut((perceived,)), [], t)
+    return pred, LocalizationOut((25.0, 0.0), 0.0, 11.0), PLANNER_CONTEXTS["straight"], t
+
+
+def test_conflict_scan_reads_a_prediction_from_an_earlier_tick():
+    # The prediction starts 100 ms before the plan, so planned point k does not
+    # sit on predicted point k: the scan asks center_at instead. Read a step
+    # late, the walker would seem to cross behind the ego.
+    walker = PerceivedObject("ped", "Pedestrian", OrientedBox((46.0, -13.0), (0.3, 0.3), 1.5),
+                             (0.0, 5.0))
+    pred, loc, ctx, _ = crossing(walker, 11900)
+    out = planning_tick(pred, loc, ctx, [], 12000)
+    assert "stop_for_conflict" in out[0].branch_tags
+    planning_tick_equals_reference(pred, loc, ctx, 12000)
+
+
+def test_conflict_scan_holds_a_short_prediction_at_its_last_point():
+    # Ten points only: the walker stops in the lane 0.9 s ahead, and the plan
+    # reaches it after that, where its centre holds at the last point.
+    walker = PerceivedObject("ped", "Pedestrian", OrientedBox((55.0, -3.6), (0.3, 0.3), 1.5),
+                             (0.0, 4.0))
+    pred, loc, ctx, t = crossing(walker, 12000)
+    (tr,) = pred.trajectories
+    pred = PredictionOut((PredictedTrajectory(tr.id, tr.kind, tr.half_extents, tr.heading,
+                                              tr.points[:10]),))
+    out = planning_tick(pred, loc, ctx, [], t)
+    assert "stop_for_conflict" in out[0].branch_tags
+    planning_tick_equals_reference(pred, loc, ctx, t)
+
+
+def test_conflict_scan_without_candidates_asks_nothing(monkeypatch):
+    def never(*args):
+        raise AssertionError("safe_distance_at called")
+
+    monkeypatch.setattr(pipeline, "safe_distance_at", never)
+    _, ctx = plan_setup()
+    fence = PerceivedObject("f", "Infrastructure", OrientedBox((40.0, 0.0), (5.0, 0.2), 0.0),
+                            (0.0, 0.0))
+    for objects in ((), (fence,)):
+        pred, _ = prediction_tick(PerceptionOut(objects), [], 0)
+        out, _ = planning_tick(pred, LocalizationOut((25.0, 0.0), 0.0, 11.0), ctx, [], 0)
+        assert "stop_for_conflict" not in out.branch_tags
+    assert pipeline._first_conflict(ctx, cruise_plan(ctx).trajectory, []) is None
+
+
 # --- control ----------------------------------------------------------------
 
 
@@ -663,7 +711,7 @@ def test_control_equilibrium_near_zero():
     _, ctx = plan_setup()
     plan = cruise_plan(ctx)
     loc = LocalizationOut((5.0, 0.0), 0.0, 10.0)
-    out, changed = control_tick(plan, loc, [], 0)
+    out, changed = control_tick(PlanTable(plan), loc, [], 0)
     assert not changed
     assert abs(out.accel_cmd) < 1e-3
     assert abs(out.steer) < 1e-3
@@ -675,45 +723,61 @@ def test_control_longitudinal_offset_fault():
     loc = LocalizationOut((5.0, 0.0), 0.0, 10.0)
     fault = FaultSpec(ComponentId.CONTROL, "wrong_longitudinal_command",
                       Trigger(t0=3000, t1=5000), magnitude={"offset": 2.0})
-    inside, changed = control_tick(plan, loc, [fault], 4000)
+    inside, changed = control_tick(PlanTable(plan), loc, [fault], 4000)
     assert changed and inside.accel_cmd == pytest.approx(2.0, abs=1e-3)
-    outside, changed = control_tick(plan, loc, [fault], 5000)
+    outside, changed = control_tick(PlanTable(plan), loc, [fault], 5000)
     assert not changed and abs(outside.accel_cmd) < 1e-3
 
 
 def test_empty_plan_full_brake():
     from causetrace.payloads import PlanningOut
     loc = LocalizationOut((5.0, 0.0), 0.0, 10.0)
-    out, _ = control_tick(PlanningOut((), "Stop", ()), loc, [], 0)
+    out, _ = control_tick(PlanTable(PlanningOut((), "Stop", ())), loc, [], 0)
     assert out.accel_cmd == -8.0
     assert out.steer == 0.0
 
 
+def plan_speed_at_reference(traj, t_q):
+    """pipeline._plan_speed_at from before control read a PlanTable: the point
+    before t_q found by bisection over the point times."""
+    if t_q <= traj[0].t:
+        return traj[0].speed
+    i = bisect_right(traj, t_q, key=attrgetter("t")) - 1
+    if i == len(traj) - 1:
+        return traj[-1].speed
+    u = (t_q - traj[i].t) / (traj[i + 1].t - traj[i].t)
+    return traj[i].speed + (traj[i + 1].speed - traj[i].speed) * u
+
+
 def control_tick_reference(plan, loc, faults, t):
-    """control_tick's body from before it computed the distances inline: the
-    nearest point and the lookahead sum with vec_dist."""
+    """control_tick's body from before it read a PlanTable: the plan speed by
+    bisection, the nearest point and the lookahead sum with an inline hypot at
+    every point and every tick."""
     if len(plan.trajectory) < 2:
         return apply_control_faults(ControlOut(ACCEL_MIN, 0.0), faults, t, loc.p)
     traj = plan.trajectory
 
     t_q = t + CONTROL_SPEED_LOOKAHEAD_MS
-    v_target = _plan_speed_at(traj, t_q)
-    a_ff = (_plan_speed_at(traj, t_q + 200) - v_target) / 0.2
+    v_target = plan_speed_at_reference(traj, t_q)
+    a_ff = (plan_speed_at_reference(traj, t_q + 200) - v_target) / 0.2
     err = v_target - loc.speed
     if abs(err) < 0.02:
         err = 0.0
     accel = min(ACCEL_MAX, max(ACCEL_MIN, a_ff + CONTROL_KP * err))
 
     lookahead = max(3.0, 0.5 * loc.speed)
+    lx, ly = loc.p
     best_i, best_d = 0, math.inf
     for i, pt in enumerate(traj):
-        d = vec_dist(pt.p, loc.p)
+        x, y = pt.p
+        d = math.hypot(x - lx, y - ly)
         if d < best_d:
             best_d, best_i = d, i
     target = traj[-1].p
     acc = 0.0
     for i in range(best_i, len(traj) - 1):
-        acc += vec_dist(traj[i].p, traj[i + 1].p)
+        (ax, ay), (bx, by) = traj[i].p, traj[i + 1].p
+        acc += math.hypot(ax - bx, ay - by)
         if acc >= lookahead:
             target = traj[i + 1].p
             break
@@ -733,24 +797,38 @@ def control_tick_reference(plan, loc, faults, t):
 
 
 # Grid coordinates give repeated points and points at equal distance from the
-# ego (the first of them must win); free floats give the general case.
-coord = st.one_of(st.sampled_from([-4.0, -1.0, 0.0, 1.0, 2.5, 4.0]),
+# ego (the first of them must win); free floats give the general case, signed
+# zeros included.
+coord = st.one_of(st.sampled_from([-4.0, -1.0, -0.0, 0.0, 1.0, 2.5, 4.0]),
                   st.floats(-60.0, 60.0))
 
 
 @st.composite
 def plans(draw):
+    """A plan on the 100 ms grid from a drawn origin, as planning publishes."""
     n = draw(st.integers(0, 12))
+    t0 = draw(st.integers(0, 20)) * 100
     pts = []
     for k in range(n):
-        pts.append(TrajPoint(k * 100, (draw(coord), draw(coord)),
+        pts.append(TrajPoint(t0 + k * 100, (draw(coord), draw(coord)),
                              draw(st.floats(0.0, 15.0)), draw(st.floats(-math.pi, math.pi))))
     return PlanningOut(tuple(pts), "Cruise", ("cruise",))
 
 
+def control_tick_equals_reference(plan, x, y, heading, speed, t):
+    # repr tells -0.0 from 0.0, so every float of the command must be equal to the bit.
+    loc = LocalizationOut((x, y), heading, speed)
+    assert repr(control_tick(PlanTable(plan), loc, [], t)) == repr(
+        control_tick_reference(plan, loc, [], t))
+
+
+control_times = st.one_of(st.sampled_from([0, 50, 100, 400, 1000, 1300]),
+                          st.integers(0, 400).map(lambda k: k * 10))
+
+
 @settings(max_examples=400, deadline=None)
 @given(plan=plans(), x=coord, y=coord, heading=st.floats(-math.pi, math.pi),
-       speed=st.floats(0.0, 60.0), t=st.sampled_from([0, 50, 100, 400, 1000, 1300]))
+       speed=st.floats(0.0, 60.0), t=control_times)
 @example(plan=PlanningOut(tuple(TrajPoint(k * 100, p, 5.0, 0.0) for k, p in enumerate(
     [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, 1.0), (1.0, 0.0)])), "Cruise", ()),
     x=0.0, y=0.0, heading=0.0, speed=2.0, t=0)
@@ -758,8 +836,30 @@ def plans(draw):
                           "Cruise", ()),
          x=0.0, y=0.0, heading=0.0, speed=40.0, t=0)  # lookahead past the end
 def test_control_tick_equals_reference(plan, x, y, heading, speed, t):
-    loc = LocalizationOut((x, y), heading, speed)
-    assert control_tick(plan, loc, [], t) == control_tick_reference(plan, loc, [], t)
+    control_tick_equals_reference(plan, x, y, heading, speed, t)
+
+
+@pytest.mark.slow
+@settings(max_examples=5000, deadline=None)
+@given(plan=plans(), x=coord, y=coord, heading=st.floats(-math.pi, math.pi),
+       speed=st.floats(0.0, 60.0), t=control_times)
+def test_control_tick_equals_reference_many(plan, x, y, heading, speed, t):
+    control_tick_equals_reference(plan, x, y, heading, speed, t)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(dx=finite, dy=finite)
+@example(dx=1e308, dy=1e308)
+@example(dx=5e-324, dy=5e-324)
+@example(dx=-0.0, dy=0.0)
+def test_hypot_is_never_below_either_leg(dx, dy):
+    # control_tick skips a plan point whose |dx| is not below the best distance;
+    # that needs a hypot never below |dx|, on every Python the project supports.
+    assert math.hypot(dx, dy) >= abs(dx)
+    assert math.hypot(dx, dy) >= abs(dy)
 
 
 # --- localization -----------------------------------------------------------

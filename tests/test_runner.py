@@ -6,6 +6,7 @@ from causetrace import runner
 from causetrace.geometry import OrientedBox
 from causetrace.middleware import ComponentId
 from causetrace.oracles import OracleConfig
+from causetrace.pipeline import PlanTable
 from causetrace.runner import AdsConfig, SimPanic, run_scheduler, run_with_substitution, rtest
 from causetrace.scenario import scenario_from_dict
 from causetrace.substitutes import IdealAll, SubstitutionPlan, sim_control_apply
@@ -153,6 +154,6 @@ def test_ideal_control_block_equals_per_ms_chain():
         assert len(plan.trajectory) >= 2  # the fallback is not exercised here
         ego = EgoState(prev.p, 0.0, 0.0, 0.0, prev.t)
         for ms in range(prev.t + 1, w.t + 1):
-            nxt = sim_control_apply(plan, ms, ego)
+            nxt = sim_control_apply(PlanTable(plan), ms, ego)
             ego = EgoState(nxt.p, nxt.heading, nxt.speed, (nxt.speed - ego.speed) * 1000.0, ms)
         assert w == ego.sample(w.t)

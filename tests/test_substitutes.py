@@ -1,21 +1,23 @@
 import gc
 import math
+from bisect import bisect_right
+from operator import attrgetter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from causetrace.benchmark import load_benchmark, load_builtin_scenario
 from causetrace.middleware import ComponentId
 from causetrace.oracles import OracleConfig
-from causetrace.payloads import (PerceivedObject, PerceptionOut, PlanningOut,
+from causetrace.payloads import (ControlOut, PerceivedObject, PerceptionOut, PlanningOut,
                                  PredictedTrajectory, PredictionOut, TrajPoint)
-from causetrace.pipeline import PREDICTION_HORIZON_MS, PREDICTION_STEP_MS
+from causetrace.pipeline import PREDICTION_HORIZON_MS, PREDICTION_STEP_MS, PlanTable
 from causetrace.runner import AdsConfig, rtest, run_scheduler, run_with_substitution
 from causetrace.scenario import bbox_at, object_box, object_pose_at, scenario_from_dict
 from causetrace.substitutes import (IdealAll, IdealFromState, QuantizationUnits,
                                     SubstitutionPlan, ideal_localization,
-                                    ideal_perception, ideal_prediction,
+                                    derived_control, ideal_perception, ideal_prediction,
                                     quantize_state, sim_control_apply, split_trace)
 from causetrace.world import SENSOR_RANGE, EgoState
 from conftest import object_by_id, straight_road_doc
@@ -306,7 +308,7 @@ def test_sim_control_follows_straight_line():
     plan = PlanningOut(pts, "Cruise", ())
     fallback = EgoState((0.0, 0.0), 0.0, 10.0, 0.0, 0)
     for t in (0, 50, 1234, 4000):
-        st = sim_control_apply(plan, t, fallback)
+        st = sim_control_apply(PlanTable(plan), t, fallback)
         assert st.p[0] == pytest.approx(t / 100.0, abs=1e-9)
         assert st.speed == 10.0
 
@@ -320,17 +322,109 @@ def test_sim_control_stop_profile_reaches_zero():
         v -= 0.8
     plan = PlanningOut(tuple(pts), "Stop", ())
     fallback = EgoState((0.0, 0.0), 0.0, 10.0, 0.0, 0)
-    st = sim_control_apply(plan, 4000, fallback)
+    st = sim_control_apply(PlanTable(plan), 4000, fallback)
     assert st.speed == 0.0
-    mid = sim_control_apply(plan, 650, fallback)
+    mid = sim_control_apply(PlanTable(plan), 650, fallback)
     assert 0.0 < mid.speed < 10.0
 
 
 def test_sim_control_empty_plan_freezes():
     fallback = EgoState((3.0, 4.0), 0.5, 8.0, 1.0, 777)
-    st = sim_control_apply(hold_plan(), 1000, fallback)
+    st = sim_control_apply(PlanTable(hold_plan()), 1000, fallback)
     assert st.p == (3.0, 4.0)
     assert st.speed == 0.0
+
+
+def sim_control_apply_reference(plan, t, fallback):
+    """sim_control_apply from before it read a PlanTable: the point before t
+    found by bisection over the point times."""
+    if len(plan.trajectory) < 2:
+        return EgoState(fallback.p, fallback.heading, 0.0, 0.0, t)
+    traj = plan.trajectory
+    if t <= traj[0].t:
+        pt = traj[0]
+        return EgoState(pt.p, pt.heading, pt.speed, 0.0, t)
+    if t >= traj[-1].t:
+        pt = traj[-1]
+        return EgoState(pt.p, pt.heading, pt.speed, 0.0, t)
+    lo = bisect_right(traj, t, key=attrgetter("t")) - 1
+    a, b = traj[lo], traj[lo + 1]
+    u = (t - a.t) / (b.t - a.t)
+    p = (a.p[0] + (b.p[0] - a.p[0]) * u, a.p[1] + (b.p[1] - a.p[1]) * u)
+    speed = a.speed + (b.speed - a.speed) * u
+    accel = (b.speed - a.speed) / ((b.t - a.t) / 1000.0)
+    heading = a.heading if u < 1.0 else b.heading
+    return EgoState(p, heading, speed, accel, t)
+
+
+def derived_control_reference(plan, ego_speed, t):
+    """derived_control from before it read a PlanTable."""
+    if len(plan.trajectory) < 2:
+        return ControlOut(0.0, 0.0)
+    nxt = sim_control_apply_reference(plan, t + 100, EgoState((0, 0), 0, 0, 0, t))
+    accel = max(-8.0, min(3.0, (nxt.speed - ego_speed) / 0.1))
+    return ControlOut(accel, 0.0)
+
+
+ideal_coords = st.one_of(st.sampled_from([-1.0, -0.0, 0.0, 2.5]), st.floats(-1e4, 1e4))
+
+
+@st.composite
+def grid_plans(draw):
+    """A plan on the 100 ms grid from a drawn origin, as planning publishes:
+    speeds repeat or jump, positions repeat or carry signed zeros."""
+    t0 = draw(st.integers(0, 300)) * 100
+    speeds = st.one_of(st.sampled_from([0.0, 5.0, 11.0]), st.floats(0.0, 20.0))
+    pts = tuple(TrajPoint(t0 + k * PREDICTION_STEP_MS, (draw(ideal_coords), draw(ideal_coords)),
+                          draw(speeds), draw(st.floats(-math.pi, math.pi)))
+                for k in range(draw(st.integers(0, 31))))
+    return PlanningOut(pts, "Cruise", ())
+
+
+def ideal_control_equals_reference(plan, ego_speed):
+    # Every ms from a step before the plan's first point to a step after its
+    # last, as the ideal-control block and the substitute's report ask.
+    table = PlanTable(plan)
+    fallback = EgoState((3.0, -0.0), 0.5, 8.0, 1.0, 0)
+    traj = plan.trajectory
+    t0 = traj[0].t if traj else 0
+    t1 = traj[-1].t if traj else 0
+    for t in range(max(0, t0 - PREDICTION_STEP_MS), t1 + PREDICTION_STEP_MS + 1):
+        assert repr(sim_control_apply(table, t, fallback)) == repr(
+            sim_control_apply_reference(plan, t, fallback)), t
+        assert repr(derived_control(table, ego_speed, t)) == repr(
+            derived_control_reference(plan, ego_speed, t)), t
+
+
+@settings(max_examples=60, deadline=None)
+@given(plan=grid_plans(), ego_speed=st.floats(0.0, 20.0))
+@example(plan=PlanningOut((TrajPoint(0, (-0.0, 0.0), 0.0, 0.0),
+                           TrajPoint(100, (0.0, -0.0), 0.0, -0.0)), "Stop", ()), ego_speed=0.0)
+def test_ideal_control_equals_the_bisection_on_the_grid(plan, ego_speed):
+    ideal_control_equals_reference(plan, ego_speed)
+
+
+@pytest.mark.slow
+@settings(max_examples=1000, deadline=None)
+@given(plan=grid_plans(), ego_speed=st.floats(0.0, 20.0))
+def test_ideal_control_equals_the_bisection_on_the_grid_many(plan, ego_speed):
+    ideal_control_equals_reference(plan, ego_speed)
+
+
+@pytest.mark.parametrize("inst_id", ["cs1_plan_speed", "cs1_plan_none", "cs3_plan_path",
+                                     "cs1_pred_none", "cs2_perc_vel"])
+def test_published_plans_lie_on_the_grid(inst_id):
+    # PlanTable finds the point before t by division: every plan an original run
+    # publishes, faulted or not, has its points every PREDICTION_STEP_MS from the
+    # planning time.
+    inst = INSTS[inst_id]
+    trace = rtest(load_builtin_scenario(inst.scenario), AdsConfig(faults=[inst.fault]),
+                  OracleConfig()).trace
+    rows = trace.rows[ComponentId.PLANNING]
+    assert any(m.fault_affected for m in rows) == (inst.component is ComponentId.PLANNING)
+    for m in rows:
+        assert [pt.t for pt in m.payload.trajectory] == [
+            m.t_pub + k * PREDICTION_STEP_MS for k in range(len(m.payload.trajectory))]
 
 
 def test_substitution_plan_rejects_planning():
