@@ -14,15 +14,13 @@ re-running with the substitute active from a candidate state onward.
 from __future__ import annotations
 
 import time
-from bisect import bisect_right
 from dataclasses import dataclass, field
-from operator import attrgetter
 
 from .middleware import TICK_PRIORITY, ComponentId, Message, Trace
 from .oracles import (OracleConfig, planning_message_violates, safe_distance_objects,
                       trajectory_is_held)
 from .pipeline import make_planner_context
-from .runner import (AdsConfig, ForkMemo, RunResult, collector_paused, rtest,
+from .runner import (SAMPLE_MS, AdsConfig, ForkMemo, RunResult, collector_paused, rtest,
                      run_with_substitution)
 from .scenario import Scenario
 from .substitutes import IdealFromState, IdealWithinStates, SubstitutionPlan, split_trace
@@ -126,15 +124,14 @@ def attribute_component(session: DtestSession, original: RunResult
 
 def _component_states(trace: Trace, component: ComponentId) -> list[int]:
     """State indices that contain at least one message of the component."""
-    return sorted({m.state_index for m in trace.rows[component]
-                   if m.state_index is not None})
+    return sorted({m.state_index for m in trace.rows[component]})
 
 
 def _focus_in_state(trace: Trace, component: ComponentId, state_index: int) -> Message:
     row = trace.rows[component]
     best = None
     for m in row:
-        if m.state_index is not None and m.state_index <= state_index:
+        if m.state_index <= state_index:
             best = m
     assert best is not None, "boundary state holds no message of the component"
     return best
@@ -209,10 +206,10 @@ def attribute_message_planning(trace: Trace, scenario: Scenario,
         else:
             held_since = None
             held_ms = 0
-        # ego sample at or before the message (the first sample if none is)
-        i = bisect_right(trace.ego_log, msg.t_pub, key=attrgetter("t"))
+        # the ego sample the message was published at
         if planning_message_violates(plan, msg.t_pub, scenario, planner_ctx, oracles,
-                                     objects, trace.ego_log[max(i - 1, 0)].p, held_ms):
+                                     objects, trace.ego_log[msg.t_pub // SAMPLE_MS].p,
+                                     held_ms):
             return msg
     raise NoViolatingPlanningMessage("no planning output violates the rules")
 

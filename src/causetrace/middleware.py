@@ -69,7 +69,8 @@ class Trace:
     ego_log: list[Waypoint]  # sampled at a fixed period
     verdict: Verdict | None = None
     diagnostics: list[str] = field(default_factory=list)
-    # One runner.Checkpoint per state start of a simulated run; not serialized.
+    # One runner.Checkpoint per state of a simulated run, at its first sample and
+    # holding its key: the state axis of the message-level search. Not serialized.
     checkpoints: list[tuple] = field(default_factory=list)
     # The simulated ms before this time were copied from the original run, not stepped.
     forked_at: SimTime = 0

@@ -52,7 +52,7 @@ from __future__ import annotations
 import functools
 import gc
 import struct
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from itertools import islice
 from operator import attrgetter
@@ -72,7 +72,7 @@ from .scenario import Scenario, SimTime, Waypoint
 from .substitutes import (OnlineStateTracker, QuantizationUnits, StateKey,
                           SubstitutionPlan, active_states, derived_control,
                           ideal_localization, ideal_perception, ideal_prediction,
-                          sim_control_apply)
+                          sim_control_apply, state_at)
 from .world import Broadphase, EgoState, step_ego
 
 SAMPLE_MS = 10  # ego log and state tracking at 100 Hz
@@ -116,7 +116,7 @@ class Checkpoint(NamedTuple):
 
     t: SimTime
     ego: EgoState
-    key: StateKey | None  # state key before the sample
+    key: StateKey  # the key of the state that starts here
 
 
 def _prefix(trace: Trace, t: SimTime, through: bool = False
@@ -205,9 +205,9 @@ def run_scheduler(scenario: Scenario, ads: AdsConfig,
         cp = origin.checkpoints[k - 1]
         ego = cp.ego
         trace.rows, trace.ego_log = _prefix(origin, cp.t)
-        trace.checkpoints = origin.checkpoints[:k - 1]
+        trace.checkpoints = origin.checkpoints[:k]
         trace.forked_at = cp.t
-        state_tracker.index, state_tracker.key = k - 1, cp.key
+        state_tracker.index, state_tracker.key = k, cp.key
     faults = {c: [f for f in ads.faults if f.target is c] for c in ComponentId}
     windows = {c: active_states(m) for c, m in plan.modes.items()}
     ideal: set[ComponentId] = set()  # substitutes active at the current state index
@@ -251,8 +251,7 @@ def run_scheduler(scenario: Scenario, ads: AdsConfig,
 
     for t in range(trace.forked_at, scenario.t_max, SAMPLE_MS):
         wp = ego.sample(t)
-        key = state_tracker.key
-        index, _ = state_tracker.observe(wp.p, wp.v, wp.a)
+        index, key = state_tracker.observe(wp.p, wp.v, wp.a)
         if index > len(trace.checkpoints):
             trace.checkpoints.append(Checkpoint(t, ego, key))
         trace.ego_log.append(wp)
@@ -390,7 +389,7 @@ def _first_difference(scenario: Scenario, origin: Trace, component: ComponentId,
         if m.t_pub >= t_end:
             return None
         if _differs(scenario, origin, m):
-            return bisect_right(cps, m.t_pub, key=attrgetter("t"))
+            return state_at(cps, m.t_pub)
     return None
 
 

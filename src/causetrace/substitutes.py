@@ -5,8 +5,11 @@ Substitutes publish ground truth taken straight from the scenario (perception,
 prediction, localization) or bypass the motion model by driving the ego along
 the planning trajectory (control). State quantization turns the sampled ego
 dynamics into integer keys; consecutive equal keys form one state, and the
-state index is the time axis of the message-level search. A re-run substitutes
-from state k onward, and runs identically to the original until a substitute
+state index is the time axis of the message-level search. The scheduler
+quantizes each sample as it runs (`OnlineStateTracker`) and records a
+checkpoint where a state starts; a message belongs to the state of the last
+checkpoint at or before its publication (`state_at`). A re-run substitutes from
+state k onward, and runs identically to the original until a substitute
 publishes something the original did not, at state k or later; the runner
 therefore forks such a re-run from the original run's checkpoint at that state.
 """
@@ -17,7 +20,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import repeat
-from operator import itemgetter
+from operator import attrgetter
 
 from .geometry import Vec2
 from .middleware import ComponentId, Trace
@@ -50,16 +53,9 @@ def quantize_state(p: Vec2, v: Vec2, a: Vec2, units: QuantizationUnits) -> State
     )
 
 
-@dataclass(frozen=True)
-class DynamicState:
-    index: int  # 1-based position in the state sequence
-    key: StateKey
-    t_start: SimTime
-    t_end: SimTime  # time of the last sample inside the state
-
-
 class OnlineStateTracker:
-    """Incremental version of split_trace used during a live run."""
+    """The state quantizer of a run: numbers the states as the scheduler
+    observes each sample."""
 
     def __init__(self, units: QuantizationUnits):
         self.units = units
@@ -74,35 +70,29 @@ class OnlineStateTracker:
         return self.index, key
 
 
-def split_trace(trace: Trace, units: QuantizationUnits) -> list[DynamicState]:
-    """Quantize the ego log into merged states and assign every message to one.
+def state_at(checkpoints: list[tuple], t: SimTime) -> int:
+    """The state that holds time t: the count of checkpoints at or before t."""
+    return bisect_right(checkpoints, t, key=attrgetter("t"))
 
-    Consecutive identical keys merge; a later visit to a key is a new state.
-    Messages are annotated in place (state_key / state_index).
+
+def split_trace(trace: Trace, units: QuantizationUnits) -> list[tuple]:
+    """Assign every message of a run to its state (`state_at`); returns the
+    run's states, one `runner.Checkpoint` each.
+
+    Messages are annotated in place (state_key / state_index). The states are
+    the scheduler's: consecutive identical keys merge, a later visit to a key is
+    a new state, and the closing `t_max` sample, which the scheduler does not
+    observe, is no state. `units` is unread, because the scheduler quantized
+    the run with its own; it stays in the signature, which the benchmark's
+    workloads call, until `QuantizationUnits` become module constants.
     """
-    assert trace.ego_log, "split_trace needs the ego waypoint log"
-    states: list[DynamicState] = []
-    tracker = OnlineStateTracker(units)
-    sample_index: list[tuple[SimTime, int]] = []
-    for w in trace.ego_log:
-        idx, key = tracker.observe(w.p, w.v, w.a)
-        if idx > len(states):
-            states.append(DynamicState(idx, key, w.t, w.t))
-        else:
-            states[-1] = DynamicState(idx, key, states[-1].t_start, w.t)
-        sample_index.append((w.t, idx))
+    cps = trace.checkpoints
+    assert cps, "split_trace needs the checkpoints of a simulated run"
     for row in trace.rows.values():
         for msg in row:
-            idx = _state_at(sample_index, msg.t_pub)
-            msg.state_index = idx
-            msg.state_key = states[idx - 1].key
-    return states
-
-
-def _state_at(sample_index: list[tuple[SimTime, int]], t: SimTime) -> int:
-    """State of the last sample at or before t (the first sample's before it)."""
-    i = bisect_right(sample_index, t, key=itemgetter(0))
-    return sample_index[max(i - 1, 0)][1]
+            msg.state_index = idx = state_at(cps, msg.t_pub)
+            msg.state_key = cps[idx - 1].key
+    return cps
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,7 @@ from causetrace.oracles import OracleConfig
 from causetrace.payloads import ControlOut
 from causetrace.runner import AdsConfig, rtest
 from causetrace.scenario import Waypoint, scenario_from_dict
-from causetrace.substitutes import (DynamicState, IdealFromState, IdealWithinStates,
-                                    SubstitutionPlan, split_trace)
+from causetrace.substitutes import IdealFromState, IdealWithinStates, SubstitutionPlan
 from conftest import straight_road_doc
 
 INSTS = {i.id: i for i in load_benchmark()}
@@ -50,23 +49,21 @@ class StubSession:
 
 
 def synthetic_trace(n_states: int, component=ComponentId.PERCEPTION, per_state=1):
-    """A trace whose component messages map 1:1 onto synthetic states."""
+    """A trace whose component messages map 1:1 onto synthetic states, 100 ms
+    each; state s has the key (s, 0, 0, 0, 0, 0)."""
     bus = Bus()
-    states = []
     for s in range(1, n_states + 1):
-        t0 = (s - 1) * 100
-        states.append(DynamicState(s, (s, 0, 0, 0, 0, 0), t0, t0 + 99))
         for k in range(per_state):
-            msg = bus.publish(component, ControlOut(0, 0), t0 + k * 10)
+            msg = bus.publish(component, ControlOut(0, 0), (s - 1) * 100 + k * 10)
             msg.state_index = s
-            msg.state_key = states[-1].key
-    return bus.trace, states
+            msg.state_key = (s, 0, 0, 0, 0, 0)
+    return bus.trace
 
 
 @pytest.mark.parametrize("boundary", [1, 2, 17, 59, 64])
 def test_binary_search_matches_stub_boundary(boundary):
     n = 64
-    trace, _ = synthetic_trace(n)
+    trace = synthetic_trace(n)
     session = StubSession(boundary, n)
     focus = attribute_message_nonplanning(session, trace, n, ComponentId.PERCEPTION)
     assert focus.state_index == boundary
@@ -74,7 +71,7 @@ def test_binary_search_matches_stub_boundary(boundary):
 
 
 def test_binary_search_single_state_no_extra_dtests():
-    trace, _ = synthetic_trace(1, per_state=3)
+    trace = synthetic_trace(1, per_state=3)
     session = StubSession(1, 1)
     focus = attribute_message_nonplanning(session, trace, 1, ComponentId.PERCEPTION)
     assert session.calls == 0
@@ -82,7 +79,7 @@ def test_binary_search_single_state_no_extra_dtests():
 
 
 def test_binary_search_takes_last_message_in_boundary_state():
-    trace, _ = synthetic_trace(8, per_state=4)
+    trace = synthetic_trace(8, per_state=4)
     session = StubSession(5, 8)
     focus = attribute_message_nonplanning(session, trace, 8, ComponentId.PERCEPTION)
     assert focus.state_index == 5
@@ -92,7 +89,7 @@ def test_binary_search_takes_last_message_in_boundary_state():
 
 @pytest.mark.parametrize("n,boundary", [(2, 1), (3, 2), (100, 37), (500, 499), (500, 500)])
 def test_binary_search_budget(n, boundary):
-    trace, _ = synthetic_trace(n)
+    trace = synthetic_trace(n)
     session = StubSession(boundary, n)
     focus = attribute_message_nonplanning(session, trace, n, ComponentId.PERCEPTION)
     assert focus.state_index == boundary
@@ -102,7 +99,7 @@ def test_binary_search_budget(n, boundary):
 def test_binary_search_equals_linear_scan_on_stub():
     n = 120
     for boundary in (1, 37, 60, 119, 120):
-        trace, _ = synthetic_trace(n)
+        trace = synthetic_trace(n)
         session = StubSession(boundary, n)
         focus = attribute_message_nonplanning(session, trace, n, ComponentId.PERCEPTION)
         lin = StubSession(boundary, n)
@@ -114,7 +111,7 @@ def test_binary_search_equals_linear_scan_on_stub():
 
 def test_audit_detects_non_monotone_predicate():
     n = 16
-    trace, states = synthetic_trace(n)
+    trace = synthetic_trace(n)
 
     class Flaky(StubSession):
         def passed(self, plan):
@@ -144,17 +141,17 @@ class MessageSetSession:
 
 def sparse_trace(n_states, message_states, component=ComponentId.PERCEPTION):
     """A trace of n_states states; only `message_states` hold a component message."""
-    trace, states = synthetic_trace(n_states, component)
+    trace = synthetic_trace(n_states, component)
     trace.rows[component] = [m for m in trace.rows[component]
                              if m.state_index in message_states]
-    return trace, states
+    return trace
 
 
 @pytest.mark.parametrize("decisive_state", [1, 4, 7, 11])
 def test_audit_boundary_is_last_passing_message_state(decisive_state):
     # States 2, 3, 5, 6, 8-10 and 12 hold no message, so each predicate value
     # holds on (m, m'] between consecutive message states m < m'.
-    trace, _ = sparse_trace(12, {1, 4, 7, 11})
+    trace = sparse_trace(12, {1, 4, 7, 11})
     decisive = next(m.seq for m in trace.rows[ComponentId.PERCEPTION]
                     if m.state_index == decisive_state)
     session = MessageSetSession(trace, ComponentId.PERCEPTION, decisive)
@@ -219,7 +216,7 @@ def test_tarantula_degenerate_input():
 
 
 def test_verdict_matrix_exactly_one_fail():
-    trace, states = synthetic_trace(6, per_state=2)
+    trace = synthetic_trace(6, per_state=2)
     focus = trace.rows[ComponentId.PERCEPTION][7]  # seq 8 of 12
     rows = build_verdict_matrix(trace, ComponentId.PERCEPTION, focus)
     labels = [r["label"] for r in rows]

@@ -28,7 +28,8 @@ from causetrace.payloads import PerceptionOut, PlanningOut, TrajPoint
 from causetrace.runner import AdsConfig, rtest, run_with_substitution
 from causetrace.scenario import Waypoint, scenario_from_dict
 from causetrace.substitutes import (IdealAll, IdealFromState, IdealWithinStates,
-                                    SubstitutionPlan, ideal_perception, split_trace)
+                                    SubstitutionPlan, ideal_perception, quantize_state,
+                                    split_trace)
 from causetrace.world import EgoState
 from conftest import static_object, straight_road_doc
 
@@ -124,17 +125,6 @@ def test_start_at_or_below_state_one_resumes_from_t0():
         assert ftrace.ego_log == full_trace.ego_log[:len(ftrace.ego_log)], mode
 
 
-def test_checkpoints_are_state_starts():
-    _, _, ads, original = _original("cs4_perc_bbox")
-    cps = original.trace.checkpoints
-    states = split_trace(original.trace, ads.units)
-    assert len(states) - 1 <= len(cps) <= len(states)
-    for k, cp in enumerate(cps, start=1):
-        assert cp.t == states[k - 1].t_start
-        assert original.ego_log[cp.t // runner.SAMPLE_MS].t == cp.t
-        assert cp.ego.t == cp.t
-
-
 def _no_stepping(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("the re-run was simulated")
@@ -143,16 +133,18 @@ def _no_stepping(monkeypatch):
 
 def test_plan_past_last_checkpoint_is_the_original(monkeypatch):
     # The ego is still accelerating at t_max, and here the closing sample, which
-    # the scheduler appends without observing, opens one more state in split_trace.
+    # the scheduler appends without observing, has another key than the last
+    # state. It opens no state: no component fires there.
     scenario = scenario_from_dict(straight_road_doc(t_max_ms=2020))
     ads, oracles = AdsConfig(), OracleConfig()
     original = rtest(scenario, ads, oracles)
     cps = original.trace.checkpoints
-    states = split_trace(original.trace, ads.units)
-    assert original.ego_log[-1].t == scenario.t_max
-    assert len(states) == len(cps) + 1
+    closing = original.ego_log[-1]
+    assert closing.t == scenario.t_max
+    assert quantize_state(closing.p, closing.v, closing.a, ads.units) != cps[-1].key
+    assert split_trace(original.trace, ads.units) == cps
     _no_stepping(monkeypatch)
-    plan = SubstitutionPlan({ComponentId.PERCEPTION: IdealFromState(len(states))})
+    plan = SubstitutionPlan({ComponentId.PERCEPTION: IdealFromState(len(cps) + 1)})
     verdict, trace = run_with_substitution(scenario, ads, plan, oracles,
                                            origin=original.trace)
     assert verdict == original.verdict

@@ -1,22 +1,23 @@
 import gc
 import math
 from bisect import bisect_right
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from causetrace.benchmark import load_benchmark, load_builtin_scenario
-from causetrace.middleware import ComponentId
+from causetrace.benchmark import ARCHETYPE, load_benchmark, load_builtin_scenario
+from causetrace.middleware import Bus, ComponentId
 from causetrace.oracles import OracleConfig
 from causetrace.payloads import (ControlOut, PerceivedObject, PerceptionOut, PlanningOut,
                                  PredictedTrajectory, PredictionOut, TrajPoint)
 from causetrace.pipeline import PREDICTION_HORIZON_MS, PREDICTION_STEP_MS, PlanTable
-from causetrace.runner import AdsConfig, rtest, run_scheduler, run_with_substitution
+from causetrace.runner import (AdsConfig, Checkpoint, rtest, run_scheduler,
+                               run_with_substitution)
 from causetrace.scenario import bbox_at, object_box, object_pose_at, scenario_from_dict
-from causetrace.substitutes import (IdealAll, IdealFromState, QuantizationUnits,
-                                    SubstitutionPlan, ideal_localization,
+from causetrace.substitutes import (IdealAll, IdealFromState, OnlineStateTracker,
+                                    QuantizationUnits, SubstitutionPlan, ideal_localization,
                                     derived_control, ideal_perception, ideal_prediction,
                                     quantize_state, sim_control_apply, split_trace)
 from causetrace.world import SENSOR_RANGE, EgoState
@@ -65,19 +66,21 @@ def test_split_trace_stationary_single_state():
 
 def test_split_trace_cruise_state_every_20ms():
     # At 10 m/s with p_unit 0.2 the position cell advances every 20 ms.
-    from causetrace.middleware import Bus
-    from causetrace.scenario import Waypoint
-
     bus = Bus()
+    tracker = OnlineStateTracker(UNITS)
     for k in range(101):
         t = k * 10
-        bus.trace.ego_log.append(
-            Waypoint((10.0 * t / 1000.0 + 0.001, 0.0), (10.0, 0.0), (0.0, 0.0), t))
+        p = (10.0 * t / 1000.0 + 0.001, 0.0)
+        index, key = tracker.observe(p, (10.0, 0.0), (0.0, 0.0))
+        if index > len(bus.trace.checkpoints):  # the scheduler's record of a state start
+            bus.trace.checkpoints.append(Checkpoint(t, EgoState(p, 0.0, 10.0, 0.0, t), key))
         bus.publish(ComponentId.LOCALIZATION, None, t)
     states = split_trace(bus.trace, UNITS)
-    assert len(states) == pytest.approx(51, abs=1)
-    durations = [s.t_end - s.t_start for s in states[1:-1]]
-    assert all(d == 10 for d in durations)  # two 10 ms samples per 0.2 m cell
+    assert len(states) == 51
+    assert all(b.t - a.t == 20 for a, b in zip(states, states[1:]))  # two samples each
+    for m in bus.trace.rows[ComponentId.LOCALIZATION]:
+        assert m.state_index == m.t_pub // 20 + 1
+        assert m.state_key == states[m.state_index - 1].key
 
 
 def test_split_trace_partitions_messages():
@@ -92,6 +95,81 @@ def test_split_trace_partitions_messages():
         # Concatenating per-state message sets in state order reproduces the row.
         by_state = [m for s in range(1, n + 1) for m in row if m.state_index == s]
         assert [m.seq for m in by_state] == [m.seq for m in row]
+
+
+def split_trace_reference(trace, units):
+    """The state split split_trace made before it read the scheduler's
+    checkpoints: quantize every ego sample, the closing one included, merge
+    consecutive equal keys, and give each message the state of the last sample
+    at or before its publication. Returns each state's (first sample time,
+    key) and, row by row, each message's (state_index, state_key)."""
+    states = []
+    sample_index = []
+    for w in trace.ego_log:
+        key = quantize_state(w.p, w.v, w.a, units)
+        if not states or key != states[-1][1]:
+            states.append((w.t, key))
+        sample_index.append((w.t, len(states)))
+    labels = []
+    for row in trace.rows.values():
+        for msg in row:
+            i = bisect_right(sample_index, msg.t_pub, key=itemgetter(0))
+            idx = sample_index[max(i - 1, 0)][1]
+            labels.append((idx, states[idx - 1][1]))
+    return states, labels
+
+
+def assert_split_trace_equals_reference(scenario, faults=()) -> bool:
+    """split_trace against split_trace_reference on one original run; returns
+    whether the closing sample opens a state in the reference."""
+    trace = rtest(scenario, AdsConfig(faults=list(faults)), OracleConfig()).trace
+    ref_states, labels = split_trace_reference(trace, UNITS)
+    states = split_trace(trace, UNITS)
+    assert [(m.state_index, m.state_key) for row in trace.rows.values() for m in row] == labels
+    # The scheduler appends the closing t_max sample without observing it; where
+    # its key differs from the last state's, only the reference opens a state.
+    *_, last, closing = trace.ego_log
+    opens = (closing.t == scenario.t_max
+             and quantize_state(closing.p, closing.v, closing.a, UNITS)
+             != quantize_state(last.p, last.v, last.a, UNITS))
+    assert len(ref_states) == len(states) + opens
+    assert [(cp.t, cp.key) for cp in states] == ref_states[:len(states)]
+    assert all(cp.ego.t == cp.t for cp in states)
+    return opens
+
+
+STATE_AXIS_FAST = ("cs1_perc_miss", "cs5_loc_lat", "cs4b_ctrl_long")
+
+
+@pytest.mark.parametrize("inst_id", STATE_AXIS_FAST)
+def test_split_trace_equals_reference(inst_id):
+    inst = INSTS[inst_id]
+    assert not assert_split_trace_equals_reference(load_builtin_scenario(inst.scenario),
+                                                   [inst.fault])
+
+
+def test_split_trace_equals_reference_nominal():
+    assert not assert_split_trace_equals_reference(load_builtin_scenario("cs2"))
+
+
+def test_split_trace_equals_reference_where_the_closing_sample_opens_a_state():
+    # The ego is still accelerating at t_max.
+    assert assert_split_trace_equals_reference(
+        scenario_from_dict(straight_road_doc(t_max_ms=2020)))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("inst_id", sorted(INSTS))
+def test_split_trace_equals_reference_all(inst_id):
+    inst = INSTS[inst_id]
+    assert not assert_split_trace_equals_reference(load_builtin_scenario(inst.scenario),
+                                                   [inst.fault])
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", sorted(ARCHETYPE))
+def test_split_trace_equals_reference_all_nominal(name):
+    assert not assert_split_trace_equals_reference(load_builtin_scenario(name))
 
 
 def perception_vs_ideal(sc):
