@@ -7,7 +7,7 @@ from .attribution import (AttributionReport, MonotonicityViolation, NoViolation,
 from .middleware import ComponentId, Trace, trace_digest
 from .oracles import OracleConfig, evaluate
 from .runner import AdsConfig, RunResult, rtest, run_with_substitution
-from .scenario import Scenario, load_scenario, save_scenario
+from .scenario import Scenario, load_scenario
 from .substitutes import QuantizationUnits, SubstitutionPlan, split_trace
 
 __version__ = "0.1.0"
@@ -17,6 +17,5 @@ __all__ = [
     "NoViolatingPlanningMessage", "NoViolation", "OracleConfig", "QuantizationUnits",
     "RunResult", "Scenario", "SubstitutionPlan", "Trace", "Unattributable",
     "attribute", "evaluate", "load_scenario", "rtest", "run_with_substitution",
-    "save_scenario",
     "split_trace", "tarantula_scores", "trace_digest", "__version__",
 ]

@@ -45,11 +45,6 @@ class BenchInstance:
     def component(self) -> ComponentId:
         return self.fault.target
 
-    def to_dict(self) -> dict:
-        return {"id": self.id, "scenario": f"{self.scenario}.json",
-                "fault": self.fault.to_dict(),
-                "expected_violation": self.expected_violation}
-
 
 # ---------------------------------------------------------------------------
 # data files

@@ -74,24 +74,6 @@ class FaultSpec:
         if FAULT_KINDS[self.kind] is not self.target:
             raise ValueError(f"fault kind {self.kind!r} invalid for {self.target.value}")
 
-    def to_dict(self) -> dict:
-        out: dict = {"target": self.target.value, "kind": self.kind}
-        trig: dict = {}
-        if self.trigger.t0 != 0:
-            trig["t0_ms"] = self.trigger.t0
-        if self.trigger.t1 < (1 << 62):
-            trig["t1_ms"] = self.trigger.t1
-        if self.trigger.object_id is not None:
-            trig["object_id"] = self.trigger.object_id
-        if self.trigger.region is not None:
-            trig["region"] = {"center": list(self.trigger.region[0]),
-                              "radius": self.trigger.region[1]}
-        if trig:
-            out["trigger"] = trig
-        if self.magnitude:
-            out["magnitude"] = self.magnitude
-        return out
-
 
 def fault_from_dict(doc: dict, path: str = "fault") -> FaultSpec:
     """Parse one fault; malformed input raises ParseError / ValidationError."""

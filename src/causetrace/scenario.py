@@ -31,8 +31,12 @@ class ValidationError(Exception):
     """A scenario invariant is violated; message carries the field path."""
 
     def __init__(self, path: str, message: str):
-        self.path = path
+        self.path, self.message = path, message
         super().__init__(f"{path}: {message}")
+
+    def __reduce__(self):
+        # Rebuilt from both arguments, so it crosses a process pool intact.
+        return type(self), (self.path, self.message)
 
 
 @dataclass(frozen=True)
@@ -287,7 +291,7 @@ def lane_at(lane_map: LaneMap, p: Vec2) -> tuple[Lane, float, float] | None:
 
 
 # ---------------------------------------------------------------------------
-# load / save / validate
+# load / validate
 
 
 def parse_number(raw, path: str, kind: type = float):
@@ -540,55 +544,3 @@ def _decode_json(text: str, where: str):
 
 def load_scenario(path: str | Path) -> Scenario:
     return scenario_from_dict(load_json(path))
-
-
-def scenario_to_dict(sc: Scenario) -> dict:
-    return {
-        "map": {
-            "lanes": [
-                {
-                    "id": ln.id,
-                    "centerline": [list(p) for p in ln.centerline],
-                    "width": ln.width,
-                    "speed_limit": ln.speed_limit,
-                }
-                for ln in sc.map.lanes
-            ],
-            "successors": {k: list(v) for k, v in sorted(sc.map.successors.items())},
-        },
-        "ego": {
-            "init_pose": [sc.a_init[0][0], sc.a_init[0][1], sc.a_init[1]],
-            "dest": list(sc.a_dest),
-            "size": list(sc.ego_size),
-        },
-        "objects": [
-            {
-                "id": o.id,
-                "kind": o.kind,
-                "size": list(o.size),
-                "waypoints": [
-                    {"t_ms": w.t, "p": list(w.p), "v": list(w.v), "a": list(w.a)}
-                    for w in o.waypoints
-                ],
-                **({"heading_override": o.heading_override} if o.heading_override is not None else {}),
-            }
-            for o in sc.objects
-        ],
-        "signals": [
-            {
-                "id": s.id,
-                "stop_line": list(s.stop_line),
-                "phases": [
-                    {"t_start_ms": p.t_start, "t_end_ms": p.t_end, "color": p.color}
-                    for p in s.phases
-                ],
-            }
-            for s in sc.signals
-        ],
-        "t_max_ms": sc.t_max,
-        "seed": sc.seed,
-    }
-
-
-def save_scenario(sc: Scenario, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(scenario_to_dict(sc), indent=2) + "\n", encoding="utf-8")

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 
+from causetrace.benchmark import data_dir
 from causetrace.oracles import OracleConfig
 from causetrace.runner import AdsConfig
 from causetrace.scenario import scenario_from_dict
@@ -29,6 +32,13 @@ def static_object(obj_id="blk", kind="StaticObstacle", size=(0.4, 0.4, 0.7),
                   p=(70.0, 0.0)) -> dict:
     return {"id": obj_id, "kind": kind, "size": list(size),
             "waypoints": [{"t_ms": 0, "p": list(p), "v": [0, 0], "a": [0, 0]}]}
+
+
+def raw_instances() -> dict[str, dict]:
+    """Instance id -> the instance object as `data/benchmark.json` holds it, read
+    afresh on each call, so a test may edit what it gets."""
+    doc = json.loads((data_dir() / "benchmark.json").read_text(encoding="utf-8"))
+    return {raw["id"]: raw for raw in doc["instances"]}
 
 
 def object_by_id(sc, obj_id: str):

@@ -31,7 +31,7 @@ from causetrace.runner import AdsConfig, rtest
 from causetrace.scenario import Waypoint, scenario_from_dict
 from causetrace.substitutes import (IdealFromState, QuantizationUnits,
                                     SubstitutionPlan, split_trace)
-from conftest import static_object, straight_road_doc
+from conftest import raw_instances, static_object, straight_road_doc
 
 INSTANCES = load_benchmark()
 BY_ID = {i.id: i for i in INSTANCES}
@@ -151,9 +151,9 @@ def test_criterion_4_dtest_budget(bench_results):
 
 
 def test_criterion_5_determinism(tmp_path):
-    inst = BY_ID["cs2_perc_miss"]
     fpath = tmp_path / "fault.json"
-    fpath.write_text(json.dumps({"faults": [inst.fault.to_dict()]}), encoding="utf-8")
+    fpath.write_text(json.dumps({"faults": [raw_instances()["cs2_perc_miss"]["fault"]]}),
+                     encoding="utf-8")
     outs = []
     for sub in ("a", "b"):
         out = tmp_path / sub

@@ -6,15 +6,14 @@ import pytest
 
 from causetrace.benchmark import load_benchmark, scenario_path
 from causetrace.cli import main
-from conftest import straight_road_doc
+from conftest import raw_instances, straight_road_doc
 
-INSTS = {i.id: i for i in load_benchmark()}
 GOLDEN = json.loads((Path(__file__).resolve().parent / "golden.json").read_text(encoding="utf-8"))
 
 
 def write_fault(tmp_path, inst_id) -> str:
     path = tmp_path / "fault.json"
-    path.write_text(json.dumps({"faults": [INSTS[inst_id].fault.to_dict()]}),
+    path.write_text(json.dumps({"faults": [raw_instances()[inst_id]["fault"]]}),
                     encoding="utf-8")
     return str(path)
 
@@ -75,19 +74,29 @@ def _set(doc, key, value):
     return doc
 
 
-def _obj_size(doc):
-    doc["objects"] = [{"id": "o", "kind": "StaticObstacle", "size": 3,
-                       "waypoints": [{"t_ms": 0, "p": [50, 0], "v": [0, 0], "a": [0, 0]}]}]
-    return doc
+def _obj(**fields):
+    """An edit making the objects one Vehicle at rest at (50, 0), with `fields`."""
+    obj = {"id": "o", "kind": "Vehicle", "size": [4.0, 1.8, 1.5],
+           "waypoints": [{"t_ms": 0, "p": [50, 0], "v": [0, 0], "a": [0, 0]}], **fields}
+    return lambda d: _set(d, "objects", [obj])
+
+
+def _lane0(**fields):
+    """An edit setting `fields` of the first lane."""
+    return lambda d: d["map"]["lanes"][0].update(fields) or d
+
+
+def _ego(**fields):
+    """An edit setting `fields` of the ego."""
+    return lambda d: d["ego"].update(fields) or d
 
 
 MALFORMED = {
     # case: (scenario edit, fault file doc, oracle config doc, expected field path)
     "t_max_not_int": (lambda d: _set(d, "t_max_ms", "abc"), None, None, "t_max_ms"),
     "map_not_object": (lambda d: _set(d, "map", []), None, None, "map"),
-    "object_size_scalar": (_obj_size, None, None, "objects[0].size"),
-    "lane_width_not_finite": (lambda d: d["map"]["lanes"][0].update(width="inf") or d,
-                              None, None, "map.lanes[0].width"),
+    "object_size_scalar": (_obj(kind="StaticObstacle", size=3), None, None, "objects[0].size"),
+    "lane_width_not_finite": (_lane0(width="inf"), None, None, "map.lanes[0].width"),
     "fault_without_target": (None, {"kind": "miss_detection"}, None, "fault"),
     "fault_unknown_kind": (None, {"faults": [{"target": "perception", "kind": "gremlin"}]},
                            None, "faults[0].kind"),
@@ -138,16 +147,10 @@ MALFORMED = {
         None, "fault.magnitude.offest: unknown key"),
     "scenario_unknown_key": (lambda d: _set(d, "t_maxx", 1000), None, None,
                              "t_maxx: unknown key"),
-    "scenario_object_unknown_key": (
-        lambda d: _set(d, "objects", [{
-            "id": "o", "kind": "Vehicle", "size": [4.0, 1.8, 1.5], "heading_overide": 0.5,
-            "waypoints": [{"t_ms": 0, "p": [50, 0], "v": [0, 0], "a": [0, 0]}]}]),
-        None, None, "objects[0].heading_overide: unknown key"),
-    "scenario_object_id_not_string": (
-        lambda d: _set(d, "objects", [{
-            "id": None, "kind": "Vehicle", "size": [4.0, 1.8, 1.5],
-            "waypoints": [{"t_ms": 0, "p": [50, 0], "v": [0, 0], "a": [0, 0]}]}]),
-        None, None, "objects[0].id: expected a string"),
+    "scenario_object_unknown_key": (_obj(heading_overide=0.5), None, None,
+                                    "objects[0].heading_overide: unknown key"),
+    "scenario_object_id_not_string": (_obj(id=None), None, None,
+                                      "objects[0].id: expected a string"),
     "fault_file_unknown_key": (None, {"faults": [], "fault": {
         "target": "perception", "kind": "miss_detection"}}, None, "fault: unknown key"),
     "oracle_negative_c": (None, None, {"safe_distance_c": -1}, "safe_distance_c"),
@@ -159,12 +162,9 @@ MALFORMED = {
     "seed_not_integral": (lambda d: _set(d, "seed", 7.9), None, None,
                           "seed: expected an integer"),
     "waypoint_t_boolean": (
-        lambda d: _set(d, "objects", [{
-            "id": "o", "kind": "Vehicle", "size": [4.0, 1.8, 1.5],
-            "waypoints": [{"t_ms": True, "p": [50, 0], "v": [0, 0], "a": [0, 0]}]}]),
+        _obj(waypoints=[{"t_ms": True, "p": [50, 0], "v": [0, 0], "a": [0, 0]}]),
         None, None, "objects[0].waypoints[0].t_ms: expected a finite number"),
-    "lane_width_boolean": (lambda d: d["map"]["lanes"][0].update(width=True) or d,
-                           None, None, "map.lanes[0].width"),
+    "lane_width_boolean": (_lane0(width=True), None, None, "map.lanes[0].width"),
     "fault_trigger_t0_not_integral": (None, {
         "target": "perception", "kind": "miss_detection", "trigger": {"t0_ms": 1500.7}},
         None, "fault.trigger.t0_ms: expected an integer"),
@@ -182,6 +182,41 @@ MALFORMED = {
             "waypoints": [{"t_ms": 0, "p": [x, 0], "v": [0, 0], "a": [0, 0]}]}
             for x in (50, 70)]),
         None, None, "objects[1].id: repeats id 'o'"),
+    # The value checks of every scenario field.
+    "object_size_not_positive": (_obj(size=[4.0, 0.0, 1.5]), None, None,
+                                 "objects[0].size: size components must be > 0"),
+    "ego_size_not_positive": (_ego(size=[4.6, -1.9, 1.5]), None, None,
+                              "ego.size: size components must be > 0"),
+    "waypoint_t_negative": (
+        _obj(waypoints=[{"t_ms": -100, "p": [50, 0], "v": [0, 0], "a": [0, 0]}]),
+        None, None, "objects[0].waypoints[0].t_ms: must be >= 0"),
+    "object_unknown_kind": (_obj(kind="Bicycle"), None, None,
+                            "objects[0].kind: unknown kind 'Bicycle'"),
+    "object_without_waypoints": (_obj(waypoints=[]), None, None,
+                                 "objects[0].waypoints: must be non-empty"),
+    "lane_centerline_one_point": (_lane0(centerline=[[0.0, 0.0], [0.0, 0.0]]), None, None,
+                                  "map.lanes[0].centerline: needs at least 2 distinct points"),
+    "lane_width_zero": (_lane0(width=0), None, None, "map.lanes[0].width: must be > 0"),
+    "lane_speed_limit_negative": (_lane0(speed_limit=-1.0), None, None,
+                                  "map.lanes[0].speed_limit: must be > 0"),
+    "signal_phases_short": (
+        lambda d: _set(d, "signals", [{"id": "s", "stop_line": [80.0, 0.0], "phases": [
+            {"t_start_ms": 0, "t_end_ms": 500, "color": "Red"}]}]),
+        None, None, "signals[0].phases: phases must cover [0, 1000)"),
+    "successors_of_unknown_lane": (
+        lambda d: d["map"].update(successors={"lane9": ["lane1"]}) or d,
+        None, None, "map.successors.lane9: unknown lane"),
+    "successor_unknown": (lambda d: d["map"].update(successors={"lane0": ["lane9"]}) or d,
+                          None, None, "map.successors.lane0: unknown successor 'lane9'"),
+    "init_pose_without_heading": (_ego(init_pose=[5.0, 0.0]), None, None,
+                                  "ego.init_pose: expected [x, y, heading]"),
+    "t_max_negative": (lambda d: _set(d, "t_max_ms", -5), None, None, "t_max_ms: must be > 0"),
+    "seed_over_64_bits": (lambda d: _set(d, "seed", 2**64), None, None,
+                          "seed: must fit in 64 unsigned bits"),
+    "init_pose_off_lane": (_ego(init_pose=[5.0, 50.0, 0.0]), None, None,
+                           "ego.init_pose: must lie on some lane"),
+    "dest_unreachable": (_ego(dest=[120.0, 3.5]), None, None,
+                         "ego.dest: destination lane unreachable from initial lane"),
 }
 
 
@@ -263,8 +298,8 @@ def test_attribute_passing_scenario_exit_three(tmp_path, capsys):
 
 
 def test_attribute_unattributable_exit_four(tmp_path):
-    faults = [INSTS["cs1_perc_miss"].fault.to_dict(),
-              INSTS["cs1_ctrl_long"].fault.to_dict()]
+    raw = raw_instances()
+    faults = [raw["cs1_perc_miss"]["fault"], raw["cs1_ctrl_long"]["fault"]]
     fpath = tmp_path / "multi.json"
     fpath.write_text(json.dumps({"faults": faults}), encoding="utf-8")
     code = main(["attribute", str(scenario_path("cs1")), "--fault", str(fpath),
@@ -273,9 +308,8 @@ def test_attribute_unattributable_exit_four(tmp_path):
 
 
 def test_bench_small_subset(tmp_path, capsys):
-    from causetrace.benchmark import data_dir
-    subset = {"instances": [i.to_dict() for i in load_benchmark()
-                            if i.id in ("cs1_plan_none", "cs5_plan_none")]}
+    subset = {"instances": [raw for inst_id, raw in raw_instances().items()
+                            if inst_id in ("cs1_plan_none", "cs5_plan_none")]}
     bpath = tmp_path / "bench.json"
     bpath.write_text(json.dumps(subset), encoding="utf-8")
     code = main(["bench", "--benchmark", str(bpath), "--out-dir", str(tmp_path)])
@@ -357,13 +391,28 @@ def test_replay_malformed_record_exit_two(tmp_path, capsys, line, field_path):
      "instances[0].expected_violation: unknown kind 'safe_distanse'"),
 ])
 def test_bench_malformed_instance_exit_two(tmp_path, capsys, edit, field_path):
-    doc = {"instances": [INSTS["cs1_plan_none"].to_dict()]}
+    doc = {"instances": [raw_instances()["cs1_plan_none"]]}
     edit(doc)
     bpath = tmp_path / "bench.json"
     bpath.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["bench", "--benchmark", str(bpath), "--out-dir", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert f"error: {field_path}" in err
+
+
+@pytest.mark.parametrize("parallel", ["1", "2"])
+def test_bench_invalid_scenario_exit_two_in_parallel(tmp_path, capsys, parallel):
+    # A worker's ValidationError reaches the command intact, field path included.
+    raw = raw_instances()
+    doc = {"instances": [raw["cs1_plan_none"], raw["cs1_pred_none"]]}
+    bpath = tmp_path / "bench.json"
+    bpath.write_text(json.dumps(doc), encoding="utf-8")
+    (tmp_path / "cs1.json").write_text(json.dumps(straight_road_doc(t_max_ms=-5)),
+                                       encoding="utf-8")
+    assert main(["bench", "--benchmark", str(bpath), "--scenario-dir", str(tmp_path),
+                 "--parallel", parallel, "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: t_max_ms: must be > 0\n"
 
 
 @pytest.mark.parametrize("command", ["attribute", "bench"])

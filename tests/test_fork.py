@@ -454,8 +454,9 @@ def test_late_world_change_defers_fast_forward(case, still):
 def test_ramp_fault_leaves_fast_forward_on():
     # The ramp of an incorrect path plan runs from the trajectory's first point,
     # not from any clock: the same plan published later is the same plan shifted.
-    fault = fault_from_dict({"target": "planning", "kind": "incorrect_path_planning",
-                             "magnitude": {"lateral_bias": 0.6, "ramp_ms": 1500}})
+    raw = {"target": "planning", "kind": "incorrect_path_planning",
+           "magnitude": {"lateral_bias": 0.6, "ramp_ms": 1500}}
+    fault = fault_from_dict(raw)
     traj = tuple(TrajPoint(4000 + 100 * k, (10.0 + k, 0.5), 3.0, 0.1 * k) for k in range(31))
     out, changed = apply_planning_faults(PlanningOut(traj, "Cruise", ()), [fault], 4000,
                                          (10.0, 0.5))
@@ -467,7 +468,7 @@ def test_ramp_fault_leaves_fast_forward_on():
     # Ideal control moves the ego along the biased plan even at zero speed, so a
     # ramp active at rest leaves no fixed point; here it acts on the way, in a
     # region the ego leaves before resting.
-    ramp = dict(fault.to_dict(), trigger={"region": {"center": [30.0, 0.0], "radius": 10.0}})
+    ramp = dict(raw, trigger={"region": {"center": [30.0, 0.0], "radius": 10.0}})
     scenario, memo, verdict, trace, full, full_trace = resting_rerun(faults=[ramp])
     assert any(m.fault_affected for m in trace.rows[ComponentId.PLANNING])
     assert runner.still_from(scenario, [fault_from_dict(ramp)]) == 0

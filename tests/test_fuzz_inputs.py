@@ -13,7 +13,7 @@ from causetrace.benchmark import load_benchmark
 from causetrace.faults import fault_from_dict
 from causetrace.middleware import trace_record
 from causetrace.scenario import ParseError, ValidationError, scenario_from_dict
-from conftest import static_object, straight_road_doc
+from conftest import raw_instances, static_object, straight_road_doc
 
 INPUT_ERRORS = (ParseError, ValidationError)
 FUZZ = settings(max_examples=150, deadline=None,
@@ -59,10 +59,10 @@ VALID_SCENARIO = straight_road_doc(objects=[static_object(), {
     signals=[{"id": "sig", "stop_line": [90.0, 0.0], "phases": [
         {"t_start_ms": 0, "t_end_ms": 6000, "color": "Green"}]}])
 VALID_SCENARIO["map"]["successors"] = {"lane0": ["lane1"]}
-VALID_FAULTS = [inst.fault.to_dict() for inst in load_benchmark()]
+VALID_FAULTS = [raw["fault"] for raw in raw_instances().values()]
 VALID_FAULTS.append({"target": "perception", "kind": "miss_detection", "trigger": {
     "t0_ms": 0, "t1_ms": 100, "object_id": "ped", "region": {"center": [1, 2], "radius": 3}}})
-VALID_BENCHMARK = {"instances": [inst.to_dict() for inst in load_benchmark()]}
+VALID_BENCHMARK = {"instances": list(raw_instances().values())}
 VALID_EGO_RECORD = {"kind": "ego", "t": 10, "p": [1.0, 2.0], "v": [0.5, 0.0],
                     "a": [0.0, 0.0]}
 
