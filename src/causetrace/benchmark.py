@@ -99,7 +99,7 @@ def scenario_for_instance(inst: BenchInstance, scenario_dir: Path | None = None)
 def run_instance(inst: BenchInstance, strategy: str = "binary",
                  audit_monotonicity: bool = False,
                  scenario_dir: Path | None = None) -> dict:
-    """Attribute one instance; never raises, failures land in the row."""
+    """Attribute one instance; a failed attribution lands in the row, a bad scenario raises."""
     scenario = scenario_for_instance(inst, scenario_dir)
     ads = AdsConfig(faults=[inst.fault])
     row = {

@@ -12,6 +12,7 @@ Exit codes: 0 pass, 1 violation, 2 error, 3 no violation to attribute,
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import sys
@@ -23,7 +24,7 @@ from .attribution import (STRATEGIES, MonotonicityViolation, NoViolatingPlanning
 from .benchmark import load_benchmark, run_benchmark, summary_table_csv
 from .faults import load_fault_file
 from .geometry import OrientedBox, min_obb_distance
-from .middleware import load_trace_records, save_trace, trace_digest
+from .middleware import load_trace_records, serialize_trace
 from .oracles import ALL_KINDS, OracleConfig, carried_heading
 from .runner import AdsConfig, rtest
 from .scenario import (ParseError, Scenario, ValidationError, Waypoint, bbox_at, expect,
@@ -64,13 +65,14 @@ def _out_dir(args) -> Path:
 def cmd_run(args) -> int:
     scenario, ads, oracles = _load_inputs(args)
     result = rtest(scenario, ads, oracles)
+    text = serialize_trace(result.trace)
     out = _out_dir(args)
-    save_trace(result.trace, out / "trace.jsonl")
+    (out / "trace.jsonl").write_text(text, encoding="utf-8")
     (out / "verdict.json").write_text(json.dumps({
         "passed": result.verdict.passed,
         "violations": result.verdict.violations,
         "messages": result.trace.message_count(),
-        "trace_digest": trace_digest(result.trace),
+        "trace_digest": hashlib.sha256(text.encode("utf-8")).hexdigest(),
     }, indent=2) + "\n", encoding="utf-8")
     if result.verdict.passed:
         print(f"pass: no violation in {scenario.t_max} ms "

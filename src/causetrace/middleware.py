@@ -19,8 +19,8 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Any
 
-from .scenario import (ParseError, SimTime, Waypoint, expect, load_json, parse_number,
-                       parse_vec, record)
+from .scenario import (ParseError, SimTime, ValidationError, Waypoint, expect, load_json,
+                       parse_number, parse_vec, record)
 
 
 class ComponentId(str, Enum):
@@ -117,22 +117,27 @@ def _dumps(obj: Any) -> str:
 
 
 def serialize_trace(trace: Trace) -> str:
-    """One record per line; message lines keep a fixed key order."""
+    """One record per line; message lines keep a fixed key order. A payload JSON
+    cannot hold (a NaN or an infinity) raises a ValidationError naming its message."""
     lines = []
     lines.append(_dumps({"kind": "header", "messages": trace.message_count(),
                          "ego_samples": len(trace.ego_log)}))
     messages = [m for component in TICK_PRIORITY for m in trace.rows[component]]
-    for m in messages:
-        lines.append(_dumps({
-            "kind": "msg",
-            "component": m.component.value,
-            "seq": m.seq,
-            "t_pub": m.t_pub,
-            "payload": m.payload,
-            "state_key": m.state_key,
-            "state_index": m.state_index,
-            "fault_affected": m.fault_affected,
-        }))
+    try:
+        for m in messages:
+            lines.append(_dumps({
+                "kind": "msg",
+                "component": m.component.value,
+                "seq": m.seq,
+                "t_pub": m.t_pub,
+                "payload": m.payload,
+                "state_key": m.state_key,
+                "state_index": m.state_index,
+                "fault_affected": m.fault_affected,
+            }))
+    except ValueError as exc:
+        raise ValidationError(f"{m.component.value} message seq={m.seq} t={m.t_pub}",
+                              str(exc)) from None
     # Firing order: by time, and within one tick in TICK_PRIORITY order (stable sort).
     for m in sorted(messages, key=attrgetter("t_pub")):
         lines.append(_dumps({
@@ -154,10 +159,6 @@ def serialize_trace(trace: Trace) -> str:
 
 def trace_digest(trace: Trace) -> str:
     return hashlib.sha256(serialize_trace(trace).encode("utf-8")).hexdigest()
-
-
-def save_trace(trace: Trace, path: str | Path) -> None:
-    Path(path).write_text(serialize_trace(trace), encoding="utf-8")
 
 
 def trace_record(raw: Any, path: str) -> dict:

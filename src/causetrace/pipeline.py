@@ -212,7 +212,8 @@ class _Candidate:
 def _first_conflict(ctx: PlannerContext, traj: tuple[TrajPoint, ...],
                     candidates: list[_Candidate]) -> tuple[int, float] | None:
     """Earliest (point index >= 1, route s of ego) where a predicted box gets too
-    close. Each candidate's circle test runs once over the planned points, and
+    close. Each candidate's circle test runs once over the planned points, point k
+    against its predicted point k (planning_tick asserts their common grid), and
     `safe_distance_at` is asked only where some circle passes, about the
     candidates that pass there, in candidate order."""
     if not candidates:
@@ -220,15 +221,8 @@ def _first_conflict(ctx: PlannerContext, traj: tuple[TrajPoint, ...],
     poses = traj[1:]
     near: dict[int, list[_Candidate]] = {}
     for cand in candidates:
-        pts = cand.obj.points
-        if pts[0][0] == traj[0].t:
-            # Both lie on the same grid: planned point k sits on predicted point
-            # k, and the centre holds after the last one.
-            centres = pts[1:len(traj)]
-            centres += (pts[-1],) * (len(poses) - len(centres))
-        else:
-            centres = [(pt.t, *cand.center_at(pt.t)) for pt in poses]
-        for k in circle_hits(poses, centres, ctx.ego_radius, cand.radius, CONFLICT_CLEAR):
+        for k in circle_hits(poses, cand.obj.points[1:], ctx.ego_radius, cand.radius,
+                             CONFLICT_CLEAR):
             near.setdefault(k, []).append(cand)
     for k in sorted(near):
         pt = poses[k]
@@ -245,19 +239,19 @@ def planning_tick(pred: PredictionOut, loc: LocalizationOut, ctx: PlannerContext
     s0, lat0, _ = ctx.route.project(loc.p)
     # Lane furniture is owned by lane keeping: it is neither nudged nor avoided.
     targets = [tr for tr in pred.trajectories if tr.kind != "Infrastructure"]
+    steps = PREDICTION_HORIZON_MS // PREDICTION_STEP_MS
+    assert all(tr.points[0][0] == t and len(tr.points) == steps + 1
+               for tr in targets), "planning reads the prediction of its own frame"
 
     # Small static intrusions ahead: nudge around them.
     target_lat = 0.0
     cap_zone: tuple[float, float] | None = None
     nudge = None
     for tr in targets:
-        first = tr.points[0]
-        last = tr.points[-1]
-        horizon_s = (last[0] - first[0]) / 1000.0
-        disp = math.hypot(last[1] - first[1], last[2] - first[2])
-        if horizon_s > 0 and disp / horizon_s > STATIC_SPEED_EPS:
+        (_, x0, y0), (_, x1, y1) = tr.points[0], tr.points[-1]
+        if math.hypot(x1 - x0, y1 - y0) / (PREDICTION_HORIZON_MS / 1000.0) > STATIC_SPEED_EPS:
             continue  # moving object: handled by the conflict scan
-        box0 = tr.box_at(first[0])
+        box0 = tr.box_at(t)
         s_min, s_max, lat_min, lat_max = _obstacle_route_interval(ctx, box0)
         if s_max < s0 or s_min > s0 + NUDGE_LOOKAHEAD:
             continue

@@ -41,6 +41,23 @@ def test_run_missing_file_exit_two(tmp_path, capsys):
     assert code == 2
 
 
+def test_run_unwritable_trace_exit_two_naming_the_message(tmp_path, capsys):
+    # A finite speed whose predicted points overflow to infinity: JSON cannot
+    # hold them, and the first message that holds one is named.
+    fault = tmp_path / "fault.json"
+    fault.write_text(json.dumps({"target": "prediction", "kind": "wrong_prediction_trajectory",
+                                 "magnitude": {"mode": "departing", "speed": 1e308}}),
+                     encoding="utf-8")
+    out = tmp_path / "out"
+    code = main(["run", str(scenario_path("cs2")), "--fault", str(fault),
+                 "--out-dir", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: prediction message seq=1 t=0: Out of range float values are not JSON "
+        "compliant\n")
+    assert not (out / "trace.jsonl").exists()
+
+
 def test_run_determinism_digest_equality(tmp_path):
     fault = write_fault(tmp_path, "cs1_perc_miss")
     a, b = tmp_path / "a", tmp_path / "b"

@@ -656,29 +656,18 @@ def crossing(perceived, t):
     return pred, LocalizationOut((25.0, 0.0), 0.0, 11.0), PLANNER_CONTEXTS["straight"], t
 
 
-def test_conflict_scan_reads_a_prediction_from_an_earlier_tick():
-    # The prediction starts 100 ms before the plan, so planned point k does not
-    # sit on predicted point k: the scan asks center_at instead. Read a step
-    # late, the walker would seem to cross behind the ego.
+def test_planning_rejects_a_prediction_from_another_frame():
+    # The conflict scan reads planned point k against predicted point k, so a
+    # prediction from an earlier tick, or one cut short, trips the precondition.
     walker = PerceivedObject("ped", "Pedestrian", OrientedBox((46.0, -13.0), (0.3, 0.3), 1.5),
                              (0.0, 5.0))
-    pred, loc, ctx, _ = crossing(walker, 11900)
-    out = planning_tick(pred, loc, ctx, [], 12000)
-    assert "stop_for_conflict" in out[0].branch_tags
-    planning_tick_equals_reference(pred, loc, ctx, 12000)
-
-
-def test_conflict_scan_holds_a_short_prediction_at_its_last_point():
-    # Ten points only: the walker stops in the lane 0.9 s ahead, and the plan
-    # reaches it after that, where its centre holds at the last point.
-    walker = PerceivedObject("ped", "Pedestrian", OrientedBox((55.0, -3.6), (0.3, 0.3), 1.5),
-                             (0.0, 4.0))
     pred, loc, ctx, t = crossing(walker, 12000)
     (tr,) = pred.trajectories
-    pred = PredictionOut((PredictedTrajectory(tr.id, tr.kind, tr.half_extents, tr.heading,
-                                              tr.points[:10]),))
-    out = planning_tick(pred, loc, ctx, [], t)
-    assert "stop_for_conflict" in out[0].branch_tags
+    short = PredictionOut((PredictedTrajectory(tr.id, tr.kind, tr.half_extents, tr.heading,
+                                               tr.points[:10]),))
+    for other in (crossing(walker, 11900)[0], short):
+        with pytest.raises(AssertionError, match="prediction of its own frame"):
+            planning_tick(other, loc, ctx, [], t)
     planning_tick_equals_reference(pred, loc, ctx, t)
 
 

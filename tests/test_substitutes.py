@@ -490,19 +490,28 @@ def test_ideal_control_equals_the_bisection_on_the_grid_many(plan, ego_speed):
 
 
 @pytest.mark.parametrize("inst_id", ["cs1_plan_speed", "cs1_plan_none", "cs3_plan_path",
-                                     "cs1_pred_none", "cs2_perc_vel"])
+                                     "cs1_pred_none", "cs2_perc_vel", "cs1_pred_wrong",
+                                     "cs2_pred_wrong"])
 def test_published_plans_lie_on_the_grid(inst_id):
     # PlanTable finds the point before t by division: every plan an original run
     # publishes, faulted or not, has its points every PREDICTION_STEP_MS from the
-    # planning time.
+    # planning time. The conflict scan reads planned point k against predicted
+    # point k: every plan consumes the prediction of its own frame, each
+    # trajectory on the same grid over the whole horizon.
     inst = INSTS[inst_id]
     trace = rtest(load_builtin_scenario(inst.scenario), AdsConfig(faults=[inst.fault]),
                   OracleConfig()).trace
     rows = trace.rows[ComponentId.PLANNING]
+    preds = trace.rows[ComponentId.PREDICTION]
     assert any(m.fault_affected for m in rows) == (inst.component is ComponentId.PLANNING)
     for m in rows:
         assert [pt.t for pt in m.payload.trajectory] == [
             m.t_pub + k * PREDICTION_STEP_MS for k in range(len(m.payload.trajectory))]
+        pred = preds[m.inputs["prediction"] - 1]
+        grid = [m.t_pub + k * PREDICTION_STEP_MS
+                for k in range(PREDICTION_HORIZON_MS // PREDICTION_STEP_MS + 1)]
+        assert pred.t_pub == m.t_pub and all(
+            [pt[0] for pt in tr.points] == grid for tr in pred.payload.trajectories)
 
 
 def test_substitution_plan_rejects_planning():
